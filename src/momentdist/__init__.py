@@ -9,7 +9,6 @@ oracles, competing baseline methods, and clustering/classification harnesses.
 __version__ = "0.1.0"
 
 from .baselines import (
-    DegenerateDenominatorError,
     EigensolverError,
     FeatureVector,
     GRAPHLET3_TYPES,
@@ -22,7 +21,6 @@ from .baselines import (
     graphlet_kernel_value,
     nclm_vector,
     top_k_eigenvalues,
-    wicker_distance,
 )
 from .experiments import (
     METHODS,
@@ -75,7 +73,6 @@ from .metrics import (
     cholesky_frobenius_dist,
     frobenius_dist,
     graph_distance,
-    j_divergence_dist,
     log_frobenius_dist,
     moment_matrix_of_graph,
     pairwise_distance_matrix,

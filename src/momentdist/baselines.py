@@ -1,8 +1,7 @@
 """Competing graph-comparison methods used in the head-to-head experiments.
 
 Covariance descriptors of normalized walk vectors, log trace-moment vectors,
-top-k adjacency eigenvalues, 3/4-vertex graphlet distributions, and the
-eigendecomposition-based dissimilarity of labeled-graph comparison. Every
+top-k adjacency eigenvalues, and 3/4-vertex graphlet distributions. Every
 method here is permutation invariant by construction; the interesting failure
 mode (shared by the spectral ones) is that cospectral graphs collapse to
 distance zero.
@@ -23,7 +22,6 @@ __all__ = [
     "FeatureVector",
     "feature_vectors_to_csv",
     "EigensolverError",
-    "DegenerateDenominatorError",
     "cov_descriptor",
     "bhattacharyya_dist",
     "nclm_vector",
@@ -31,7 +29,6 @@ __all__ = [
     "graphlet3_distribution",
     "graphlet4_distribution",
     "graphlet_kernel_value",
-    "wicker_distance",
     "GRAPHLET3_TYPES",
     "GRAPHLET4_TYPES",
 ]
@@ -46,10 +43,6 @@ _LOG_ZERO_TRACE = -745.0
 
 class EigensolverError(RuntimeError):
     """Iterative eigensolver failed to converge."""
-
-
-class DegenerateDenominatorError(ValueError):
-    """Eigenvalue pair with zero sum but nonzero eigenvector overlap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +63,7 @@ class FeatureVector:
         return json.dumps({"method": self.method, "values": self.values.tolist()})
 
 
-def feature_vectors_to_csv(fvs: "list[FeatureVector]", labels=None, path=None) -> str | None:
+def feature_vectors_to_csv(fvs: "list[FeatureVector]", labels=None) -> str:
     """CSV with one labeled row per feature vector."""
     if labels is None:
         labels = [f"g{i}" for i in range(len(fvs))]
@@ -84,12 +77,7 @@ def feature_vectors_to_csv(fvs: "list[FeatureVector]", labels=None, path=None) -
     for label, fv in zip(labels, fvs):
         body = ",".join(repr(float(v)) for v in fv.values)
         lines.append(f"{label},{fv.method},{body}" if body else f"{label},{fv.method}")
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        return text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return None
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +120,20 @@ def bhattacharyya_dist(c1: np.ndarray, c2: np.ndarray, jitter: float | None = No
     c2 = np.asarray(c2, dtype=np.float64)
     if c1.shape != c2.shape or c1.ndim != 2 or c1.shape[0] != c1.shape[1]:
         raise ValueError("covariance matrices must be square and of equal size")
+    return float(_bhattacharyya(c1, c2[None], jitter)[0])
+
+
+def _bhattacharyya(c1: np.ndarray, c2s: np.ndarray, jitter: float | None) -> np.ndarray:
+    """Bhattacharyya distances from ``c1`` to each covariance matrix in ``c2s``."""
     k = c1.shape[0]
     if jitter is None:
-        base = (np.trace(c1) + np.trace(c2)) / (2 * k)
-        jitter = 1e-8 * base if base > 0 else 1e-12
-    eye = jitter * np.eye(k)
-    _, ld_mid = np.linalg.slogdet((c1 + c2) / 2 + eye)
+        base = (np.trace(c1) + np.trace(c2s, axis1=1, axis2=2)) / (2 * k)
+        jitter = np.where(base > 0, 1e-8 * base, 1e-12)
+    eye = np.multiply.outer(jitter, np.eye(k))
+    _, ld_mid = np.linalg.slogdet((c1 + c2s) / 2 + eye)
     _, ld_1 = np.linalg.slogdet(c1 + eye)
-    _, ld_2 = np.linalg.slogdet(c2 + eye)
-    return float(0.5 * ld_mid - 0.25 * (ld_1 + ld_2))
+    _, ld_2 = np.linalg.slogdet(c2s + eye)
+    return 0.5 * ld_mid - 0.25 * (ld_1 + ld_2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,44 +290,3 @@ def graphlet_kernel_value(d1: np.ndarray, d2: np.ndarray) -> float:
     if d1.shape != d2.shape:
         raise ValueError("distribution size mismatch")
     return float(d1 @ d2)
-
-
-# ---------------------------------------------------------------------------
-# Eigendecomposition-overlap dissimilarity
-# ---------------------------------------------------------------------------
-
-
-def wicker_distance(g1: Graph, g2: Graph, k: int = 2, tol: float = 1e-12) -> float:
-    """Dissimilarity sum_{i,j} ((l_i - m_j)^2 / (l_i + m_j)) |<u_i, v_j>|^k.
-
-    l, u and m, v are the eigenvalues/eigenvectors of the two adjacency
-    matrices. Terms with (numerically) zero eigenvector overlap contribute
-    nothing regardless of the denominator; a zero denominator paired with a
-    genuinely different eigenvalue pair and nonzero overlap raises, rather
-    than being skipped silently.
-    """
-    if g1.n != g2.n:
-        raise ValueError("graphs must have the same number of vertices")
-    if g1.n == 0:
-        return 0.0
-    if g1.n > DENSE_EIG_N:
-        raise ValueError(f"dense eigendecomposition limited to n <= {DENSE_EIG_N}")
-    lam, u = np.linalg.eigh(g1.to_dense())
-    mu, v = np.linalg.eigh(g2.to_dense())
-    overlap = np.abs(u.T @ v) ** k
-    num = np.subtract.outer(lam, mu) ** 2
-    den = np.add.outer(lam, mu)
-
-    scale = max(1.0, float(np.max(np.abs(lam))), float(np.max(np.abs(mu))))
-    active = overlap > tol
-    zero_den = np.abs(den) <= tol * scale
-    zero_num = num <= (tol * scale) ** 2
-    bad = active & zero_den & ~zero_num
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise DegenerateDenominatorError(
-            f"eigenvalue pair ({lam[i]:.6g}, {mu[j]:.6g}) sums to zero with "
-            f"nonzero eigenvector overlap"
-        )
-    use = active & ~zero_den
-    return float(np.sum(num[use] / den[use] * overlap[use]))

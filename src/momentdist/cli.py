@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .baselines import DegenerateDenominatorError, EigensolverError
+from .baselines import EigensolverError
 from .experiments import (
     METHODS,
     bench_moment_scaling,
@@ -39,7 +39,13 @@ from .graphs import (
     named_graph,
 )
 from .measures import graph_spectral_measure
-from .metrics import ConfigError, DistanceConfig, SingularMatrixError, pairwise_distance_matrix
+from .metrics import (
+    METRICS,
+    ConfigError,
+    DistanceConfig,
+    SingularMatrixError,
+    pairwise_distance_matrix,
+)
 from .moments import EmptyGraphError, trace_moments, vector_state_moments
 
 EXIT_OK = 0
@@ -51,7 +57,6 @@ _INPUT_ERRORS = (EdgeListError, UnknownGraphNameError, OSError, json.JSONDecodeE
 _NUMERIC_ERRORS = (
     SingularMatrixError,
     EigensolverError,
-    DegenerateDenominatorError,
     EmptyGraphError,
     np.linalg.LinAlgError,
 )
@@ -104,16 +109,16 @@ def _load_graph(args) -> tuple[Graph, str, dict]:
 def _emit(payload: dict, manifest: RunManifest, out: str | None) -> None:
     payload = dict(payload)
     payload["manifest"] = manifest.deterministic_dict()
-    text = json.dumps(payload, indent=2) + "\n"
+    _emit_text(json.dumps(payload, indent=2) + "\n", manifest, out)
+
+
+def _emit_text(text: str, manifest: RunManifest, out: str | None) -> None:
+    """Write to stdout, or to ``out`` plus a ``<out>.manifest.json`` sidecar."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_sidecar(out, manifest)
-
-
-def _write_sidecar(out: str, manifest: RunManifest) -> None:
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(asdict(manifest), fh, indent=2)
         fh.write("\n")
@@ -185,16 +190,12 @@ def _cmd_pairwise(args) -> int:
         input_digests=digests,
         timings={"pairwise_s": time.perf_counter() - t0},
     )
-    if args.out is None:
-        sys.stdout.write(dm.to_csv())
-    elif args.out.endswith(".json"):
+    if args.out is not None and args.out.endswith(".json"):
         payload = json.loads(dm.to_json())
         payload["metadata"] = dm.metadata
         _emit(payload, manifest, args.out)
-        return EXIT_OK
     else:
-        dm.to_csv(args.out)
-        _write_sidecar(args.out, manifest)
+        _emit_text(dm.to_csv(), manifest, args.out)
     return EXIT_OK
 
 
@@ -313,11 +314,7 @@ def _cmd_spectrum(args) -> int:
         input_digests=digests,
         timings={"spectrum_s": time.perf_counter() - t0},
     )
-    if args.out is None:
-        sys.stdout.write(mu.to_csv())
-    else:
-        mu.to_csv(args.out)
-        _write_sidecar(args.out, manifest)
+    _emit_text(mu.to_csv(), manifest, args.out)
     return EXIT_OK
 
 
@@ -397,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--indexing", choices=["zero", "one", "auto"], default="auto")
     p.add_argument("--header", action="store_true")
     p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--metric", default="affine-invariant",
-                   choices=["frobenius", "affine-invariant", "log-frobenius", "cholesky-frobenius"])
+    p.add_argument("--metric", default="affine-invariant", choices=list(METRICS))
     p.add_argument("--scale", choices=["none", "log1p"], default="none")
     p.add_argument("--reg", type=float, default=0.0, help="eps ridge added to moment matrices")
     p.add_argument("--threads", type=int)
@@ -410,9 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", required=True, help="corpus manifest JSON")
         p.add_argument("--method", choices=list(METHODS), default="moment")
         p.add_argument("--degree", type=int, default=4)
-        p.add_argument("--metric", default="affine-invariant",
-                       choices=["frobenius", "affine-invariant", "log-frobenius",
-                                "cholesky-frobenius"])
+        p.add_argument("--metric", default="affine-invariant", choices=list(METRICS))
         p.add_argument("--scale", choices=["none", "log1p"], default="none")
         p.add_argument("--reg", type=float, default=0.0)
         p.add_argument("--cov-k", type=int, default=4)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import (
-    bhattacharyya_dist,
+    _bhattacharyya,
     cov_descriptor,
     graphlet3_distribution,
     graphlet4_distribution,
@@ -28,7 +28,9 @@ from .metrics import (
     ConfigError,
     DistanceConfig,
     DistanceMatrix,
-    _matrix_distance,
+    _euclidean,
+    _moment_distances,
+    _pairwise,
     moment_matrix_of_graph,
     pairwise_distance_matrix,
 )
@@ -73,14 +75,6 @@ def make_rewired_corpus(
     return graphs, np.asarray(labels)
 
 
-def _euclidean_matrix(features: np.ndarray, labels: list[str]) -> DistanceMatrix:
-    diff = features[:, None, :] - features[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    d = np.maximum((d + d.T) / 2, 0.0)
-    np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(labels, d)
-
-
 def method_distance_matrix(
     gs: Sequence[Graph],
     method: str,
@@ -111,36 +105,29 @@ def method_distance_matrix(
         center = bool(params.pop("center", True))
         jitter = params.pop("jitter", None)
         _reject_extra(params)
-        descs = [cov_descriptor(g, k=k, center=center) for g in gs]
-        n = len(gs)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = max(bhattacharyya_dist(descs[i], descs[j], jitter=jitter), 0.0)
+        descs = np.stack([cov_descriptor(g, k=k, center=center) for g in gs])
+        out, _ = _pairwise(lambda c, cs: (_bhattacharyya(c, cs, jitter), 0), descs)
         return DistanceMatrix(labels, out, {"method": "cov", "k": k})
     if method == "nclm":
         _reject_extra(params)
-        feats = np.stack([nclm_vector(g).values for g in gs])
-        return _euclidean_matrix(feats, labels)
-    if method == "eigs":
+        feats = [nclm_vector(g).values for g in gs]
+    elif method == "eigs":
         k = int(params.pop("k", 10))
         _reject_extra(params)
-        feats = np.stack([top_k_eigenvalues(g, k=k).values for g in gs])
-        return _euclidean_matrix(feats, labels)
-    if method == "gk3":
+        feats = [top_k_eigenvalues(g, k=k).values for g in gs]
+    elif method == "gk3":
         _reject_extra(params)
-        feats = np.stack([graphlet3_distribution(g) for g in gs])
-        return _euclidean_matrix(feats, labels)
-    if method == "gk4":
+        feats = [graphlet3_distribution(g) for g in gs]
+    elif method == "gk4":
         samples = int(params.pop("samples", 10000))
         seed = params.pop("seed", None)
         _reject_extra(params)
         seeds = _spawn_seeds(seed, len(gs))
-        feats = np.stack(
-            [graphlet4_distribution(g, samples=samples, seed=s) for g, s in zip(gs, seeds)]
-        )
-        return _euclidean_matrix(feats, labels)
-    raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+        feats = [graphlet4_distribution(g, samples=samples, seed=s) for g, s in zip(gs, seeds)]
+    else:
+        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+    out, _ = _pairwise(lambda x, ys: (_euclidean(x, ys), 0), np.stack(feats))
+    return DistanceMatrix(labels, out)
 
 
 def _reject_extra(params: dict) -> None:
@@ -271,11 +258,9 @@ def bench_moment_scaling(
             pair_times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                mats = [moment_matrix_of_graph(g, degree).entries for g in gs]
+                mats = np.stack([moment_matrix_of_graph(g, degree).entries for g in gs])
                 t1 = time.perf_counter()
-                for i in range(len(mats)):
-                    for j in range(i + 1, len(mats)):
-                        _matrix_distance(mats[i], mats[j], cfg)
+                _moment_distances(mats, cfg)
                 t2 = time.perf_counter()
                 extract_times.append(t1 - t0)
                 pair_times.append(t2 - t1)

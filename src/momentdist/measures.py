@@ -60,16 +60,11 @@ class DiscreteMeasure:
     def moment(self, k: int) -> float:
         return measure_moment(self, k)
 
-    def to_csv(self, path=None) -> str | None:
+    def to_csv(self) -> str:
         """Stem-plot data: CSV with columns lambda, omega."""
         lines = ["lambda,omega"]
         lines += [f"{l!r},{w!r}" for l, w in self.atoms]
-        text = "\n".join(lines) + "\n"
-        if path is None:
-            return text
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return None
+        return "\n".join(lines) + "\n"
 
     def __repr__(self):
         body = " + ".join(f"{w:g}*d[{l:g}]" for l, w in self.atoms[:4])

@@ -7,6 +7,10 @@ default; because small-graph moment matrices are frequently singular PSD,
 any metric that requires positive definiteness silently falls back to the
 Frobenius distance for the affected pair and flags that in the result
 metadata.
+
+Every metric is written once, as a per-matrix embedding plus a batched pair
+kernel; one engine runs the kernel a row at a time to fill all-pairs
+matrices, and the one-pair functions call the same kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ __all__ = [
     "affine_invariant_dist",
     "log_frobenius_dist",
     "cholesky_frobenius_dist",
-    "j_divergence_dist",
     "moment_matrix_of_graph",
     "graph_distance",
     "pairwise_distance_matrix",
@@ -87,97 +90,197 @@ class DistanceConfig:
 
 
 # ---------------------------------------------------------------------------
-# Matrix metrics
+# Batched kernels and per-matrix embeddings
 # ---------------------------------------------------------------------------
 
 
-def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    return a
+def _euclidean(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Euclidean distance from ``x`` to each of ``ys`` over all entries."""
+    diff = (ys - x).reshape(len(ys), x.size)
+    return np.sqrt(np.vecdot(diff, diff))
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
+def _spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of each matrix and whether it is numerically PD."""
+    w, u = np.linalg.eigh(mats)
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    pd = ~((tr <= 0) | (w[..., 0] <= SINGULAR_REL_TOL * tr))
+    return w, u, pd
+
+
+def _inv_sqrt(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return (u * w[..., None, :] ** -0.5) @ np.swapaxes(u, -1, -2)
+
+
+def _logm(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return (u * np.log(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+
+
+def _geodesic(inv_sqrt: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine-invariant distances from a, given as a^{-1/2}, to each of ``bs``.
+
+    Also returns the smallest eigenvalue of each whitened product
+    a^{-1/2} b a^{-1/2}; where it is <= 0 the distance is undefined (left 0).
+    """
+    w = np.linalg.eigvalsh(inv_sqrt @ bs @ inv_sqrt)
+    w0 = w[:, 0]
+    d = np.zeros(len(bs))
+    kept = ~(w0 <= 0)  # a NaN eigenvalue gives a NaN distance, not a fallback
+    d[kept] = np.sqrt(np.sum(np.log(w[kept]) ** 2, axis=-1))
+    return d, w0
+
+
+def _flat(x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, None]:
+    return _euclidean(x, ys), None
+
+
+# Each embedding maps a stack of matrices to (pd, left, right): a graph's
+# left embedding is compared with the right embeddings of the others, and a
+# pair is only compared when both matrices are flagged pd.
+
+
+def _embed_frobenius(mats):
+    return np.ones(len(mats), dtype=bool), mats, mats
+
+
+def _embed_geodesic(mats):
+    w, u, pd = _spectra(mats)
+    inv_sqrt = np.zeros_like(mats)
+    inv_sqrt[pd] = _inv_sqrt(w[pd], u[pd])
+    return pd, inv_sqrt, mats
+
+
+def _embed_log(mats):
+    w, u, pd = _spectra(mats)
+    logs = np.zeros_like(mats)
+    logs[pd] = _logm(w[pd], u[pd])
+    return pd, logs, logs
+
+
+def _embed_cholesky(mats):
+    pd = np.ones(len(mats), dtype=bool)
+    factors = np.zeros_like(mats)
+    for k, m in enumerate(mats):
+        try:
+            factors[k] = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            pd[k] = False
+    return pd, factors, factors
+
+
+#: metric name -> (per-matrix embedding, batched pair kernel)
+METRICS = {
+    "frobenius": (_embed_frobenius, _flat),
+    "affine-invariant": (_embed_geodesic, _geodesic),
+    "log-frobenius": (_embed_log, _flat),
+    "cholesky-frobenius": (_embed_cholesky, _flat),
+}
+
+
+def _pairwise(kernel, *stacks: np.ndarray) -> tuple[np.ndarray, int]:
+    """Symmetric all-pairs matrix from a batched pair kernel, with its fallback count.
+
+    Each stack holds one embedding per graph along its first axis. For each
+    graph i, ``kernel`` gets graph i's entry of every stack followed by the
+    stacks' rows i+1..n-1, and returns the distances to those graphs and how
+    many of them fell back. Negative distances are clipped to 0.
+    """
+    n = len(stacks[0])
+    out = np.zeros((n, n), dtype=np.float64)
+    fallbacks = 0
+    for i in range(n - 1):
+        d, fell = kernel(*(s[i] for s in stacks), *(s[i + 1:] for s in stacks))
+        out[i, i + 1:] = out[i + 1:, i] = np.maximum(d, 0.0)
+        fallbacks += fell
+    return out, fallbacks
+
+
+def _moment_distances(mats: np.ndarray, cfg: DistanceConfig) -> tuple[np.ndarray, int]:
+    """All-pairs distances between stacked moment matrices, and the fallback count."""
+    embed, kernel = METRICS[cfg.metric]
+
+    def row(a, pd_a, left_a, _right_a, bs, pd_bs, _left_bs, right_bs):
+        d = np.zeros(len(bs))
+        # identification axiom, exact; also spares the geodesic from
+        # amplifying roundoff on ill-conditioned but identical inputs
+        differ = ~np.all(bs == a, axis=(1, 2))
+        use = differ & pd_bs & pd_a
+        fell = differ & ~use
+        if use.any():
+            d[use], w0 = kernel(left_a, right_bs[use])
+            if w0 is not None:  # the whitened product lost positivity
+                fell[use] = w0 <= 0
+        d[fell] = _euclidean(a, bs[fell])
+        return d, int(fell.sum())
+
+    out, fallbacks = _pairwise(row, mats, *embed(mats))
+    if cfg.scaling == "log1p":
+        # math.log1p, not np.log1p: the two differ in the last bit on some inputs
+        out = np.vectorize(math.log1p, otypes=[np.float64])(out)
+    return out, fallbacks
+
+
+# ---------------------------------------------------------------------------
+# One-pair matrix metrics
+# ---------------------------------------------------------------------------
+
+
+def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    for m in (a, b):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("expected a square matrix")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def _pd_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    w, u = np.linalg.eigh(a)
-    tr = float(np.trace(a))
-    if tr <= 0 or w[0] <= SINGULAR_REL_TOL * tr:
+    w, u, pd = _spectra(a)
+    if not pd:
         raise SingularMatrixError(f"{what} is not numerically positive definite", float(w[0]))
     return w, u
 
 
+def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(a)
+        raise SingularMatrixError(f"{what} has no Cholesky factor", float(w[0])) from None
+
+
 def frobenius_dist(a, b) -> float:
     """Entrywise l2 distance ||a - b||_2."""
-    a, b = _as_square(a), _as_square(b)
-    _check_same_shape(a, b)
-    return float(np.linalg.norm(a - b, "fro"))
+    a, b = _as_pair(a, b)
+    return float(_euclidean(a, b[None])[0])
 
 
 def affine_invariant_dist(a, b) -> float:
     """Geodesic distance ||log(a^{-1/2} b a^{-1/2})||_2 on the PD cone."""
-    a, b = _as_square(a), _as_square(b)
-    _check_same_shape(a, b)
-    wa, ua = _pd_eigh(a, "first argument")
+    a, b = _as_pair(a, b)
+    inv_sqrt = _inv_sqrt(*_pd_eigh(a, "first argument"))
     _pd_eigh(b, "second argument")
-    inv_sqrt = (ua * (wa**-0.5)) @ ua.T
-    w = np.linalg.eigvalsh(inv_sqrt @ b @ inv_sqrt)
-    if w[0] <= 0:
-        raise SingularMatrixError("whitened product lost positivity", float(w[0]))
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
-
-
-def _logm_pd(a: np.ndarray, what: str) -> np.ndarray:
-    w, u = _pd_eigh(a, what)
-    return (u * np.log(w)) @ u.T
+    d, w0 = _geodesic(inv_sqrt, b[None])
+    if w0[0] <= 0:
+        raise SingularMatrixError("whitened product lost positivity", float(w0[0]))
+    return float(d[0])
 
 
 def log_frobenius_dist(a, b) -> float:
     """||log a - log b||_2 with matrix logs via eigendecomposition."""
-    a, b = _as_square(a), _as_square(b)
-    _check_same_shape(a, b)
-    return float(np.linalg.norm(_logm_pd(a, "first argument") - _logm_pd(b, "second argument"), "fro"))
+    a, b = _as_pair(a, b)
+    log_a = _logm(*_pd_eigh(a, "first argument"))
+    log_b = _logm(*_pd_eigh(b, "second argument"))
+    return float(_euclidean(log_a, log_b[None])[0])
 
 
 def cholesky_frobenius_dist(a, b) -> float:
     """||chol(a) - chol(b)||_2 on the lower-triangular Cholesky factors."""
-    a, b = _as_square(a), _as_square(b)
-    _check_same_shape(a, b)
-    factors = []
-    for mat, what in ((a, "first argument"), (b, "second argument")):
-        try:
-            factors.append(np.linalg.cholesky(mat))
-        except np.linalg.LinAlgError:
-            w = np.linalg.eigvalsh(mat)
-            raise SingularMatrixError(f"{what} has no Cholesky factor", float(w[0])) from None
-    return float(np.linalg.norm(factors[0] - factors[1], "fro"))
-
-
-def j_divergence_dist(a, b) -> float:
-    """Symmetrized divergence 0.5 * sqrt(tr(a^{-1} b + b^{-1} a) - 2k).
-
-    Listed for completeness; not part of the DistanceConfig metric menu.
-    """
-    a, b = _as_square(a), _as_square(b)
-    _check_same_shape(a, b)
-    _pd_eigh(a, "first argument")
-    _pd_eigh(b, "second argument")
-    k = a.shape[0]
-    t = np.trace(np.linalg.solve(a, b)) + np.trace(np.linalg.solve(b, a)) - 2 * k
-    return float(0.5 * math.sqrt(max(t, 0.0)))
-
-
-#: metric name -> (function, requires positive definiteness)
-METRICS = {
-    "frobenius": (frobenius_dist, False),
-    "affine-invariant": (affine_invariant_dist, True),
-    "log-frobenius": (log_frobenius_dist, True),
-    "cholesky-frobenius": (cholesky_frobenius_dist, True),
-}
+    a, b = _as_pair(a, b)
+    chol_a = _cholesky(a, "first argument")
+    chol_b = _cholesky(b, "second argument")
+    return float(_euclidean(chol_a, chol_b[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +297,6 @@ def moment_matrix_of_graph(g: Graph, degree: int, eps: float = 0.0) -> MomentMat
     return mm
 
 
-def _matrix_distance(a: np.ndarray, b: np.ndarray, cfg: DistanceConfig) -> tuple[float, bool]:
-    """Distance between two moment matrices; returns (value, fell_back)."""
-    if np.array_equal(a, b):
-        # identification axiom, exact; also spares the geodesic from
-        # amplifying roundoff on ill-conditioned but identical inputs
-        return 0.0, False
-    func, needs_pd = METRICS[cfg.metric]
-    fell_back = False
-    if needs_pd:
-        try:
-            val = func(a, b)
-        except SingularMatrixError:
-            val = frobenius_dist(a, b)
-            fell_back = True
-    else:
-        val = func(a, b)
-    if cfg.scaling == "log1p":
-        val = math.log1p(val)
-    return val, fell_back
-
-
 def graph_distance(
     g1: Graph,
     g2: Graph,
@@ -227,11 +309,12 @@ def graph_distance(
     actually used and whether the PD-metric singularity fallback fired.
     """
     cfg = cfg or DistanceConfig()
-    a = moment_matrix_of_graph(g1, cfg.degree, cfg.eps).entries
-    b = moment_matrix_of_graph(g2, cfg.degree, cfg.eps).entries
-    val, fell_back = _matrix_distance(a, b, cfg)
+    mats = np.stack([moment_matrix_of_graph(g, cfg.degree, cfg.eps).entries for g in (g1, g2)])
+    out, fallbacks = _moment_distances(mats, cfg)
+    val = float(out[0, 1])
     if not return_info:
         return val
+    fell_back = fallbacks > 0
     info = {
         "metric": cfg.metric,
         "metric_used": "frobenius" if fell_back else cfg.metric,
@@ -272,27 +355,17 @@ class DistanceMatrix:
     def n(self) -> int:
         return len(self.labels)
 
-    def to_csv(self, path=None) -> str | None:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["label"] + list(self.labels))
         for label, row in zip(self.labels, self.entries):
             writer.writerow([label] + [repr(float(v)) for v in row])
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return None
+        return buf.getvalue()
 
-    def to_json(self, path=None) -> str | None:
+    def to_json(self) -> str:
         payload = {"labels": list(self.labels), "entries": self.entries.tolist()}
-        text = json.dumps(payload, indent=2) + "\n"
-        if path is None:
-            return text
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return None
+        return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> DistanceMatrix:
@@ -315,12 +388,12 @@ def pairwise_distance_matrix(
     """
     cfg = cfg or DistanceConfig()
     if len(gs) < 2:
-        raise ValueError("need at least two graphs")
+        raise ConfigError("need at least two graphs")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gs))]
     labels = [str(x) for x in labels]
     if len(labels) != len(gs):
-        raise ValueError("labels length must match graphs")
+        raise ConfigError("labels length must match graphs")
 
     def extract(g: Graph) -> np.ndarray:
         return moment_matrix_of_graph(g, cfg.degree, cfg.eps).entries
@@ -331,14 +404,7 @@ def pairwise_distance_matrix(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             mats = list(pool.map(extract, gs))
 
-    n = len(gs)
-    out = np.zeros((n, n), dtype=np.float64)
-    fallbacks = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            val, fell_back = _matrix_distance(mats[i], mats[j], cfg)
-            out[i, j] = out[j, i] = max(val, 0.0)
-            fallbacks += fell_back
+    out, fallbacks = _moment_distances(np.stack(mats), cfg)
     meta = {
         "metric": cfg.metric,
         "degree": cfg.degree,

@@ -89,3 +89,97 @@ def component_count(g: Graph) -> int:
                     seen[v] = True
                     stack.append(int(v))
     return comps
+
+
+# -- per-pair reference for the batched pairwise engine ----------------------------
+
+SINGULAR_REL_TOL = 1e-10
+
+
+class _NotPD(Exception):
+    pass
+
+
+def _pd_eigh(a):
+    w, u = np.linalg.eigh(a)
+    tr = float(np.trace(a))
+    if tr <= 0 or w[0] <= SINGULAR_REL_TOL * tr:
+        raise _NotPD
+    return w, u
+
+
+def _geodesic(a, b):
+    wa, ua = _pd_eigh(a)
+    _pd_eigh(b)
+    inv_sqrt = (ua * (wa**-0.5)) @ ua.T
+    w = np.linalg.eigvalsh(inv_sqrt @ b @ inv_sqrt)
+    if w[0] <= 0:
+        raise _NotPD
+    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+
+
+def _log_frobenius(a, b):
+    logs = []
+    for m in (a, b):
+        w, u = _pd_eigh(m)
+        logs.append((u * np.log(w)) @ u.T)
+    return float(np.linalg.norm(logs[0] - logs[1], "fro"))
+
+
+def _cholesky_frobenius(a, b):
+    try:
+        return float(np.linalg.norm(np.linalg.cholesky(a) - np.linalg.cholesky(b), "fro"))
+    except np.linalg.LinAlgError:
+        raise _NotPD from None
+
+
+def _frobenius(a, b):
+    return float(np.linalg.norm(a - b, "fro"))
+
+
+_REFERENCE_METRICS = {
+    "frobenius": _frobenius,
+    "affine-invariant": _geodesic,
+    "log-frobenius": _log_frobenius,
+    "cholesky-frobenius": _cholesky_frobenius,
+}
+
+
+def reference_pairwise(mats, metric: str) -> tuple[np.ndarray, int]:
+    """All-pairs moment-matrix distances, one pair at a time, and the fallback count.
+
+    Identical matrices are exactly 0 apart; a pair on which a PD metric
+    fails falls back to the Frobenius distance.
+    """
+    n = len(mats)
+    out = np.zeros((n, n))
+    fallbacks = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = mats[i], mats[j]
+            if np.array_equal(a, b):
+                continue
+            try:
+                val = _REFERENCE_METRICS[metric](a, b)
+            except _NotPD:
+                val = _frobenius(a, b)
+                fallbacks += 1
+            out[i, j] = out[j, i] = max(val, 0.0)
+    return out, fallbacks
+
+
+def reference_bhattacharyya_matrix(covs) -> np.ndarray:
+    """All-pairs Bhattacharyya distances with the default trace-relative jitter."""
+    n = len(covs)
+    k = covs[0].shape[0]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            c1, c2 = covs[i], covs[j]
+            base = (np.trace(c1) + np.trace(c2)) / (2 * k)
+            eye = (1e-8 * base if base > 0 else 1e-12) * np.eye(k)
+            _, ld_mid = np.linalg.slogdet((c1 + c2) / 2 + eye)
+            _, ld_1 = np.linalg.slogdet(c1 + eye)
+            _, ld_2 = np.linalg.slogdet(c2 + eye)
+            out[i, j] = out[j, i] = max(float(0.5 * ld_mid - 0.25 * (ld_1 + ld_2)), 0.0)
+    return out

@@ -225,6 +225,13 @@ def test_exit_code_config_error_negative_reg(capsys):
     assert code == 4
 
 
+def test_exit_code_config_error_single_graph(capsys):
+    code = main(["pairwise", "--named", "K4"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "config error: need at least two graphs\n"
+
+
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MOMENTDIST_THREADS", "2")
     code, out = run(capsys, ["pairwise", "--named", "K4", "C4",

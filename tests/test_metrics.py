@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import momentdist as md
-from oracles import random_graph
+from momentdist.metrics import METRICS
+from oracles import random_graph, reference_pairwise
 
 
 def _random_pd(rng, k):
@@ -72,12 +73,6 @@ def test_cholesky_frobenius_basic():
     assert md.cholesky_frobenius_dist(m, m) == 0.0
     with pytest.raises(md.SingularMatrixError):
         md.cholesky_frobenius_dist(np.diag([1.0, -1.0]), np.eye(2))
-
-
-def test_j_divergence_diagonal():
-    a, b = np.eye(2), np.diag([4.0, 4.0])
-    expected = 0.5 * math.sqrt(4.0 + 0.25 + 0.25 + 4.0 - 4.0)
-    assert md.j_divergence_dist(a, b) == pytest.approx(expected, rel=1e-12)
 
 
 def test_metric_axioms_sampled():
@@ -199,6 +194,35 @@ def test_pairwise_metadata_and_labels():
                                      labels=["4K1", "K4", "C4"])
     assert dm.labels == ["4K1", "K4", "C4"]
     assert dm.metadata["fallback_pairs"] == 3  # all these matrices are singular PSD
+
+
+def engine_corpus():
+    """Singular four-vertex graphs, random graphs, and exact duplicates of both."""
+    rng = np.random.default_rng(11)
+    four = [md.named_graph(name) for name in md.GRAPHLET4_TYPES]
+    randoms = [random_graph(rng, 12, 0.35) for _ in range(6)]
+    return four + randoms + [four[5], randoms[0], randoms[0]]
+
+
+@pytest.mark.parametrize("metric", list(METRICS))
+def test_pairwise_engine_matches_per_pair_reference(metric):
+    gs = engine_corpus()
+    pairs = len(gs) * (len(gs) - 1) // 2
+    fallback_counts = set()
+    # at degree 1 and eps 1e-9 one pair of four-vertex graphs passes the PD
+    # test but its whitened product loses positivity
+    settings = [(d, eps) for d in (2, 3, 4, 5) for eps in (0.0, 1e-6)] + [(1, 1e-9)]
+    for degree, eps in settings:
+        cfg = md.DistanceConfig(degree=degree, metric=metric, eps=eps)
+        mats = [md.moment_matrix_of_graph(g, degree, eps).entries for g in gs]
+        want, want_fallbacks = reference_pairwise(mats, metric)
+        dm = md.pairwise_distance_matrix(gs, cfg, threads=1)
+        assert dm.entries.tobytes() == want.tobytes(), (degree, eps)
+        assert dm.metadata["fallback_pairs"] == want_fallbacks, (degree, eps)
+        fallback_counts.add(want_fallbacks)
+    if metric != "frobenius":
+        # the corpus exercises the PD kernel and the fallback within one matrix
+        assert any(0 < f < pairs for f in fallback_counts)
 
 
 def test_pairwise_needs_two():
