@@ -15,10 +15,8 @@ from .baselines import (
     GRAPHLET4_TYPES,
     bhattacharyya_dist,
     cov_descriptor,
-    feature_vectors_to_csv,
     graphlet3_distribution,
     graphlet4_distribution,
-    graphlet_kernel_value,
     nclm_vector,
     top_k_eigenvalues,
 )
@@ -45,13 +43,11 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     generate_rewired,
-    induced_subgraph,
     load_edge_list,
     named_graph,
     parse_edge_list,
     path_graph,
     permute,
-    sample_subgraph,
     star_graph,
     walk_count,
     write_edge_list,

@@ -9,7 +9,6 @@ distance zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .moments import trace_moments
 
 __all__ = [
     "FeatureVector",
-    "feature_vectors_to_csv",
     "EigensolverError",
     "cov_descriptor",
     "bhattacharyya_dist",
@@ -28,7 +26,6 @@ __all__ = [
     "top_k_eigenvalues",
     "graphlet3_distribution",
     "graphlet4_distribution",
-    "graphlet_kernel_value",
     "GRAPHLET3_TYPES",
     "GRAPHLET4_TYPES",
 ]
@@ -58,26 +55,6 @@ class FeatureVector:
         if not np.all(np.isfinite(v)):
             raise ValueError("feature vector entries must be finite")
         v.flags.writeable = False
-
-    def to_json(self) -> str:
-        return json.dumps({"method": self.method, "values": self.values.tolist()})
-
-
-def feature_vectors_to_csv(fvs: "list[FeatureVector]", labels=None) -> str:
-    """CSV with one labeled row per feature vector."""
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(fvs))]
-    if len(labels) != len(fvs):
-        raise ValueError("labels length must match feature vectors")
-    width = {fv.values.size for fv in fvs}
-    if len(width) > 1:
-        raise ValueError("feature vectors must have equal length")
-    cols = ",".join(f"f{i}" for i in range(width.pop() if width else 0))
-    lines = [f"label,method,{cols}" if cols else "label,method"]
-    for label, fv in zip(labels, fvs):
-        body = ",".join(repr(float(v)) for v in fv.values)
-        lines.append(f"{label},{fv.method},{body}" if body else f"{label},{fv.method}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +118,7 @@ def _bhattacharyya(c1: np.ndarray, c2s: np.ndarray, jitter: float | None) -> np.
 # ---------------------------------------------------------------------------
 
 
-def nclm_vector(g: Graph, i_min: int = 2, i_max: int = 7) -> FeatureVector:
+def nclm_vector(g: Graph) -> FeatureVector:
     """Vector of log(tr(A^i) / n^i) for i = 2..7.
 
     Graph distance under this baseline is the Euclidean distance between
@@ -151,12 +128,12 @@ def nclm_vector(g: Graph, i_min: int = 2, i_max: int = 7) -> FeatureVector:
     """
     if g.m == 0:
         raise ValueError("trace-moment features are undefined for edgeless graphs")
-    tm = trace_moments(g, i_max)
+    tm = trace_moments(g, 7)
     logn = np.log(g.n)
-    out = np.empty(i_max - i_min + 1, dtype=np.float64)
-    for i in range(i_min, i_max + 1):
+    out = np.empty(6, dtype=np.float64)
+    for i in range(2, 8):
         tr = g.n * tm.values[i]
-        out[i - i_min] = np.log(tr) - i * logn if tr > 0 else _LOG_ZERO_TRACE
+        out[i - 2] = np.log(tr) - i * logn if tr > 0 else _LOG_ZERO_TRACE
     return FeatureVector(out, "nclm")
 
 
@@ -165,25 +142,20 @@ def nclm_vector(g: Graph, i_min: int = 2, i_max: int = 7) -> FeatureVector:
 # ---------------------------------------------------------------------------
 
 
-def top_k_eigenvalues(
-    g: Graph,
-    k: int = 10,
-    dense_threshold: int = DENSE_EIG_N,
-    tol: float = 1e-8,
-) -> FeatureVector:
+def top_k_eigenvalues(g: Graph, k: int = 10) -> FeatureVector:
     """The k algebraically largest adjacency eigenvalues, descending.
 
-    Dense solve up to ``dense_threshold`` vertices, Lanczos beyond;
-    zero-padded when the graph has fewer than k vertices.
+    Dense solve up to ``DENSE_EIG_N`` vertices, Lanczos (tolerance 1e-8)
+    beyond; zero-padded when the graph has fewer than k vertices.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if g.n <= dense_threshold:
+    if g.n <= DENSE_EIG_N:
         eigs = np.linalg.eigvalsh(g.to_dense()) if g.n else np.zeros(0)
         top = eigs[::-1][:k]
     else:
         try:
-            top = spla.eigsh(g.to_csr(), k=k, which="LA", tol=tol, return_eigenvectors=False)
+            top = spla.eigsh(g.to_csr(), k=k, which="LA", tol=1e-8, return_eigenvectors=False)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(
                 f"Lanczos did not converge: {len(exc.eigenvalues)}/{k} eigenvalues "
@@ -236,18 +208,14 @@ def graphlet3_distribution(g: Graph) -> np.ndarray:
     """Exact induced 3-subgraph distribution (empty, one-edge, wedge, triangle).
 
     Counted in integer arithmetic from triangle and path-of-length-2 counts,
-    then normalized by C(n, 3).
+    then normalized by C(n, 3). The sum of A * A^2 (entrywise) counts every
+    triangle six times.
     """
     n = g.n
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    triangles3 = 0  # 3 * number of triangles
-    for u in range(n):
-        nu = g.neighbors(u)
-        for v in nu:
-            if u < v:
-                triangles3 += np.intersect1d(nu, g.neighbors(int(v)), assume_unique=True).size
-    t = triangles3 // 3
+    a = g.to_csr()
+    t = int(a.multiply(a @ a).sum()) // 6
     degs = g.degrees.astype(object)
     p2 = int(np.sum(degs * (degs - 1) // 2))
     wedges = p2 - 3 * t
@@ -283,10 +251,3 @@ def graphlet4_distribution(g: Graph, samples: int = 10000, seed=None) -> np.ndar
         counts[_DEGSEQ4_TO_INDEX[tuple(sorted(degs))]] += 1
     return counts / samples
 
-
-def graphlet_kernel_value(d1: np.ndarray, d2: np.ndarray) -> float:
-    """Graphlet kernel between two distribution vectors (dot product)."""
-    d1, d2 = np.asarray(d1), np.asarray(d2)
-    if d1.shape != d2.shape:
-        raise ValueError("distribution size mismatch")
-    return float(d1 @ d2)

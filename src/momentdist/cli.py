@@ -331,7 +331,6 @@ def _parse_sizes(tokens: list[str]) -> list[tuple[int, int]]:
 
 def _cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
-    threads = _resolve_threads(args.threads)
     t0 = time.perf_counter()
     rows = bench_moment_scaling(
         sizes,
@@ -341,13 +340,12 @@ def _cmd_bench(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
         methods=args.methods,
-        threads=threads,
     )
     manifest = RunManifest(
         command="bench",
         config={"sizes": args.sizes, "count": args.count, "rho": args.rho,
                 "degree": args.degree, "repeats": args.repeats,
-                "methods": args.methods, "threads_bound": threads},
+                "methods": args.methods},
         seeds={"seed": args.seed},
         input_digests={},
         timings={"total_s": time.perf_counter() - t0},
@@ -436,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--methods", nargs="*", choices=list(METHODS), default=["moment"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int)
     _add_common_out(p)
     p.set_defaults(func=_cmd_bench)
 

@@ -10,6 +10,7 @@ reproduce bit-for-bit.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -234,46 +235,38 @@ def bench_moment_scaling(
     repeats: int = 3,
     seed=None,
     methods: Sequence[str] = ("moment",),
-    threads: int | None = None,
 ) -> list[dict]:
     """Time moment extraction and pairwise comparison per (nv, ne) size.
 
-    For each size, ``count`` graphs are generated and each phase is timed
-    ``repeats`` times; medians are reported. The moment phase is the
+    For each size, ``count`` graphs are generated up front; then each repeat
+    times every size in turn, so a slow spell of the host hits all sizes
+    alike, and medians over ``repeats`` are reported. The moment phase is the
     2*degree matvec chain per graph; the pairwise phase compares all pairs.
     Additional methods time their full distance-matrix construction.
     """
-    rows = []
-    graph_seeds = _spawn_seeds(seed, len(sizes) * count)
-    pos = 0
-    for nv, ne in sizes:
-        gs = []
-        for _ in range(count):
-            gs.append(generate_rewired(nv, ne, rho, graph_seeds[pos]))
-            pos += 1
-        row = {"nv": int(nv), "ne": int(ne), "count": int(count)}
-        if "moment" in methods:
-            cfg = DistanceConfig(degree=degree, metric="frobenius")
-            extract_times = []
-            pair_times = []
-            for _ in range(repeats):
+    graph_seeds = iter(_spawn_seeds(seed, len(sizes) * count))
+    corpora = [[generate_rewired(nv, ne, rho, next(graph_seeds)) for _ in range(count)]
+               for nv, ne in sizes]
+    cfg = DistanceConfig(degree=degree, metric="frobenius")
+    times = [defaultdict(list) for _ in sizes]
+    for _ in range(repeats):
+        for gs, size_times in zip(corpora, times):
+            if "moment" in methods:
                 t0 = time.perf_counter()
                 mats = np.stack([moment_matrix_of_graph(g, degree).entries for g in gs])
                 t1 = time.perf_counter()
                 _moment_distances(mats, cfg)
                 t2 = time.perf_counter()
-                extract_times.append(t1 - t0)
-                pair_times.append(t2 - t1)
-            row["moment_extract_s"] = float(np.median(extract_times))
-            row["moment_pairwise_s"] = float(np.median(pair_times))
-        for method in methods:
-            if method == "moment":
-                continue
-            times = []
-            for _ in range(repeats):
+                size_times["moment_extract_s"].append(t1 - t0)
+                size_times["moment_pairwise_s"].append(t2 - t1)
+            for method in methods:
+                if method == "moment":
+                    continue
                 t0 = time.perf_counter()
-                method_distance_matrix(gs, method, threads=threads)
-                times.append(time.perf_counter() - t0)
-            row[f"{method}_s"] = float(np.median(times))
-        rows.append(row)
-    return rows
+                method_distance_matrix(gs, method)
+                size_times[f"{method}_s"].append(time.perf_counter() - t0)
+    return [
+        {"nv": int(nv), "ne": int(ne), "count": int(count),
+         **{key: float(np.median(ts)) for key, ts in size_times.items()}}
+        for (nv, ne), size_times in zip(sizes, times)
+    ]

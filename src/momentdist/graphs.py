@@ -32,7 +32,6 @@ __all__ = [
     "disjoint_union",
     "permute",
     "complement",
-    "induced_subgraph",
     "named_graph",
     "complete_graph",
     "cycle_graph",
@@ -41,7 +40,6 @@ __all__ = [
     "complete_bipartite_graph",
     "empty_graph",
     "generate_rewired",
-    "sample_subgraph",
     "diameter",
     "walk_count",
     "NAMED_GRAPH_CATALOG",
@@ -365,21 +363,6 @@ def complement(g: Graph) -> Graph:
     return Graph.from_edges(g.n, edges)
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph induced on ``vertices``, relabeled 0..len(vertices)-1 in order."""
-    verts = list(map(int, vertices))
-    if len(set(verts)) != len(verts):
-        raise ValueError("duplicate vertices")
-    relabel = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for v in verts:
-        for w in g.neighbors(v):
-            w = int(w)
-            if w in relabel and v < w:
-                edges.append((relabel[v], relabel[w]))
-    return Graph.from_edges(len(verts), edges)
-
-
 # ---------------------------------------------------------------------------
 # Named graphs
 # ---------------------------------------------------------------------------
@@ -445,6 +428,7 @@ NAMED_GRAPH_CATALOG = (
 
 _FAMILY_RE = re.compile(r"([KkCcPpSs])(\d+)(?:,(\d+))?$")
 _MULT_RE = re.compile(r"(\d+)(.+)$")
+_FAMILIES = {"C": cycle_graph, "P": path_graph, "S": star_graph}
 
 
 def _build_family(letter: str, a: int, b: int | None) -> Graph:
@@ -453,13 +437,12 @@ def _build_family(letter: str, a: int, b: int | None) -> Graph:
         return complete_graph(a) if b is None else complete_bipartite_graph(a, b)
     if b is not None:
         raise UnknownGraphNameError(f"family {letter} takes one parameter")
-    if letter == "C":
-        return cycle_graph(a)
-    if letter == "P":
-        return path_graph(a)
-    if letter == "S":
-        return star_graph(a)
-    raise UnknownGraphNameError(f"unknown graph family {letter!r}")
+    if letter not in _FAMILIES:
+        raise UnknownGraphNameError(f"unknown graph family {letter!r}")
+    try:
+        return _FAMILIES[letter](a)
+    except ValueError as exc:
+        raise UnknownGraphNameError(f"{letter}{a}: {exc}") from None
 
 
 def _parse_name(name: str) -> Graph:
@@ -559,42 +542,6 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
             other[idx] = w
             break
     return Graph.from_edges(nv, np.stack([home, other], axis=1))
-
-
-def sample_subgraph(g: Graph, target_n: int, seed=None) -> Graph:
-    """Breadth-first snowball sample truncated at ``target_n`` vertices.
-
-    Starts from a uniformly random vertex and expands in BFS order (neighbors
-    visited in increasing id order); if a component is exhausted early, a new
-    random unvisited start is drawn. Returns the induced subgraph relabeled
-    0..target_n-1 in visit order.
-    """
-    if not (0 < target_n <= g.n):
-        raise ValueError(f"target_n must be in 1..{g.n}, got {target_n}")
-    rng = np.random.default_rng(seed)
-    visited = np.zeros(g.n, dtype=bool)
-    picked: list[int] = []
-    queue: deque[int] = deque()
-    while len(picked) < target_n:
-        if not queue:
-            pool = np.flatnonzero(~visited)
-            start = int(pool[rng.integers(pool.size)])
-            visited[start] = True
-            picked.append(start)
-            queue.append(start)
-            if len(picked) == target_n:
-                break
-        else:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                v = int(v)
-                if not visited[v]:
-                    visited[v] = True
-                    picked.append(v)
-                    queue.append(v)
-                    if len(picked) == target_n:
-                        return induced_subgraph(g, picked)
-    return induced_subgraph(g, picked)
 
 
 # ---------------------------------------------------------------------------

@@ -130,22 +130,18 @@ def measure_moment(mu: DiscreteMeasure, k: int) -> float:
     return float(np.sum(mu.omegas * mu.lambdas**k))
 
 
-def graph_spectral_measure(
-    g: Graph,
-    merge_tol: float | None = None,
-    dense_threshold: int = DENSE_MEASURE_N,
-) -> DiscreteMeasure:
+def graph_spectral_measure(g: Graph, merge_tol: float | None = None) -> DiscreteMeasure:
     """Spectral distribution of a graph in the uniform vector state.
 
     Dense-eigendecomposition oracle; raises for graphs above
-    ``dense_threshold`` vertices, where the sparse moment pipeline is the
+    ``DENSE_MEASURE_N`` vertices, where the sparse moment pipeline is the
     intended path.
     """
     if g.n == 0:
         raise ValueError("spectral measure of the empty graph is undefined")
-    if g.n > dense_threshold:
+    if g.n > DENSE_MEASURE_N:
         raise ValueError(
-            f"n={g.n} exceeds the dense threshold {dense_threshold}; "
+            f"n={g.n} exceeds the dense threshold {DENSE_MEASURE_N}; "
             "use the moment pipeline for large graphs"
         )
     xi = np.full(g.n, 1.0 / np.sqrt(g.n))

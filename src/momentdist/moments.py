@@ -30,12 +30,6 @@ STATE_TRACE = "trace"
 STATE_CUSTOM = "custom-vector"
 STATE_DENSITY = "density"
 
-# Below this size, trace moments use dense matrix powers instead of an
-# eigendecomposition; closed-walk counts then stay exact integers over n as
-# long as they fit in float64, so cospectral pairs agree bit-for-bit.
-EXACT_TRACE_N = 64
-DENSE_TRACE_N = 2048
-
 
 class EmptyGraphError(ValueError):
     """States on the empty (0-vertex) graph are undefined."""
@@ -94,52 +88,33 @@ def vector_state_moments(g: Graph, order: int) -> MomentSequence:
     return MomentSequence(STATE_UNIFORM, vals)
 
 
-def trace_moments(
-    g: Graph,
-    order: int,
-    dense_threshold: int = DENSE_TRACE_N,
-) -> MomentSequence:
+def trace_moments(g: Graph, order: int) -> MomentSequence:
     """Moments under the normalized trace state, m_k = tr(A^k) / n.
 
-    This equals the average number of closed walks of length k. Small graphs
-    (n <= 64) use exact dense matrix powers; up to ``dense_threshold`` a full
-    symmetric eigendecomposition is used; beyond that the diagonal of A^k is
-    extracted with one k-step matvec chain per basis vector, which costs
-    O(n * order * |E|) and is only intended for the moderate orders the
-    baselines need.
+    This equals the average number of closed walks of length k. Blocks of
+    identity columns go through one k-step sparse matvec chain and the
+    diagonal entries of A^k are summed, at a cost of O(n * order * |E|).
+    Every intermediate is an integer walk count, so the moments are exact
+    closed-walk counts over n while those counts stay below 2**53, and
+    cospectral graphs agree bit for bit.
     """
     _require_nonempty(g)
     if order < 0:
         raise ValueError("order must be nonnegative")
     n = g.n
-    vals = np.empty(order + 1, dtype=np.float64)
-    vals[0] = 1.0
-    if n <= EXACT_TRACE_N:
-        a = g.to_dense()
-        p = np.eye(n)
+    a = g.to_csr()
+    traces = np.zeros(order + 1, dtype=np.float64)
+    traces[0] = n
+    block = 256  # identity columns per chain: n * block doubles of work space
+    for start in range(0, n, block):
+        rows = np.arange(start, min(start + block, n))
+        cols = np.arange(rows.size)
+        w = np.zeros((n, rows.size), dtype=np.float64)
+        w[rows, cols] = 1.0
         for k in range(1, order + 1):
-            p = p @ a
-            vals[k] = np.trace(p) / n
-    elif n <= dense_threshold:
-        eigs = np.linalg.eigvalsh(g.to_dense())
-        powers = np.ones_like(eigs)
-        for k in range(1, order + 1):
-            powers = powers * eigs
-            vals[k] = powers.sum() / n
-    else:
-        a = g.to_csr()
-        traces = np.zeros(order + 1, dtype=np.float64)
-        traces[0] = n
-        block = 256
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            w = np.zeros((n, stop - start), dtype=np.float64)
-            w[np.arange(start, stop), np.arange(stop - start)] = 1.0
-            for k in range(1, order + 1):
-                w = a @ w
-                traces[k] += w[np.arange(start, stop), np.arange(stop - start)].sum()
-        vals[1:] = traces[1:] / n
-    return MomentSequence(STATE_TRACE, vals)
+            w = a @ w
+            traces[k] += w[rows, cols].sum()
+    return MomentSequence(STATE_TRACE, traces / n)
 
 
 def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequence:

@@ -213,6 +213,14 @@ def test_exit_code_input_error_unknown_name(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["C2", "P0", "S0"])
+def test_exit_code_input_error_out_of_range_name(capsys, name):
+    code = main(["moments", "--named", name])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_exit_code_numeric_error_empty_graph(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing here\n")

@@ -271,38 +271,6 @@ def test_rewired_infeasible():
         md.generate_rewired(4, 8, 0.0, seed=0)  # lattice needs nv >= 2c+1
 
 
-# -- subgraph sampling --------------------------------------------------------
-
-
-def test_sample_complete_gives_complete():
-    g = md.sample_subgraph(md.complete_graph(5), 3, seed=0)
-    assert g == md.complete_graph(3)
-
-
-def test_sample_cycle_gives_path():
-    g = md.sample_subgraph(md.cycle_graph(10), 4, seed=1)
-    assert are_isomorphic(g, md.path_graph(4))
-
-
-def test_sample_full_size_preserves_degrees():
-    base = random_graph(np.random.default_rng(2), 12, 0.3)
-    g = md.sample_subgraph(base, base.n, seed=0)
-    assert sorted(g.degrees) == sorted(base.degrees)
-
-
-def test_sample_invalid_target():
-    with pytest.raises(ValueError):
-        md.sample_subgraph(md.complete_graph(3), 0)
-    with pytest.raises(ValueError):
-        md.sample_subgraph(md.complete_graph(3), 4)
-
-
-def test_sample_crosses_components():
-    g = md.disjoint_union([md.complete_graph(3), md.complete_graph(3)])
-    sub = md.sample_subgraph(g, 5, seed=0)
-    assert sub.n == 5
-
-
 # -- diameter ----------------------------------------------------------------
 
 

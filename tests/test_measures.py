@@ -156,15 +156,16 @@ def test_merge_tol_clusters_close_eigenvalues():
     assert wide.num_atoms == 1
 
 
-def test_validation_errors():
+def test_validation_errors(monkeypatch):
     with pytest.raises(ValueError):
         md.spectral_measure(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         md.spectral_measure(np.eye(2), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         md.graph_spectral_measure(md.empty_graph(0))
+    monkeypatch.setattr(md.measures, "DENSE_MEASURE_N", 5)
     with pytest.raises(ValueError, match="dense threshold"):
-        md.graph_spectral_measure(md.cycle_graph(10), dense_threshold=5)
+        md.graph_spectral_measure(md.cycle_graph(10))
 
 
 def test_csv_export():

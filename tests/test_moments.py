@@ -77,19 +77,17 @@ def test_trace_moments_edgeless():
     assert md.trace_moments(md.empty_graph(4), 3).values.tolist() == [1, 0, 0, 0]
 
 
-def test_trace_moments_dense_paths_agree():
-    # exact matrix-power path (n <= 64) vs eigendecomposition path
-    g = random_graph(np.random.default_rng(2), 40, 0.2)
-    exact = md.trace_moments(g, 6)
-    eig = md.trace_moments(g, 6, dense_threshold=10)  # forces the blocked matvec path
-    assert np.allclose(exact.values, eig.values, rtol=1e-10)
-
-
-def test_trace_moments_blocked_path_matches():
-    g = random_graph(np.random.default_rng(3), 300, 0.05)
-    lo = md.trace_moments(g, 5, dense_threshold=2048)
-    hi = md.trace_moments(g, 5, dense_threshold=100)
-    assert np.allclose(lo.values, hi.values, rtol=1e-9)
+def test_trace_moments_exact_closed_walk_counts():
+    # bit-equal to integer closed-walk counts over n, below and above one block
+    for seed, n, p in ((2, 40, 0.2), (3, 300, 0.05)):
+        g = random_graph(np.random.default_rng(seed), n, p)
+        a = g.to_dense().astype(np.int64)
+        power = np.eye(n, dtype=np.int64)
+        expected = [1.0]
+        for _ in range(7):
+            power = power @ a
+            expected.append(int(np.trace(power)) / n)
+        assert md.trace_moments(g, 7).values.tolist() == expected
 
 
 def test_spectra_from_matching_trace_moments():
