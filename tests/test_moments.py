@@ -77,17 +77,32 @@ def test_trace_moments_edgeless():
     assert md.trace_moments(md.empty_graph(4), 3).values.tolist() == [1, 0, 0, 0]
 
 
-def test_trace_moments_exact_closed_walk_counts():
-    # bit-equal to integer closed-walk counts over n, below and above one block
-    for seed, n, p in ((2, 40, 0.2), (3, 300, 0.05)):
-        g = random_graph(np.random.default_rng(seed), n, p)
-        a = g.to_dense().astype(np.int64)
-        power = np.eye(n, dtype=np.int64)
-        expected = [1.0]
-        for _ in range(7):
-            power = power @ a
-            expected.append(int(np.trace(power)) / n)
-        assert md.trace_moments(g, 7).values.tolist() == expected
+def _closed_walk_moments(g, order):
+    # integer closed-walk counts over n from int64 dense matrix powers
+    a = g.to_dense().astype(np.int64)
+    power = np.eye(g.n, dtype=np.int64)
+    moments = [1.0]
+    for _ in range(order):
+        power = power @ a
+        moments.append(int(np.trace(power)) / g.n)
+    return moments
+
+
+def test_trace_moments_dense_paths_agree():
+    # one block of identity columns: bit-equal to the dense integer powers,
+    # and within roundoff of the eigenvalue power sums
+    g = random_graph(np.random.default_rng(2), 40, 0.2)
+    ms = md.trace_moments(g, 7)
+    assert ms.values.tolist() == _closed_walk_moments(g, 7)
+    eig = np.linalg.eigvalsh(g.to_dense())
+    power_sums = [np.mean(eig**k) for k in range(8)]
+    assert np.allclose(ms.values, power_sums, rtol=1e-10)
+
+
+def test_trace_moments_blocked_path_matches():
+    # n = 300 spans two blocks of 256 columns; counts stay exact across them
+    g = random_graph(np.random.default_rng(3), 300, 0.05)
+    assert md.trace_moments(g, 7).values.tolist() == _closed_walk_moments(g, 7)
 
 
 def test_spectra_from_matching_trace_moments():
