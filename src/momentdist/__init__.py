@@ -29,6 +29,7 @@ from .experiments import (
     method_distance_matrix,
 )
 from .graphs import (
+    ConfigError,
     EdgeListError,
     Graph,
     NAMED_GRAPH_CATALOG,
@@ -61,7 +62,6 @@ from .measures import (
     spectral_measure,
 )
 from .metrics import (
-    ConfigError,
     DistanceConfig,
     DistanceMatrix,
     SingularMatrixError,
@@ -77,6 +77,7 @@ from .moments import (
     DensityParams,
     EmptyGraphError,
     MomentSequence,
+    NonFiniteMomentError,
     density_state_moments,
     trace_moments,
     vector_state_moments,

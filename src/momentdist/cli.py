@@ -46,7 +46,7 @@ from .metrics import (
     SingularMatrixError,
     pairwise_distance_matrix,
 )
-from .moments import EmptyGraphError, trace_moments, vector_state_moments
+from .moments import EmptyGraphError, NonFiniteMomentError, trace_moments, vector_state_moments
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,6 +58,7 @@ _NUMERIC_ERRORS = (
     SingularMatrixError,
     EigensolverError,
     EmptyGraphError,
+    NonFiniteMomentError,
     np.linalg.LinAlgError,
 )
 

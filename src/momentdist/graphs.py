@@ -12,17 +12,18 @@ from __future__ import annotations
 import io
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
 __all__ = [
     "Graph",
     "Permutation",
+    "ConfigError",
     "EdgeListError",
     "SelfLoopError",
     "UnknownGraphNameError",
@@ -44,6 +45,10 @@ __all__ = [
     "walk_count",
     "NAMED_GRAPH_CATALOG",
 ]
+
+
+class ConfigError(ValueError):
+    """Invalid configuration or parameter value."""
 
 
 class EdgeListError(ValueError):
@@ -89,31 +94,29 @@ class Graph:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        """Build a canonical graph from an iterable of (u, v) pairs.
+    def from_edges(cls, n: int, edges: np.ndarray | Sequence[tuple[int, int]]) -> Graph:
+        """Build a canonical graph from an ``(m, 2)`` array or a list of (u, v) pairs.
 
         Duplicate edges (in either orientation) collapse; self-loops raise.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        arr = np.asarray(list(edges), dtype=np.int64)
+        arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
             return cls(n, np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be pairs")
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError(f"edge endpoint out of range for n={n}")
-        u = np.minimum(arr[:, 0], arr[:, 1])
-        v = np.maximum(arr[:, 0], arr[:, 1])
+        u, v = arr[:, 0], arr[:, 1]
         if np.any(u == v):
             bad = int(u[np.argmax(u == v)])
             raise SelfLoopError(f"self-loop at vertex {bad} rejected")
-        codes = np.unique(u * n + v)
-        u, v = codes // n, codes % n
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        # both orientations of every edge as row-major codes, sorted and
+        # deduplicated (sort-and-compare: np.unique is far slower on int64)
+        codes = np.sort(np.concatenate([u * n + v, v * n + u]))
+        codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
+        src, dst = np.divmod(codes, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(n, indptr, dst)
@@ -137,12 +140,14 @@ class Graph:
         pos = np.searchsorted(row, j)
         return pos < row.size and row[pos] == j
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each undirected edge once, as (u, v) with u < v."""
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield u, int(v)
+    def _rows(self) -> np.ndarray:
+        """Row (source vertex) of every entry of ``indices``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+
+    def edge_array(self) -> np.ndarray:
+        """Each undirected edge once: ``(m, 2)`` int64 rows ``u < v`` in CSR order."""
+        e = np.stack([self._rows(), self.indices], axis=1)
+        return e[e[:, 0] < e[:, 1]]
 
     @cached_property
     def _csr(self) -> sp.csr_matrix:
@@ -155,8 +160,7 @@ class Graph:
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u in range(self.n):
-            a[u, self.neighbors(u)] = 1.0
+        a[self._rows(), self.indices] = 1.0
         return a
 
     # -- invariants ---------------------------------------------------------
@@ -169,18 +173,23 @@ class Graph:
             raise ValueError("indptr does not cover indices")
         if np.any(np.diff(self.indptr) < 0):
             raise ValueError("indptr not monotone")
-        for u in range(self.n):
-            row = self.neighbors(u)
-            if row.size and (np.any(np.diff(row) <= 0)):
-                raise ValueError(f"neighbor list of {u} not strictly increasing")
-            if np.any(row == u):
-                raise ValueError(f"self-loop at {u}")
-            if row.size and (row.min() < 0 or row.max() >= self.n):
-                raise ValueError(f"neighbor of {u} out of range")
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if not self.has_edge(int(v), u):
-                    raise ValueError(f"asymmetric edge ({u},{v})")
+        rows, cols = self._rows(), self.indices
+        # per vertex: unsorted row, self-loop, neighbor out of range; the
+        # first faulty vertex is reported, with its first fault in that order
+        faults = np.zeros((self.n, 3), dtype=bool)
+        faults[rows[1:][(rows[1:] == rows[:-1]) & (np.diff(cols) <= 0)], 0] = True
+        faults[rows[cols == rows], 1] = True
+        faults[rows[(cols < 0) | (cols >= self.n)], 2] = True
+        if faults.any():
+            u, kind = np.argwhere(faults)[0]
+            messages = (f"neighbor list of {u} not strictly increasing", f"self-loop at {u}",
+                        f"neighbor of {u} out of range")
+            raise ValueError(messages[kind])
+        mirrored = np.isin(cols * self.n + rows, rows * self.n + cols, assume_unique=True)
+        missing = np.flatnonzero(~mirrored)
+        if missing.size:
+            i = missing[0]
+            raise ValueError(f"asymmetric edge ({rows[i]},{cols[i]})")
         if int(self.degrees.sum()) != 2 * self.m:
             raise ValueError("degree sum != 2m")
 
@@ -298,9 +307,10 @@ def parse_edge_list(
                 bad = int(np.argmax((flat == 0).any(axis=1)))
                 raise EdgeListError("vertex id 0 under one-based indexing", linenos[bad])
             flat = flat - 1
-        for (a, b), lineno in zip(flat, linenos):
-            if a == b:
-                raise SelfLoopError(f"self-loop {a} {b} rejected", lineno)
+        loops = np.flatnonzero(flat[:, 0] == flat[:, 1])
+        if loops.size:
+            a = flat[loops[0], 0]
+            raise SelfLoopError(f"self-loop {a} {a} rejected", linenos[loops[0]])
         n = int(flat.max()) + 1
     else:
         flat = np.zeros((0, 2), dtype=np.int64)
@@ -321,8 +331,7 @@ def load_edge_list(path, indexing: str = "auto", header: bool = False) -> Graph:
 def write_edge_list(g: Graph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n} m={g.m}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        np.savetxt(fh, g.edge_array(), fmt="%d")
 
 
 # ---------------------------------------------------------------------------
@@ -334,33 +343,21 @@ def disjoint_union(gs: Sequence[Graph]) -> Graph:
     """Disjoint union of graphs; vertex sets are relabeled by offset."""
     if len(gs) == 0:
         raise ValueError("disjoint_union requires at least one graph")
-    n = sum(g.n for g in gs)
-    edges = []
-    offset = 0
-    for g in gs:
-        for u, v in g.edges():
-            edges.append((u + offset, v + offset))
-        offset += g.n
-    return Graph.from_edges(n, edges)
+    offsets = np.cumsum([0] + [g.n for g in gs])
+    edges = np.concatenate([g.edge_array() + off for g, off in zip(gs, offsets)])
+    return Graph.from_edges(int(offsets[-1]), edges)
 
 
 def permute(g: Graph, p: Permutation) -> Graph:
     """Relabel vertices: edge {i, j} maps to {p(i), p(j)}."""
     if p.n != g.n:
         raise ValueError(f"permutation length {p.n} != vertex count {g.n}")
-    edges = [(int(p.map[u]), int(p.map[v])) for u, v in g.edges()]
-    return Graph.from_edges(g.n, edges)
+    return Graph.from_edges(g.n, p.map[g.edge_array()])
 
 
 def complement(g: Graph) -> Graph:
     """Complement graph on the same vertex set (no loops)."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return Graph.from_edges(g.n, edges)
+    return Graph.from_edges(g.n, np.argwhere(np.triu(g.to_dense() == 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,7 @@ def complement(g: Graph) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return complement(empty_graph(n))
 
 
 def empty_graph(n: int) -> Graph:
@@ -508,33 +505,30 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
     vertices and ``ne`` edges, and is deterministic for a fixed seed.
     """
     if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
+        raise ConfigError(f"rho must be in [0, 1], got {rho}")
     if nv <= 0 or ne <= 0:
-        raise ValueError("nv and ne must be positive")
+        raise ConfigError("nv and ne must be positive")
     c, rem = divmod(ne, nv)
     if rem != 0 or c < 1:
-        raise ValueError(f"infeasible (nv={nv}, ne={ne}): ne/nv must be a positive integer")
+        raise ConfigError(f"infeasible (nv={nv}, ne={ne}): ne/nv must be a positive integer")
     if nv < 2 * c + 1:
-        raise ValueError(f"infeasible (nv={nv}, ne={ne}): lattice needs nv >= 2*(ne/nv)+1")
+        raise ConfigError(f"infeasible (nv={nv}, ne={ne}): lattice needs nv >= 2*(ne/nv)+1")
 
     home = np.tile(np.arange(nv, dtype=np.int64), c)
     shift = np.repeat(np.arange(1, c + 1, dtype=np.int64), nv)
     other = (home + shift) % nv
 
-    def code(u, v):
-        return (u * nv + v) if u < v else (v * nv + u)
-
-    present = {code(int(u), int(v)) for u, v in zip(home, other)}
+    codes = np.minimum(home, other) * nv + np.maximum(home, other)
+    present = set(codes.tolist())
     rng = np.random.default_rng(seed)
     rewire = rng.random(ne) < rho
     for idx in np.flatnonzero(rewire):
-        u, v = int(home[idx]), int(other[idx])
-        old = code(u, v)
+        u, old = int(home[idx]), int(codes[idx])
         for _ in range(100):
             w = int(rng.integers(nv))
             if w == u:
                 continue
-            new = code(u, w)
+            new = (u * nv + w) if u < w else (w * nv + u)
             if new in present:
                 continue
             present.remove(old)
@@ -549,30 +543,12 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_depths(g: Graph, source: int) -> np.ndarray:
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(int(v))
-    return dist
-
-
 def diameter(g: Graph) -> int | float:
     """Longest shortest-path length; ``math.inf`` if disconnected."""
     if g.n <= 1:
         return 0
-    best = 0
-    for s in range(g.n):
-        dist = _bfs_depths(g, s)
-        if dist.min() < 0:
-            return math.inf
-        best = max(best, int(dist.max()))
-    return best
+    longest = shortest_path(g.to_csr(), unweighted=True).max()
+    return math.inf if np.isinf(longest) else int(longest)
 
 
 def walk_count(g: Graph, i: int, j: int, k: int) -> int:

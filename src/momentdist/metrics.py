@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import ConfigError, Graph
 from .hankel import MomentMatrix, build_moment_matrix
 from .moments import vector_state_moments
 
@@ -46,10 +46,6 @@ __all__ = [
 
 # smallest eigenvalue <= SINGULAR_REL_TOL * trace counts as singular
 SINGULAR_REL_TOL = 1e-10
-
-
-class ConfigError(ValueError):
-    """Invalid distance configuration."""
 
 
 class SingularMatrixError(ValueError):

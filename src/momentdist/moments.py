@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import ConfigError, Graph
 
 __all__ = [
     "MomentSequence",
     "DensityParams",
     "EmptyGraphError",
+    "NonFiniteMomentError",
     "vector_state_moments",
     "trace_moments",
     "xi_state_moments",
@@ -33,6 +34,10 @@ STATE_DENSITY = "density"
 
 class EmptyGraphError(ValueError):
     """States on the empty (0-vertex) graph are undefined."""
+
+
+class NonFiniteMomentError(ValueError):
+    """A moment overflowed float64."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +74,15 @@ def _require_nonempty(g: Graph) -> None:
         raise EmptyGraphError("moments of the empty graph are undefined")
 
 
+def _finite_sequence(state_kind: str, vals: np.ndarray) -> MomentSequence:
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NonFiniteMomentError(
+            f"moment of order {bad[0]} is not finite in float64; lower the order"
+        )
+    return MomentSequence(state_kind, vals)
+
+
 def vector_state_moments(g: Graph, order: int) -> MomentSequence:
     """Moments under the uniform vector state (normalized all-ones vector).
 
@@ -77,15 +91,16 @@ def vector_state_moments(g: Graph, order: int) -> MomentSequence:
     """
     _require_nonempty(g)
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise ConfigError("order must be nonnegative")
     a = g.to_csr()
     w = np.ones(g.n, dtype=np.float64)
     vals = np.empty(order + 1, dtype=np.float64)
     vals[0] = 1.0
-    for k in range(1, order + 1):
-        w = a @ w
-        vals[k] = w.sum() / g.n
-    return MomentSequence(STATE_UNIFORM, vals)
+    with np.errstate(over="ignore"):  # overflow is reported as a non-finite moment
+        for k in range(1, order + 1):
+            w = a @ w
+            vals[k] = w.sum() / g.n
+    return _finite_sequence(STATE_UNIFORM, vals)
 
 
 def trace_moments(g: Graph, order: int) -> MomentSequence:
@@ -100,7 +115,7 @@ def trace_moments(g: Graph, order: int) -> MomentSequence:
     """
     _require_nonempty(g)
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise ConfigError("order must be nonnegative")
     n = g.n
     a = g.to_csr()
     traces = np.zeros(order + 1, dtype=np.float64)
@@ -111,10 +126,11 @@ def trace_moments(g: Graph, order: int) -> MomentSequence:
         cols = np.arange(rows.size)
         w = np.zeros((n, rows.size), dtype=np.float64)
         w[rows, cols] = 1.0
-        for k in range(1, order + 1):
-            w = a @ w
-            traces[k] += w[rows, cols].sum()
-    return MomentSequence(STATE_TRACE, traces / n)
+        with np.errstate(over="ignore"):  # overflow is reported as a non-finite moment
+            for k in range(1, order + 1):
+                w = a @ w
+                traces[k] += w[rows, cols].sum()
+    return _finite_sequence(STATE_TRACE, traces / n)
 
 
 def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequence:
@@ -133,7 +149,7 @@ def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequenc
     if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
         raise ValueError("state vector is not unit norm within 1e-10")
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise ConfigError("order must be nonnegative")
     vals = np.empty(order + 1, dtype=np.float64)
     vals[0] = 1.0
     w = xi

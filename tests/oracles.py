@@ -26,9 +26,9 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     if sorted(g1.degrees) != sorted(g2.degrees):
         return False
-    e2 = {(u, v) for u, v in g2.edges()}
+    e2 = {(u, v) for u, v in g2.edge_array().tolist()}
     for perm in permutations(range(g1.n)):
-        mapped = {tuple(sorted((perm[u], perm[v]))) for u, v in g1.edges()}
+        mapped = {tuple(sorted((perm[u], perm[v]))) for u, v in g1.edge_array().tolist()}
         if mapped == e2:
             return True
     return False

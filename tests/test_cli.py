@@ -240,6 +240,29 @@ def test_exit_code_config_error_single_graph(capsys):
     assert err == "config error: need at least two graphs\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--named", "K4", "--order", "-1"],
+    ["bench", "--sizes", "10:1000", "--count", "1", "--repeats", "1"],
+], ids=["negative-order", "infeasible-size"])
+def test_exit_code_config_error_bad_parameter(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--named", "K60", "--order", "200"],
+    ["pairwise", "--named", "K60", "K50", "--degree", "100", "--metric", "frobenius"],
+], ids=["moments", "pairwise"])
+def test_exit_code_numeric_error_moment_overflow(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("numeric error: ") and captured.err.count("\n") == 1
+
+
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MOMENTDIST_THREADS", "2")
     code, out = run(capsys, ["pairwise", "--named", "K4", "C4",

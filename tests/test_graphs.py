@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -104,13 +105,40 @@ def test_operations_preserve_canonical_form():
 
 def test_recanonicalization_noop():
     g = md.named_graph("paw")
-    again = md.Graph.from_edges(g.n, list(g.edges()))
+    again = md.Graph.from_edges(g.n, g.edge_array().tolist())
     assert again == g
 
 
 def test_self_loop_in_from_edges():
     with pytest.raises(md.SelfLoopError):
         md.Graph.from_edges(3, [(0, 0)])
+
+
+def _raw(n, indptr, indices):
+    return md.Graph(n, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
+
+
+@pytest.mark.parametrize("g, message", [
+    (_raw(3, [0, 1, 2], [1, 0]), "bad indptr"),
+    (_raw(2, [1, 1, 2], [1, 0]), "bad indptr"),
+    (_raw(2, [0, 1, 3], [1, 0]), "indptr does not cover indices"),
+    (_raw(3, [0, 2, 1, 2], [1, 0]), "indptr not monotone"),
+    (_raw(3, [0, 2, 3, 4], [2, 1, 0, 0]), "neighbor list of 0 not strictly increasing"),
+    (_raw(3, [0, 0, 2, 3], [2, 2, 1]), "neighbor list of 1 not strictly increasing"),
+    (_raw(3, [0, 1, 2, 3], [1, 1, 2]), "self-loop at 1"),
+    (_raw(3, [0, 1, 2, 3], [1, 0, 3]), "neighbor of 2 out of range"),
+    (_raw(2, [0, 1, 2], [-1, 0]), "neighbor of 0 out of range"),
+    (_raw(3, [0, 2, 2, 2], [1, 0]), "neighbor list of 0 not strictly increasing"),
+    (_raw(3, [0, 1, 3, 3], [0, 2, 0]), "self-loop at 0"),
+    (_raw(3, [0, 1, 2, 2], [1, 2]), "asymmetric edge (0,1)"),
+    (_raw(3, [0, 2, 3, 4], [1, 2, 0, 1]), "asymmetric edge (0,2)"),
+], ids=["short-indptr", "indptr-start", "uncovered", "non-monotone", "unsorted-row",
+        "duplicate-neighbor", "self-loop", "out-of-range", "negative", "first-fault-wins", "first-vertex-wins",
+        "asymmetric", "asymmetric-later"])
+def test_validate_rejects_malformed_graph(g, message):
+    with pytest.raises(ValueError) as exc:
+        g.validate()
+    assert str(exc.value) == message
 
 
 # -- disjoint union ----------------------------------------------------------
@@ -269,6 +297,67 @@ def test_rewired_infeasible():
         md.generate_rewired(10, 10, 1.5, seed=0)
     with pytest.raises(ValueError):
         md.generate_rewired(4, 8, 0.0, seed=0)  # lattice needs nv >= 2c+1
+
+
+# -- pinned outputs ------------------------------------------------------------
+# SHA-256 of n, indptr and indices, recorded before the graph layer was
+# rewritten on edge arrays; any change to the generator's RNG stream or to the
+# canonical form shows up here.
+
+
+def _digest(graphs):
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(np.int64(g.n).tobytes())
+        h.update(g.indptr.tobytes())
+        h.update(g.indices.tobytes())
+    return h.hexdigest()
+
+
+_DESK_SETTINGS = [  # criterion 6's corpus
+    {"nv": 200, "ne": 2000, "rho": 0.1, "count": 15},
+    {"nv": 200, "ne": 2000, "rho": 0.9, "count": 15},
+    {"nv": 200, "ne": 4000, "rho": 0.1, "count": 15},
+    {"nv": 200, "ne": 4000, "rho": 0.9, "count": 15},
+]
+
+_CORPUS_DIGESTS = [
+    "a8a5b381a5a9db4168379572aae93ecfc429bcbf1db7cf54f07943d48bdcb041",
+    "ea953bf31c51b30b201f8b142ae7d1e6cd1d591193319be5e6a82e175067884b",
+    "5899c9f3b8f5f75d893f4563a4988b57949231c4ffb66a83b528b90348f53d47",
+    "84ee95ecc88a11f91374fe955dfec1eaa74bbb423d3a6e7caca5369c866e2f17",
+    "bfea37ffbc6b1b51f4ab2cb8ad014597eb23c3603b6232b5c5ea72929f0edb34",
+]
+
+
+def test_pinned_rewired_corpus_digests():
+    for seed, want in enumerate(_CORPUS_DIGESTS):
+        gs, _ = md.make_rewired_corpus(_DESK_SETTINGS, seed=seed)
+        assert _digest(gs) == want, seed
+
+
+def test_pinned_parse_digest():
+    rng = np.random.default_rng(7)
+    pairs = rng.integers(1, 81, size=(600, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    text = "# one-based, shuffled, both orientations, duplicates\n"
+    text += "".join(f"{a} {b}\n" for a, b in pairs)
+    g = md.parse_edge_list(text)
+    assert (g.n, g.m) == (80, 535)
+    assert _digest([g]) == "11a0ef3fba806f5ad0bdd4da07df85187adf9132b4ff42e0e0aacf626f688315"
+
+
+def test_pinned_structural_operation_digests():
+    rng = np.random.default_rng(11)
+    gs = [md.empty_graph(0), md.empty_graph(3)] + [
+        random_graph(rng, int(rng.integers(1, 40)), rng.uniform(0.05, 0.6)) for _ in range(10)
+    ]
+    permuted = [md.permute(g, md.Permutation.random(g.n, seed=i)) for i, g in enumerate(gs)]
+    unions = [md.disjoint_union(gs[i:i + 3]) for i in range(0, len(gs), 3)]
+    complements = [md.complement(g) for g in gs]
+    assert _digest(permuted) == "635f748ee2c19f546be8f06bfa7de48a660b415ab54fc97c6609047b0f8760a9"
+    assert _digest(unions) == "eeeb5f52fa7296849fa70eed55cc53d37065ae0907a70f6e0cc4a8b1c88a6c9e"
+    assert _digest(complements) == "dc2b706f1e09adfadc80bebae7c2e87efe141dd1c074ec31e58643d8d8ec5f00"
 
 
 # -- diameter ----------------------------------------------------------------

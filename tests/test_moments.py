@@ -77,6 +77,15 @@ def test_trace_moments_edgeless():
     assert md.trace_moments(md.empty_graph(4), 3).values.tolist() == [1, 0, 0, 0]
 
 
+@pytest.mark.parametrize("moments", [md.vector_state_moments, md.trace_moments])
+def test_overflowing_moments_rejected(moments):
+    # walk counts near 59**k pass float64's maximum at k = 174-175; that order is reported
+    with pytest.raises(md.NonFiniteMomentError, match="order 17[0-9]"):
+        moments(md.complete_graph(60), 200)
+    with pytest.raises(md.ConfigError):
+        moments(md.complete_graph(4), -1)
+
+
 def _closed_walk_moments(g, order):
     # integer closed-walk counts over n from int64 dense matrix powers
     a = g.to_dense().astype(np.int64)
