@@ -62,8 +62,10 @@ from .measures import (
     spectral_measure,
 )
 from .metrics import (
+    METRICS,
     DistanceConfig,
     DistanceMatrix,
+    NonFiniteDistanceError,
     SingularMatrixError,
     affine_invariant_dist,
     cholesky_frobenius_dist,

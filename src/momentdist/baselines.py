@@ -62,13 +62,12 @@ class FeatureVector:
 # ---------------------------------------------------------------------------
 
 
-def cov_descriptor(g: Graph, k: int = 4, center: bool = True) -> np.ndarray:
+def cov_descriptor(g: Graph, k: int = 4) -> np.ndarray:
     """k x k covariance of the columns x_i = A^i e / ||A^i e||, i = 1..k.
 
     e is the unit all-ones vector. Each vertex coordinate is centered across
-    the k columns before forming the (1/n) X^T X covariance; ``center=False``
-    keeps the raw Gram matrix instead. Regular graphs give the zero matrix
-    (every column equals e).
+    the k columns before forming the (1/n) X^T X covariance. Regular graphs
+    give the zero matrix (every column equals e).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -81,8 +80,7 @@ def cov_descriptor(g: Graph, k: int = 4, center: bool = True) -> np.ndarray:
         w = a @ w
         norm = np.linalg.norm(w)
         cols[:, i] = w / norm if norm > 0 else 0.0
-    if center:
-        cols = cols - cols.mean(axis=1, keepdims=True)
+    cols = cols - cols.mean(axis=1, keepdims=True)
     return (cols.T @ cols) / g.n
 
 

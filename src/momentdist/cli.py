@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ from .metrics import (
     METRICS,
     ConfigError,
     DistanceConfig,
+    NonFiniteDistanceError,
     SingularMatrixError,
     pairwise_distance_matrix,
 )
@@ -59,6 +61,7 @@ _NUMERIC_ERRORS = (
     EigensolverError,
     EmptyGraphError,
     NonFiniteMomentError,
+    NonFiniteDistanceError,
     np.linalg.LinAlgError,
 )
 
@@ -226,21 +229,13 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
 
 
 def _method_params(args) -> dict:
-    params: dict = {}
-    if args.method == "moment":
-        params = {
-            "degree": args.degree,
-            "metric": args.metric,
-            "eps": args.reg,
-            "scaling": args.scale,
-        }
-    elif args.method == "cov":
-        params = {"k": args.cov_k}
-    elif args.method == "eigs":
-        params = {"k": args.eigs_k}
-    elif args.method == "gk4":
-        params = {"samples": args.gk4_samples, "seed": args.seed}
-    return params
+    return {
+        "moment": {"degree": args.degree, "metric": args.metric, "eps": args.reg,
+                   "scaling": args.scale},
+        "cov": {"k": args.cov_k},
+        "eigs": {"k": args.eigs_k},
+        "gk4": {"samples": args.gk4_samples, "seed": args.seed},
+    }.get(args.method, {})
 
 
 def _cmd_cluster(args) -> int:
@@ -372,6 +367,14 @@ def _add_common_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (stdout if omitted)")
 
 
+def _add_distance_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--metric", default="affine-invariant", choices=list(METRICS))
+    p.add_argument("--scale", choices=["none", "log1p"], default="none")
+    p.add_argument("--reg", type=float, default=0.0, help="eps ridge added to moment matrices")
+    p.add_argument("--threads", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentdist",
@@ -392,11 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", nargs="*", help="edge-list files")
     p.add_argument("--indexing", choices=["zero", "one", "auto"], default="auto")
     p.add_argument("--header", action="store_true")
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--metric", default="affine-invariant", choices=list(METRICS))
-    p.add_argument("--scale", choices=["none", "log1p"], default="none")
-    p.add_argument("--reg", type=float, default=0.0, help="eps ridge added to moment matrices")
-    p.add_argument("--threads", type=int)
+    _add_distance_options(p)
     _add_common_out(p)
     p.set_defaults(func=_cmd_pairwise)
 
@@ -404,15 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a corpus manifest")
         p.add_argument("--corpus", required=True, help="corpus manifest JSON")
         p.add_argument("--method", choices=list(METHODS), default="moment")
-        p.add_argument("--degree", type=int, default=4)
-        p.add_argument("--metric", default="affine-invariant", choices=list(METRICS))
-        p.add_argument("--scale", choices=["none", "log1p"], default="none")
-        p.add_argument("--reg", type=float, default=0.0)
+        _add_distance_options(p)
         p.add_argument("--cov-k", type=int, default=4)
         p.add_argument("--eigs-k", type=int, default=10)
         p.add_argument("--gk4-samples", type=int, default=10000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int)
         if name == "cluster":
             p.add_argument("--restarts", type=int, default=20)
         else:
@@ -444,17 +439,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        # one stderr line per warning, without the source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except _NUMERIC_ERRORS as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except _INPUT_ERRORS as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

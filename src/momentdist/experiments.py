@@ -9,6 +9,7 @@ reproduce bit-for-bit.
 
 from __future__ import annotations
 
+import inspect
 import time
 from collections import defaultdict
 from typing import Sequence
@@ -29,6 +30,7 @@ from .metrics import (
     ConfigError,
     DistanceConfig,
     DistanceMatrix,
+    _corpus_labels,
     _euclidean,
     _moment_distances,
     _pairwise,
@@ -44,8 +46,6 @@ __all__ = [
     "classify_experiment",
     "bench_moment_scaling",
 ]
-
-METHODS = ("moment", "cov", "nclm", "eigs", "gk3", "gk4")
 
 
 def _spawn_seeds(seed, count: int) -> np.ndarray:
@@ -76,64 +76,53 @@ def make_rewired_corpus(
     return graphs, np.asarray(labels)
 
 
+def _euclidean_pairs(x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
+    return _euclidean(x, ys), 0
+
+
+# baseline method -> (corpus -> one feature per graph, batched pair kernel).
+# The keyword parameters of the feature function are the method's parameters.
+# Functions are called by their module-level names, so replacing a name here
+# reaches every call.
+_BASELINES = {
+    "cov": (lambda gs, k=4: [cov_descriptor(g, k=k) for g in gs],
+            lambda c, cs: (_bhattacharyya(c, cs, None), 0)),
+    "nclm": (lambda gs: [nclm_vector(g).values for g in gs], _euclidean_pairs),
+    "eigs": (lambda gs, k=10: [top_k_eigenvalues(g, k=k).values for g in gs], _euclidean_pairs),
+    "gk3": (lambda gs: [graphlet3_distribution(g) for g in gs], _euclidean_pairs),
+    "gk4": (lambda gs, samples=10000, seed=None: [
+                graphlet4_distribution(g, samples=samples, seed=s)
+                for g, s in zip(gs, _spawn_seeds(seed, len(gs)))],
+            _euclidean_pairs),
+}
+METHODS = ("moment", *_BASELINES)
+
+
 def method_distance_matrix(
     gs: Sequence[Graph],
     method: str,
-    labels: Sequence[str] | None = None,
     threads: int | None = None,
     **params,
 ) -> DistanceMatrix:
     """Pairwise distance matrix under one of the implemented methods.
 
     ``moment`` takes DistanceConfig fields (degree, metric, eps, scaling);
-    ``cov`` takes k/center/jitter; ``gk4`` takes samples/seed; ``eigs`` takes
-    k. Feature-based methods use the Euclidean distance between vectors.
+    ``cov`` and ``eigs`` take k; ``gk4`` takes samples/seed. Baselines compare
+    their per-graph features with the Euclidean distance, ``cov`` with the
+    Bhattacharyya distance.
     """
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(gs))]
-    labels = [str(x) for x in labels]
-    if method == "moment":
-        cfg = DistanceConfig(
-            degree=int(params.pop("degree", 4)),
-            metric=params.pop("metric", "affine-invariant"),
-            eps=float(params.pop("eps", 0.0)),
-            scaling=params.pop("scaling", "none"),
-        )
-        _reject_extra(params)
-        return pairwise_distance_matrix(gs, cfg, labels=labels, threads=threads)
-    if method == "cov":
-        k = int(params.pop("k", 4))
-        center = bool(params.pop("center", True))
-        jitter = params.pop("jitter", None)
-        _reject_extra(params)
-        descs = np.stack([cov_descriptor(g, k=k, center=center) for g in gs])
-        out, _ = _pairwise(lambda c, cs: (_bhattacharyya(c, cs, jitter), 0), descs)
-        return DistanceMatrix(labels, out, {"method": "cov", "k": k})
-    if method == "nclm":
-        _reject_extra(params)
-        feats = [nclm_vector(g).values for g in gs]
-    elif method == "eigs":
-        k = int(params.pop("k", 10))
-        _reject_extra(params)
-        feats = [top_k_eigenvalues(g, k=k).values for g in gs]
-    elif method == "gk3":
-        _reject_extra(params)
-        feats = [graphlet3_distribution(g) for g in gs]
-    elif method == "gk4":
-        samples = int(params.pop("samples", 10000))
-        seed = params.pop("seed", None)
-        _reject_extra(params)
-        seeds = _spawn_seeds(seed, len(gs))
-        feats = [graphlet4_distribution(g, samples=samples, seed=s) for g, s in zip(gs, seeds)]
-    else:
+    if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    out, _ = _pairwise(lambda x, ys: (_euclidean(x, ys), 0), np.stack(feats))
-    return DistanceMatrix(labels, out)
-
-
-def _reject_extra(params: dict) -> None:
-    if params:
-        raise ConfigError(f"unknown method parameters: {sorted(params)}")
+    # the moment row's parameters are the fields of DistanceConfig
+    features, kernel = _BASELINES.get(method, (DistanceConfig, None))
+    extra = sorted(params.keys() - inspect.signature(features).parameters.keys())
+    if extra:
+        raise ConfigError(f"unknown method parameters: {extra}")
+    if kernel is None:
+        return pairwise_distance_matrix(gs, DistanceConfig(**params), threads=threads)
+    labels = _corpus_labels(gs)
+    out, _ = _pairwise(kernel, np.stack(features(gs, **params)))
+    return DistanceMatrix(labels, out, {"method": method, **params})
 
 
 def cluster_experiment(
@@ -141,15 +130,13 @@ def cluster_experiment(
     labels: Sequence[int],
     method: str = "moment",
     method_params: dict | None = None,
-    clusters: int | None = None,
     restarts: int = 20,
     seed=None,
     threads: int | None = None,
 ) -> dict:
-    """Kernel k-means over a labeled corpus; reports accuracy vs true labels."""
+    """Kernel k-means with one cluster per label; reports accuracy vs true labels."""
     labels = np.asarray(labels)
-    if clusters is None:
-        clusters = np.unique(labels).size
+    clusters = np.unique(labels).size
     t0 = time.perf_counter()
     dm = method_distance_matrix(gs, method, threads=threads, **dict(method_params or {}))
     t1 = time.perf_counter()
@@ -174,7 +161,7 @@ def classify_experiment(
     labels: Sequence[int],
     method: str = "moment",
     method_params: dict | None = None,
-    knn_k: int | Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    knn_k: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
     degrees: Sequence[int] | None = None,
     folds: int = 10,
     seed=None,
@@ -189,7 +176,7 @@ def classify_experiment(
     """
     labels = np.asarray(labels)
     method_params = dict(method_params or {})
-    ks = [int(knn_k)] if np.isscalar(knn_k) else [int(x) for x in knn_k]
+    ks = [int(x) for x in knn_k]
     if method == "moment":
         swept_degrees = list(degrees) if degrees is not None else [2, 3, 4, 5, 6, 7]
     else:

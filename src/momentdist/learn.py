@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .metrics import DistanceMatrix
+from .metrics import ConfigError, DistanceMatrix
 
 __all__ = [
     "kernel_from_distances",
@@ -39,7 +39,6 @@ def _kmeans_pass(k_mat: np.ndarray, labels: np.ndarray, k: int, max_iter: int):
     n = k_mat.shape[0]
     diag = np.diag(k_mat)
     history = []
-    prev_objective = np.inf
     for _ in range(max_iter):
         dist2 = np.empty((n, k), dtype=np.float64)
         for c in range(k):
@@ -167,11 +166,11 @@ def knn_classify(
     if labels.shape != (n,):
         raise ValueError("labels length must match distance matrix")
     if folds < 2:
-        raise ValueError("folds must be at least 2")
+        raise ConfigError("folds must be at least 2")
     if folds > n:
-        raise ValueError("more folds than items")
+        raise ConfigError(f"more folds ({folds}) than items ({n})")
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ConfigError("k must be positive")
     _, codes = np.unique(labels, return_inverse=True)
     rng = np.random.default_rng(seed)
     fold_sets = _stratified_folds(codes, folds, rng)

@@ -32,6 +32,7 @@ from .moments import vector_state_moments
 __all__ = [
     "ConfigError",
     "SingularMatrixError",
+    "NonFiniteDistanceError",
     "DistanceConfig",
     "DistanceMatrix",
     "METRICS",
@@ -54,6 +55,10 @@ class SingularMatrixError(ValueError):
     def __init__(self, message: str, min_eigenvalue: float):
         super().__init__(f"{message} (smallest eigenvalue {min_eigenvalue:.3e})")
         self.min_eigenvalue = min_eigenvalue
+
+
+class NonFiniteDistanceError(ValueError):
+    """A pairwise distance overflowed float64 or is NaN."""
 
 
 @dataclass(frozen=True)
@@ -179,15 +184,20 @@ def _pairwise(kernel, *stacks: np.ndarray) -> tuple[np.ndarray, int]:
     Each stack holds one embedding per graph along its first axis. For each
     graph i, ``kernel`` gets graph i's entry of every stack followed by the
     stacks' rows i+1..n-1, and returns the distances to those graphs and how
-    many of them fell back. Negative distances are clipped to 0.
+    many of them fell back. Negative distances are clipped to 0; a non-finite
+    distance raises NonFiniteDistanceError.
     """
     n = len(stacks[0])
     out = np.zeros((n, n), dtype=np.float64)
     fallbacks = 0
-    for i in range(n - 1):
-        d, fell = kernel(*(s[i] for s in stacks), *(s[i + 1:] for s in stacks))
-        out[i, i + 1:] = out[i + 1:, i] = np.maximum(d, 0.0)
-        fallbacks += fell
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            d, fell = kernel(*(s[i] for s in stacks), *(s[i + 1:] for s in stacks))
+            out[i, i + 1:] = out[i + 1:, i] = np.maximum(d, 0.0)
+            fallbacks += fell
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise NonFiniteDistanceError(f"distance between graphs {i} and {j} is {out[i, j]}")
     return out, fallbacks
 
 
@@ -369,6 +379,16 @@ class DistanceMatrix:
         return cls(list(payload["labels"]), np.asarray(payload["entries"], dtype=np.float64))
 
 
+def _corpus_labels(gs: Sequence[Graph], labels: Sequence[str] | None = None) -> list[str]:
+    """Labels of a corpus of at least two graphs: ``labels`` as strings, or g0, g1, ..."""
+    if len(gs) < 2:
+        raise ConfigError("need at least two graphs")
+    labels = [f"g{i}" for i in range(len(gs))] if labels is None else [str(x) for x in labels]
+    if len(labels) != len(gs):
+        raise ConfigError("labels length must match graphs")
+    return labels
+
+
 def pairwise_distance_matrix(
     gs: Sequence[Graph],
     cfg: DistanceConfig | None = None,
@@ -383,13 +403,7 @@ def pairwise_distance_matrix(
     fallback is recorded in the metadata.
     """
     cfg = cfg or DistanceConfig()
-    if len(gs) < 2:
-        raise ConfigError("need at least two graphs")
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(gs))]
-    labels = [str(x) for x in labels]
-    if len(labels) != len(gs):
-        raise ConfigError("labels length must match graphs")
+    labels = _corpus_labels(gs, labels)
 
     def extract(g: Graph) -> np.ndarray:
         return moment_matrix_of_graph(g, cfg.degree, cfg.eps).entries

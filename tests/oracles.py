@@ -168,6 +168,16 @@ def reference_pairwise(mats, metric: str) -> tuple[np.ndarray, int]:
     return out, fallbacks
 
 
+def reference_euclidean_matrix(features) -> np.ndarray:
+    """All-pairs Euclidean distances between feature vectors, one pair at a time."""
+    n = len(features)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = float(np.linalg.norm(features[i] - features[j]))
+    return out
+
+
 def reference_bhattacharyya_matrix(covs) -> np.ndarray:
     """All-pairs Bhattacharyya distances with the default trace-relative jitter."""
     n = len(covs)

@@ -9,6 +9,7 @@ from oracles import (
     brute_graphlet4_distribution,
     random_graph,
     reference_bhattacharyya_matrix,
+    reference_euclidean_matrix,
 )
 
 
@@ -42,12 +43,6 @@ def test_cov_permutation_invariant_spectrum():
     assert np.allclose(ea, eb, atol=1e-9)
 
 
-def test_cov_uncentered_is_gram():
-    g = md.star_graph(5)
-    c = md.cov_descriptor(g, k=2, center=False)
-    assert c[1, 1] == pytest.approx(1.0 / 5)  # unit column squared over n
-
-
 # -- Bhattacharyya ----------------------------------------------------------------
 
 
@@ -74,14 +69,37 @@ def test_bhattacharyya_zero_matrices():
     assert md.bhattacharyya_dist(z, z) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_cov_matrix_matches_per_pair_reference():
+def _gk4_reference_features(gs, samples, seed):
+    seeds = np.random.SeedSequence(seed).generate_state(len(gs), dtype=np.uint64)
+    return [md.graphlet4_distribution(g, samples=samples, seed=s) for g, s in zip(gs, seeds)]
+
+
+# method -> (method parameters, per-graph features computed one graph at a time)
+_BASELINE_REFERENCES = {
+    "nclm": ({}, lambda gs: [md.nclm_vector(g).values for g in gs]),
+    "eigs": ({"k": 6}, lambda gs: [md.top_k_eigenvalues(g, k=6).values for g in gs]),
+    "gk3": ({}, lambda gs: [md.graphlet3_distribution(g) for g in gs]),
+    "gk4": ({"samples": 300, "seed": 5}, lambda gs: _gk4_reference_features(gs, 300, 5)),
+}
+
+
+@pytest.mark.parametrize("method", ["cov", *_BASELINE_REFERENCES])
+def test_baseline_matrix_matches_per_pair_reference(method):
     rng = np.random.default_rng(12)
     gs = [md.named_graph(n) for n in ("4K1", "K4", "claw", "paw", "P4")]
     gs += [random_graph(rng, 15, 0.3) for _ in range(5)]
     gs += [gs[2], gs[6]]
-    dm = md.method_distance_matrix(gs, "cov")
-    want = reference_bhattacharyya_matrix([md.cov_descriptor(g) for g in gs])
-    assert dm.entries.tobytes() == want.tobytes()
+    if method == "cov":
+        dm = md.method_distance_matrix(gs, "cov")
+        want = reference_bhattacharyya_matrix([md.cov_descriptor(g) for g in gs])
+        assert dm.entries.tobytes() == want.tobytes()
+        return
+    if method == "nclm":
+        gs = gs[1:]  # trace-moment features are undefined for the edgeless 4K1
+    params, features = _BASELINE_REFERENCES[method]
+    dm = md.method_distance_matrix(gs, method, **params)
+    want = reference_euclidean_matrix(features(gs))
+    np.testing.assert_allclose(dm.entries, want, rtol=1e-12, atol=0)
 
 
 # -- log trace moments -------------------------------------------------------------

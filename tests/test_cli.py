@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -254,13 +255,62 @@ def test_exit_code_config_error_bad_parameter(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["moments", "--named", "K60", "--order", "200"],
     ["pairwise", "--named", "K60", "K50", "--degree", "100", "--metric", "frobenius"],
-], ids=["moments", "pairwise"])
+    # finite moments whose Frobenius distance overflows
+    ["pairwise", "--named", "K60", "K50", "--degree", "50", "--metric", "frobenius"],
+], ids=["moments", "pairwise", "pairwise-distance"])
 def test_exit_code_numeric_error_moment_overflow(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("numeric error: ") and captured.err.count("\n") == 1
+
+
+def _write_one_setting_corpus(path, count):
+    spec = {"synthetic": {"seed": 1, "settings": [{"nv": 30, "ne": 60, "rho": 0.1, "count": count}]}}
+    path.write_text(json.dumps(spec))
+
+
+@pytest.mark.parametrize("method", ["moment", "gk3"])
+def test_exit_code_config_error_single_graph_corpus(tmp_path, capsys, method):
+    corpus = tmp_path / "corpus.json"
+    _write_one_setting_corpus(corpus, 1)
+    code = main(["cluster", "--corpus", str(corpus), "--method", method])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "config error: need at least two graphs\n"
+
+
+def test_exit_code_config_error_fewer_graphs_than_folds(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    _write_one_setting_corpus(corpus, 3)
+    code = main(["classify", "--corpus", str(corpus), "--degrees", "2", "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "config error: more folds (10) than items (3)\n"
+
+
+def test_classify_unstratified_folds_one_warning_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    _write_synthetic_corpus(corpus)  # two classes of 5 graphs each
+    args = ["classify", "--corpus", str(corpus), "--degrees", "2", "3", "--knn-k", "1", "2",
+            "--folds", "6", "--seed", "1", "--threads", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        code = main(args + ["--out", str(tmp_path / "a.json")])
+        captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == ""
+    assert captured.err == (
+        "warning: class with 5 members is smaller than folds=6; "
+        "falling back to unstratified folds\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(args + ["--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):

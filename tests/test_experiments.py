@@ -1,0 +1,32 @@
+import pytest
+
+import momentdist as md
+
+
+def _corpus(count):
+    gs, _ = md.make_rewired_corpus([{"nv": 20, "ne": 40, "rho": 0.1, "count": count}], seed=0)
+    return gs
+
+
+def test_unknown_method_rejected():
+    with pytest.raises(md.ConfigError) as exc:
+        md.method_distance_matrix(_corpus(3), "zorp")
+    assert str(exc.value) == (
+        "unknown method 'zorp'; choose from ('moment', 'cov', 'nclm', 'eigs', 'gk3', 'gk4')"
+    )
+
+
+@pytest.mark.parametrize("method, params, unknown", [
+    ("moment", {"foo": 1, "bar": 2, "degree": 3}, "['bar', 'foo']"),
+    ("eigs", {"samples": 3, "k": 3}, "['samples']"),
+], ids=["moment", "eigs"])
+def test_unknown_method_parameter_rejected(method, params, unknown):
+    with pytest.raises(md.ConfigError) as exc:
+        md.method_distance_matrix(_corpus(3), method, **params)
+    assert str(exc.value) == f"unknown method parameters: {unknown}"
+
+
+@pytest.mark.parametrize("method", md.METHODS)
+def test_every_method_needs_two_graphs(method):
+    with pytest.raises(md.ConfigError, match="^need at least two graphs$"):
+        md.method_distance_matrix(_corpus(1), method)

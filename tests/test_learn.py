@@ -181,7 +181,9 @@ def test_knn_validation():
     d, labels = _block_distance_matrix([4, 4], seed=11)
     with pytest.raises(ValueError):
         md.knn_classify(d, labels[:-1], k=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(md.ConfigError):
         md.knn_classify(d, labels, k=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(md.ConfigError):
         md.knn_classify(d, labels, k=1, folds=1)
+    with pytest.raises(md.ConfigError, match=r"more folds \(9\) than items \(8\)"):
+        md.knn_classify(d, labels, k=1, folds=9)

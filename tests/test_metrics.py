@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import momentdist as md
-from momentdist.metrics import METRICS
+from momentdist.metrics import METRICS, _pairwise
 from oracles import random_graph, reference_pairwise
 
 
@@ -228,6 +228,23 @@ def test_pairwise_engine_matches_per_pair_reference(metric):
 def test_pairwise_needs_two():
     with pytest.raises(ValueError):
         md.pairwise_distance_matrix([md.complete_graph(3)])
+
+
+def test_pairwise_rejects_overflowing_distance():
+    # the moments of K60 and K50 up to order 100 are finite; their difference squared is not
+    gs = [md.complete_graph(60), md.complete_graph(50)]
+    for metric in METRICS:
+        cfg = md.DistanceConfig(degree=50, metric=metric)
+        with pytest.raises(md.NonFiniteDistanceError, match="graphs 0 and 1 is inf"):
+            md.pairwise_distance_matrix(gs, cfg, threads=1)
+
+
+def test_engine_rejects_nan_distance():
+    def kernel(x, ys):
+        return np.where(np.arange(len(ys)) == 1, np.nan, 1.0), 0
+
+    with pytest.raises(md.NonFiniteDistanceError, match="graphs 0 and 2 is nan"):
+        _pairwise(kernel, np.zeros((4, 2)))
 
 
 # -- serialization ------------------------------------------------------------------
