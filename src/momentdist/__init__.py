@@ -22,6 +22,7 @@ from .baselines import (
 )
 from .experiments import (
     METHODS,
+    CorpusSpecError,
     bench_moment_scaling,
     classify_experiment,
     cluster_experiment,

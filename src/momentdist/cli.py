@@ -27,6 +27,8 @@ from . import __version__
 from .baselines import EigensolverError
 from .experiments import (
     METHODS,
+    CorpusSpecError,
+    _required,
     bench_moment_scaling,
     classify_experiment,
     cluster_experiment,
@@ -55,7 +57,8 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
-_INPUT_ERRORS = (EdgeListError, UnknownGraphNameError, OSError, json.JSONDecodeError, KeyError)
+_INPUT_ERRORS = (EdgeListError, UnknownGraphNameError, CorpusSpecError, OSError,
+                 json.JSONDecodeError)
 _NUMERIC_ERRORS = (
     SingularMatrixError,
     EigensolverError,
@@ -211,18 +214,19 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
     if "synthetic" in spec:
         block = spec["synthetic"]
         corpus_seed = block.get("seed", seed)
-        graphs, labels = make_rewired_corpus(block["settings"], seed=corpus_seed)
+        settings = _required(block, "settings", "synthetic block")
+        graphs, labels = make_rewired_corpus(settings, seed=corpus_seed)
         return graphs, labels, digests
     if "files" in spec:
         indexing = spec.get("indexing", "auto")
         graphs, labels = [], []
         base = os.path.dirname(os.path.abspath(path))
-        for entry in spec["files"]:
-            fpath = entry["path"]
+        for idx, entry in enumerate(spec["files"]):
+            fpath = _required(entry, "path", f"files entry {idx}")
             if not os.path.isabs(fpath):
                 fpath = os.path.join(base, fpath)
             graphs.append(load_edge_list(fpath, indexing=indexing))
-            labels.append(entry["label"])
+            labels.append(_required(entry, "label", f"files entry {idx}"))
             digests[fpath] = _sha256_file(fpath)
         return graphs, np.asarray(labels), digests
     raise ConfigError("corpus manifest must contain a 'synthetic' or 'files' block")

@@ -39,6 +39,7 @@ from .metrics import (
 )
 
 __all__ = [
+    "CorpusSpecError",
     "METHODS",
     "make_rewired_corpus",
     "method_distance_matrix",
@@ -46,6 +47,17 @@ __all__ = [
     "classify_experiment",
     "bench_moment_scaling",
 ]
+
+
+class CorpusSpecError(ValueError):
+    """A corpus manifest or a generator setting lacks a required key."""
+
+
+def _required(spec: dict, key: str, where: str):
+    """``spec[key]``, or CorpusSpecError naming the key and where it is missing."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise CorpusSpecError(f"{where} has no {key!r}")
+    return spec[key]
 
 
 def _spawn_seeds(seed, count: int) -> np.ndarray:
@@ -62,6 +74,9 @@ def make_rewired_corpus(
     optional ``label`` (defaults to the setting index). Per-graph seeds are
     derived from the master seed.
     """
+    for idx, s in enumerate(settings):
+        for key in ("nv", "ne", "rho", "count"):
+            _required(s, key, f"setting {idx}")
     total = sum(int(s["count"]) for s in settings)
     seeds = _spawn_seeds(seed, total)
     graphs: list[Graph] = []
@@ -181,6 +196,9 @@ def classify_experiment(
         swept_degrees = list(degrees) if degrees is not None else [2, 3, 4, 5, 6, 7]
     else:
         swept_degrees = [None]
+    for name, values in (("degrees", swept_degrees), ("knn_k", ks)):
+        if not values:
+            raise ConfigError(f"empty sweep grid: no {name} given")
 
     grid = []
     best = None

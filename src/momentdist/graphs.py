@@ -262,14 +262,54 @@ def parse_edge_list(
     ``indexing`` is one of ``"zero"``, ``"one"``, or ``"auto"``. Under
     ``auto``, a file whose smallest vertex id is 1 is treated as one-based;
     everything else is zero-based.
+
+    A string whose data lines are all two ASCII decimal tokens is converted
+    in bulk. Any other input, and every error, goes through the line loop,
+    which alone reports messages and line numbers.
     """
     if indexing not in ("zero", "one", "auto"):
         raise ValueError(f"unknown indexing mode {indexing!r}")
     if isinstance(text, str):
-        lines: Iterable[str] = io.StringIO(text)
-    else:
-        lines = text
+        rows = _decimal_rows(text)
+        if rows is not None:
+            try:
+                if header:
+                    return _edge_graph(rows[1:], None, int(rows[0, 0]), indexing)
+                return _edge_graph(rows, None, None, indexing)
+            except EdgeListError:
+                pass  # the line loop below reports it, with its line number
+        text = io.StringIO(text)
+    return _edge_graph(*_read_lines(text, header), indexing)
 
+
+def _decimal_rows(text: str) -> np.ndarray | None:
+    """The data lines as an ``(m, 2)`` int64 array, if each is two ASCII decimal tokens.
+
+    Tokens are runs of the digits 0-9, at most 18 of them (so int64 holds
+    each), separated by spaces, tabs or carriage returns. Returns None for
+    any other text and for text without data lines.
+    """
+    if not text.isascii():
+        return None
+    if "#" in text or "%" in text:
+        text = re.sub(r"(?m)^[ \t\r]*[#%].*", "", text)  # blank out comment lines
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    newline = b == 10
+    digit = (b >= 48) & (b <= 57)
+    if not (digit | newline | (b == 32) | (b == 9) | (b == 13)).all():
+        return None
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))  # token starts, ends
+    starts, lengths = bounds[0::2], np.diff(bounds)[0::2]
+    # tokens per line, from the tokens that start before each line end
+    per_line = np.diff(np.searchsorted(starts, np.append(np.flatnonzero(newline), b.size)),
+                       prepend=0)
+    if starts.size == 0 or np.any((per_line != 0) & (per_line != 2)) or lengths.max() > 18:
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+
+
+def _read_lines(lines: Iterable[str], header: bool) -> tuple[np.ndarray, list[int], int | None]:
+    """The edge rows, their line numbers and the header's ``n``, one line at a time."""
     pairs: list[tuple[int, int]] = []
     linenos: list[int] = []
     header_n: int | None = None
@@ -298,25 +338,33 @@ def parse_edge_list(
 
     if header and not saw_header:
         raise EdgeListError("header requested but no data lines found")
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), linenos, header_n
 
-    if pairs:
-        flat = np.asarray(pairs, dtype=np.int64)
+
+def _edge_graph(flat: np.ndarray, linenos: list[int] | None, header_n: int | None,
+                indexing: str) -> Graph:
+    """Graph from parsed edge rows: indexing shift, self-loop and header checks.
+
+    ``linenos`` gives each row's line number for the error messages; None
+    leaves the errors without one.
+    """
+    n = 0
+    if flat.size:
         lo = int(flat.min())
         if indexing == "one" or (indexing == "auto" and lo == 1):
             if lo == 0:
                 bad = int(np.argmax((flat == 0).any(axis=1)))
-                raise EdgeListError("vertex id 0 under one-based indexing", linenos[bad])
+                raise EdgeListError("vertex id 0 under one-based indexing",
+                                    None if linenos is None else linenos[bad])
             flat = flat - 1
         loops = np.flatnonzero(flat[:, 0] == flat[:, 1])
         if loops.size:
             a = flat[loops[0], 0]
-            raise SelfLoopError(f"self-loop {a} {a} rejected", linenos[loops[0]])
+            raise SelfLoopError(f"self-loop {a} {a} rejected",
+                                None if linenos is None else linenos[loops[0]])
         n = int(flat.max()) + 1
-    else:
-        flat = np.zeros((0, 2), dtype=np.int64)
-        n = 0
     if header_n is not None:
-        if pairs and header_n < n:
+        if flat.size and header_n < n:
             raise EdgeListError(f"header n={header_n} smaller than max vertex id {n - 1}")
         n = header_n
     return Graph.from_edges(n, flat)
@@ -325,7 +373,7 @@ def parse_edge_list(
 def load_edge_list(path, indexing: str = "auto", header: bool = False) -> Graph:
     """Read an edge-list file from disk. See :func:`parse_edge_list`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh, indexing=indexing, header=header)
+        return parse_edge_list(fh.read(), indexing=indexing, header=header)
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -494,6 +542,19 @@ def named_graph(name: str, *params: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _bulk_integers(rng: np.random.Generator, high: int, size: int):
+    """Endless ``rng.integers(high)`` values, drawn ``size`` at a time.
+
+    numpy's bounded draws (Lemire's method) take their words from the bit
+    generator one value at a time, and the generator itself buffers the spare
+    half of each 64-bit word, so a bulk draw yields the same values, in the
+    same order, as that many scalar draws: the stream and every graph stay
+    the same.
+    """
+    while True:
+        yield from rng.integers(high, size=size).tolist()
+
+
 def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
     """Ring lattice with random endpoint rewiring.
 
@@ -522,10 +583,12 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
     present = set(codes.tolist())
     rng = np.random.default_rng(seed)
     rewire = rng.random(ne) < rho
-    for idx in np.flatnonzero(rewire):
+    picked = np.flatnonzero(rewire)
+    draws = _bulk_integers(rng, nv, picked.size)
+    for idx in picked:
         u, old = int(home[idx]), int(codes[idx])
         for _ in range(100):
-            w = int(rng.integers(nv))
+            w = next(draws)
             if w == u:
                 continue
             new = (u * nv + w) if u < w else (w * nv + u)

@@ -16,6 +16,7 @@ matrices, and the one-pair functions call the same kernels.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -256,37 +257,53 @@ def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
         raise SingularMatrixError(f"{what} has no Cholesky factor", float(w[0])) from None
 
 
+def _one_pair(metric):
+    """A one-pair metric with the engine's checks: a pair of square matrices of
+    one shape in, and a finite distance out, else NonFiniteDistanceError."""
+
+    @functools.wraps(metric)
+    def checked(a, b) -> float:
+        a, b = _as_pair(a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = float(metric(a, b))
+        if not math.isfinite(d):
+            raise NonFiniteDistanceError(f"distance is {d}")
+        return d
+
+    return checked
+
+
+@_one_pair
 def frobenius_dist(a, b) -> float:
     """Entrywise l2 distance ||a - b||_2."""
-    a, b = _as_pair(a, b)
-    return float(_euclidean(a, b[None])[0])
+    return _euclidean(a, b[None])[0]
 
 
+@_one_pair
 def affine_invariant_dist(a, b) -> float:
     """Geodesic distance ||log(a^{-1/2} b a^{-1/2})||_2 on the PD cone."""
-    a, b = _as_pair(a, b)
     inv_sqrt = _inv_sqrt(*_pd_eigh(a, "first argument"))
     _pd_eigh(b, "second argument")
     d, w0 = _geodesic(inv_sqrt, b[None])
     if w0[0] <= 0:
         raise SingularMatrixError("whitened product lost positivity", float(w0[0]))
-    return float(d[0])
+    return d[0]
 
 
+@_one_pair
 def log_frobenius_dist(a, b) -> float:
     """||log a - log b||_2 with matrix logs via eigendecomposition."""
-    a, b = _as_pair(a, b)
     log_a = _logm(*_pd_eigh(a, "first argument"))
     log_b = _logm(*_pd_eigh(b, "second argument"))
-    return float(_euclidean(log_a, log_b[None])[0])
+    return _euclidean(log_a, log_b[None])[0]
 
 
+@_one_pair
 def cholesky_frobenius_dist(a, b) -> float:
     """||chol(a) - chol(b)||_2 on the lower-triangular Cholesky factors."""
-    a, b = _as_pair(a, b)
     chol_a = _cholesky(a, "first argument")
     chol_b = _cholesky(b, "second argument")
-    return float(_euclidean(chol_a, chol_b[None])[0])
+    return _euclidean(chol_a, chol_b[None])[0]
 
 
 # ---------------------------------------------------------------------------

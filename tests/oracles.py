@@ -8,11 +8,12 @@ paths so they can referee them.
 
 from __future__ import annotations
 
+import io
 from itertools import combinations, permutations
 
 import numpy as np
 
-from momentdist import Graph
+from momentdist import EdgeListError, Graph, SelfLoopError
 
 
 def random_graph(rng, n: int, p: float) -> Graph:
@@ -193,3 +194,58 @@ def reference_bhattacharyya_matrix(covs) -> np.ndarray:
             _, ld_2 = np.linalg.slogdet(c2 + eye)
             out[i, j] = out[j, i] = max(float(0.5 * ld_mid - 0.25 * (ld_1 + ld_2)), 0.0)
     return out
+
+
+def parse_edge_list_by_lines(text: str, indexing: str = "auto", header: bool = False) -> Graph:
+    """The edge-list parser as one Python loop over lines, kept as the reference
+    for the bulk conversion of ``parse_edge_list``: same graphs, same errors."""
+    pairs: list[tuple[int, int]] = []
+    linenos: list[int] = []
+    header_n = None
+    saw_header = False
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListError(f"expected two integer tokens, got {len(tokens)}", lineno)
+        try:
+            a, b = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListError(f"non-integer token in {line!r}", lineno) from None
+        if header and not saw_header:
+            saw_header = True
+            if a < 0 or b < 0:
+                raise EdgeListError("header counts must be nonnegative", lineno)
+            header_n = a
+            continue
+        if a < 0 or b < 0:
+            raise EdgeListError("negative vertex id", lineno)
+        pairs.append((a, b))
+        linenos.append(lineno)
+
+    if header and not saw_header:
+        raise EdgeListError("header requested but no data lines found")
+
+    if pairs:
+        flat = np.asarray(pairs, dtype=np.int64)
+        lo = int(flat.min())
+        if indexing == "one" or (indexing == "auto" and lo == 1):
+            if lo == 0:
+                bad = int(np.argmax((flat == 0).any(axis=1)))
+                raise EdgeListError("vertex id 0 under one-based indexing", linenos[bad])
+            flat = flat - 1
+        loops = np.flatnonzero(flat[:, 0] == flat[:, 1])
+        if loops.size:
+            a = flat[loops[0], 0]
+            raise SelfLoopError(f"self-loop {a} {a} rejected", linenos[loops[0]])
+        n = int(flat.max()) + 1
+    else:
+        flat = np.zeros((0, 2), dtype=np.int64)
+        n = 0
+    if header_n is not None:
+        if pairs and header_n < n:
+            raise EdgeListError(f"header n={header_n} smaller than max vertex id {n - 1}")
+        n = header_n
+    return Graph.from_edges(n, flat)

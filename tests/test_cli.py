@@ -292,6 +292,35 @@ def test_exit_code_config_error_fewer_graphs_than_folds(tmp_path, capsys):
     assert captured.err == "config error: more folds (10) than items (3)\n"
 
 
+@pytest.mark.parametrize("flag, name", [("--degrees", "degrees"), ("--knn-k", "knn_k")])
+def test_exit_code_config_error_empty_sweep(tmp_path, capsys, flag, name):
+    corpus = tmp_path / "corpus.json"
+    _write_synthetic_corpus(corpus)
+    code = main(["classify", "--corpus", str(corpus), "--threads", "1", flag])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"config error: empty sweep grid: no {name} given\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"synthetic": {"seed": 1}}, "synthetic block has no 'settings'"),
+    ({"files": [{"label": 0}]}, "files entry 0 has no 'path'"),
+    ({"files": [{"path": "g.txt"}]}, "files entry 0 has no 'label'"),
+    ({"synthetic": {"settings": [{"ne": 60, "rho": 0.1, "count": 2}]}}, "setting 0 has no 'nv'"),
+    ({"files": ["path.txt"]}, "files entry 0 has no 'path'"),
+], ids=["settings", "path", "label", "nv", "entry-not-object"])
+def test_exit_code_input_error_manifest_missing_key(tmp_path, capsys, spec, message):
+    md.write_edge_list(md.cycle_graph(4), tmp_path / "g.txt")
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(spec))
+    code = main(["cluster", "--corpus", str(corpus)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_classify_unstratified_folds_one_warning_line(tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     _write_synthetic_corpus(corpus)  # two classes of 5 graphs each

@@ -3,9 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momentdist as md
-from oracles import are_isomorphic, component_count, dense_int_power, random_graph
+from oracles import (
+    are_isomorphic,
+    component_count,
+    dense_int_power,
+    parse_edge_list_by_lines,
+    random_graph,
+)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -71,6 +79,85 @@ def test_parse_self_loop_rejected():
 def test_parse_zero_id_under_one_based():
     with pytest.raises(md.EdgeListError):
         md.parse_edge_list("0 1", indexing="one")
+
+
+# Each bad input under indexing zero, one and auto: the exception class, its
+# message and its .line as the line-loop parser reported them, or the graph
+# where the input is valid under that indexing.
+_BAD_EDGE_LISTS = {
+    "non-integer": ("0 1\n1 x\n", False, dict.fromkeys(
+        ("zero", "one", "auto"), (md.EdgeListError, "line 2: non-integer token in '1 x'", 2))),
+    "one-token": ("0 1\n# c\n2\n", False, dict.fromkeys(
+        ("zero", "one", "auto"), (md.EdgeListError, "line 3: expected two integer tokens, got 1", 3))),
+    "three-tokens": ("0 1\n1 2 3\n", False, dict.fromkeys(
+        ("zero", "one", "auto"), (md.EdgeListError, "line 2: expected two integer tokens, got 3", 2))),
+    "negative-id": ("1 2\n\n-1 2\n", False, dict.fromkeys(
+        ("zero", "one", "auto"), (md.EdgeListError, "line 3: negative vertex id", 3))),
+    "self-loop": ("1 2\n2 3\n3 3\n", False, {
+        "zero": (md.SelfLoopError, "line 3: self-loop 3 3 rejected", 3),
+        "one": (md.SelfLoopError, "line 3: self-loop 2 2 rejected", 3),
+        "auto": (md.SelfLoopError, "line 3: self-loop 2 2 rejected", 3)}),
+    "zero-id-one-based": ("1 2\n2 3\n0 4\n", False, {
+        "zero": md.Graph.from_edges(5, [(1, 2), (2, 3), (0, 4)]),
+        "one": (md.EdgeListError, "line 3: vertex id 0 under one-based indexing", 3),
+        "auto": md.Graph.from_edges(5, [(1, 2), (2, 3), (0, 4)])}),
+    "negative-header": ("# h\n-3 2\n0 1\n", True, dict.fromkeys(
+        ("zero", "one", "auto"), (md.EdgeListError, "line 2: header counts must be nonnegative", 2))),
+    "header-below-max-id": ("3 2\n1 2\n2 5\n", True, {
+        "zero": (md.EdgeListError, "header n=3 smaller than max vertex id 5", None),
+        "one": (md.EdgeListError, "header n=3 smaller than max vertex id 4", None),
+        "auto": (md.EdgeListError, "header n=3 smaller than max vertex id 4", None)}),
+    "header-no-data": ("# only\n\n", True, dict.fromkeys(
+        ("zero", "one", "auto"), (md.EdgeListError, "header requested but no data lines found", None))),
+}
+
+
+@pytest.mark.parametrize("indexing", ["zero", "one", "auto"])
+@pytest.mark.parametrize("case", list(_BAD_EDGE_LISTS))
+def test_parse_error_contract(case, indexing):
+    text, header, expected = _BAD_EDGE_LISTS[case]
+    if isinstance(expected[indexing], md.Graph):
+        assert md.parse_edge_list(text, indexing=indexing, header=header) == expected[indexing]
+        return
+    cls, message, line = expected[indexing]
+    with pytest.raises(md.EdgeListError) as exc:
+        md.parse_edge_list(text, indexing=indexing, header=header)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+    assert exc.value.line == line
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Small edge lists; half of them only plain decimal pairs, the rest with odd forms."""
+    odd = draw(st.booleans())
+    token = st.integers(0, 9).map(str)
+    if odd:
+        token = st.one_of(token, st.sampled_from(["007", "+3", "-1", "1.0", "x", "00", "1_0"]))
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    pad = st.sampled_from(["", " ", "\t"])
+    data = st.builds(lambda p, a, s, b, q: p + a + s + b + q, pad, token, sep, token, pad)
+    kinds = [data, data, st.sampled_from(["", "  ", "# comment 1 2", "% note", " \t# indented"])]
+    if odd:
+        kinds += [data.map(lambda line: line + " # remark"), token,
+                  st.builds(lambda a, b, c: f"{a} {b} {c}", token, token, token)]
+    lines = draw(st.lists(st.one_of(*kinds), max_size=10))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_edge_list_texts(), st.sampled_from(["zero", "one", "auto"]), st.booleans())
+def test_parse_matches_line_loop(text, indexing, header):
+    try:
+        want = parse_edge_list_by_lines(text, indexing=indexing, header=header)
+    except md.EdgeListError as expected:
+        with pytest.raises(md.EdgeListError) as exc:
+            md.parse_edge_list(text, indexing=indexing, header=header)
+        assert type(exc.value) is type(expected)
+        assert (str(exc.value), exc.value.line) == (str(expected), expected.line)
+    else:
+        assert md.parse_edge_list(text, indexing=indexing, header=header) == want
 
 
 def test_write_read_round_trip(tmp_path):
@@ -334,6 +421,29 @@ def test_pinned_rewired_corpus_digests():
     for seed, want in enumerate(_CORPUS_DIGESTS):
         gs, _ = md.make_rewired_corpus(_DESK_SETTINGS, seed=seed)
         assert _digest(gs) == want, seed
+
+
+# Rewiring rates where rejections use up the generator's first bulk draw of
+# candidate endpoints partway through the graph, so it draws again. Digests
+# recorded when the generator made one scalar draw per rewire attempt.
+_REFILL_DIGESTS = {
+    (50, 1000, 1.0, 0): "225c6c9ced9ad08e7e92a9fd2dce3103e93a69e72e7beae1f1f2a841dd6d2ef1",
+    (50, 1000, 1.0, 1): "f8cf2b2dd4585e498d0cdbc5c73e67183a31207de5a20c1aee0630f3515a94a2",
+    (50, 1000, 1.0, 2): "d35638106484fc67355e55aeb5c39e8d45fd95509e3b50965b012ed20a6c3fc3",
+    (50, 1000, 1.0, 3): "48304a9e98b2119373b55b33971ddb9148afdc746306a392e2664e2264fcf1d8",
+    (50, 1000, 1.0, 4): "74f3de44f93016cb22f848a1096bb0b6d45ae324a4568741b3c3eb14e79291e2",
+    (200, 4000, 0.9, 0): "8880d450eea579ef29ec6b6bc94fdfef7ea05a0c7cb3884a1d345193817fd91b",
+    (200, 4000, 0.9, 1): "f1a02d31ed34d1fe715e9a8782906ccda02c0d0f6c1a37be8311f0462f5d1886",
+    (200, 4000, 0.9, 2): "9bb6713797881298f46f511847a7538feee2c3d4501f924108e974f0c47b9e65",
+    (200, 4000, 0.9, 3): "8af3bd4237bfe0a53f35ba95a03a3660df82e8083ca57c589560d8bc5895fa2e",
+    (200, 4000, 0.9, 4): "be108ea773d060c691e4ed604dd54de5a4f52bb8c0469d3c1ef0ab0ab7964aad",
+}
+
+
+@pytest.mark.parametrize("nv, ne, rho, seed", list(_REFILL_DIGESTS))
+def test_pinned_rewired_refill_digests(nv, ne, rho, seed):
+    g = md.generate_rewired(nv, ne, rho, seed)
+    assert _digest([g]) == _REFILL_DIGESTS[nv, ne, rho, seed]
 
 
 def test_pinned_parse_digest():

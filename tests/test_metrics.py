@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ def test_cholesky_frobenius_basic():
     assert md.cholesky_frobenius_dist(m, m) == 0.0
     with pytest.raises(md.SingularMatrixError):
         md.cholesky_frobenius_dist(np.diag([1.0, -1.0]), np.eye(2))
+
+
+@pytest.mark.parametrize("metric, a, b", [
+    ("frobenius_dist", np.full((2, 2), 1e200), np.zeros((2, 2))),  # overflows
+    ("affine_invariant_dist", 1e-300 * np.eye(2), 1e300 * np.eye(2)),  # whitening overflows
+    ("log_frobenius_dist", np.diag([np.inf, 1.0]), np.eye(2)),
+    ("cholesky_frobenius_dist", 1e308 * np.eye(2), 1e-308 * np.eye(2)),  # overflows
+], ids=["frobenius", "affine-invariant", "log-frobenius", "cholesky-frobenius"])
+def test_one_pair_metric_rejects_non_finite_distance(metric, a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(md.NonFiniteDistanceError):
+            getattr(md, metric)(a, b)
 
 
 def test_metric_axioms_sampled():
