@@ -74,6 +74,7 @@ from .metrics import (
     graph_distance,
     log_frobenius_dist,
     moment_matrix_of_graph,
+    moment_table,
     pairwise_distance_matrix,
 )
 from .moments import (

@@ -242,64 +242,30 @@ def _method_params(args) -> dict:
     }.get(args.method, {})
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_experiment(args) -> int:
+    """``cluster`` or ``classify`` on a corpus manifest."""
     graphs, labels, digests = _load_corpus(args.corpus, args.seed)
     threads = _resolve_threads(args.threads)
     params = _method_params(args)
+    config = {"corpus": args.corpus, "method": args.method, "params": params}
     t0 = time.perf_counter()
-    report = cluster_experiment(
-        graphs,
-        labels,
-        method=args.method,
-        method_params=params,
-        restarts=args.restarts,
-        seed=args.seed,
-        threads=threads,
-    )
-    timings = report.pop("timings")
+    if args.cmd == "cluster":
+        report = cluster_experiment(graphs, labels, method=args.method, method_params=params,
+                                    restarts=args.restarts, seed=args.seed, threads=threads)
+        timings = report.pop("timings")
+        config["restarts"] = args.restarts
+    else:
+        params.pop("degree", None)  # the moment method sweeps --degrees instead
+        degrees = args.degrees if args.method == "moment" else None
+        report = classify_experiment(graphs, labels, method=args.method, method_params=params,
+                                     knn_k=args.knn_k, degrees=degrees, folds=args.folds,
+                                     seed=args.seed, threads=threads)
+        timings = {}
+        config.update(degrees=degrees, knn_k=args.knn_k, folds=args.folds)
+    config["threads_bound"] = threads
     timings["total_s"] = time.perf_counter() - t0
-    manifest = RunManifest(
-        command="cluster",
-        config={"corpus": args.corpus, "method": args.method, "params": params,
-                "restarts": args.restarts, "threads_bound": threads},
-        seeds={"seed": args.seed},
-        input_digests=digests,
-        timings=timings,
-    )
-    _emit(report, manifest, args.out)
-    return EXIT_OK
-
-
-def _cmd_classify(args) -> int:
-    graphs, labels, digests = _load_corpus(args.corpus, args.seed)
-    threads = _resolve_threads(args.threads)
-    params = _method_params(args)
-    degrees = None
-    if args.method == "moment":
-        params.pop("degree", None)
-        degrees = args.degrees
-    t0 = time.perf_counter()
-    report = classify_experiment(
-        graphs,
-        labels,
-        method=args.method,
-        method_params=params,
-        knn_k=args.knn_k,
-        degrees=degrees,
-        folds=args.folds,
-        seed=args.seed,
-        threads=threads,
-    )
-    manifest = RunManifest(
-        command="classify",
-        config={"corpus": args.corpus, "method": args.method, "params": params,
-                "degrees": degrees, "knn_k": args.knn_k, "folds": args.folds,
-                "threads_bound": threads},
-        seeds={"seed": args.seed},
-        input_digests=digests,
-        timings={"total_s": time.perf_counter() - t0},
-    )
-    _emit(report, manifest, args.out)
+    _emit(report, RunManifest(args.cmd, config, {"seed": args.seed}, digests, timings=timings),
+          args.out)
     return EXIT_OK
 
 
@@ -403,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_out(p)
     p.set_defaults(func=_cmd_pairwise)
 
-    for name, fn in (("cluster", _cmd_cluster), ("classify", _cmd_classify)):
+    for name in ("cluster", "classify"):
         p = sub.add_parser(name, help=f"{name} a corpus manifest")
         p.add_argument("--corpus", required=True, help="corpus manifest JSON")
         p.add_argument("--method", choices=list(METHODS), default="moment")
@@ -419,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--degrees", type=int, nargs="*", default=[2, 3, 4, 5, 6, 7])
             p.add_argument("--folds", type=int, default=10)
         _add_common_out(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("spectrum", help="stem-plot spectral distribution data")
     _add_graph_source(p)

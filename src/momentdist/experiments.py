@@ -32,9 +32,10 @@ from .metrics import (
     DistanceMatrix,
     _corpus_labels,
     _euclidean,
+    _hankel_stack,
     _moment_distances,
     _pairwise,
-    moment_matrix_of_graph,
+    moment_table,
     pairwise_distance_matrix,
 )
 
@@ -113,6 +114,18 @@ _BASELINES = {
 METHODS = ("moment", *_BASELINES)
 
 
+def _method_row(method: str, params: dict) -> tuple:
+    """A method's (features, kernel) row, after checking its name and parameters."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+    # the moment row's parameters are the fields of DistanceConfig
+    features, kernel = _BASELINES.get(method, (DistanceConfig, None))
+    extra = sorted(params.keys() - inspect.signature(features).parameters.keys())
+    if extra:
+        raise ConfigError(f"unknown method parameters: {extra}")
+    return features, kernel
+
+
 def method_distance_matrix(
     gs: Sequence[Graph],
     method: str,
@@ -126,13 +139,7 @@ def method_distance_matrix(
     their per-graph features with the Euclidean distance, ``cov`` with the
     Bhattacharyya distance.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    # the moment row's parameters are the fields of DistanceConfig
-    features, kernel = _BASELINES.get(method, (DistanceConfig, None))
-    extra = sorted(params.keys() - inspect.signature(features).parameters.keys())
-    if extra:
-        raise ConfigError(f"unknown method parameters: {extra}")
+    features, kernel = _method_row(method, params)
     if kernel is None:
         return pairwise_distance_matrix(gs, DistanceConfig(**params), threads=threads)
     labels = _corpus_labels(gs)
@@ -187,7 +194,9 @@ def classify_experiment(
     For the moment method, ``degrees`` sweeps the moment-matrix degree
     (default 2..7); ``knn_k`` sweeps the neighbor count (default 1..10). The
     best (degree, k) cell by mean accuracy is reported along with the whole
-    grid, so nothing about the selection is hidden.
+    grid, so nothing about the selection is hidden. Every swept degree is
+    checked first; then the moments are extracted once, to the largest
+    degree's order, and each degree reads its leading blocks.
     """
     labels = np.asarray(labels)
     method_params = dict(method_params or {})
@@ -200,15 +209,21 @@ def classify_experiment(
         if not values:
             raise ConfigError(f"empty sweep grid: no {name} given")
 
+    if method == "moment":
+        _method_row(method, method_params)
+        cfgs = [DistanceConfig(**{**method_params, "degree": deg}) for deg in swept_degrees]
+        _corpus_labels(gs)
+        table = moment_table(gs, 2 * max(swept_degrees), threads)
+        matrices = (pairwise_distance_matrix(gs, cfg, threads=threads, table=table)
+                    for cfg in cfgs)
+    else:
+        matrices = [method_distance_matrix(gs, method, threads=threads, **method_params)]
+
     grid = []
     best = None
-    for deg in swept_degrees:
-        params = dict(method_params)
-        if deg is not None:
-            params["degree"] = deg
-        dm = method_distance_matrix(gs, method, threads=threads, **params)
-        for k in ks:
-            mean, per_fold = knn_classify(dm, labels, k=k, folds=folds, seed=seed, return_folds=True)
+    for deg, dm in zip(swept_degrees, matrices):
+        for k, per_fold in zip(ks, knn_classify(dm, labels, ks, folds=folds, seed=seed)):
+            mean = float(per_fold.mean())
             cell = {
                 "degree": deg,
                 "k": k,
@@ -258,7 +273,7 @@ def bench_moment_scaling(
         for gs, size_times in zip(corpora, times):
             if "moment" in methods:
                 t0 = time.perf_counter()
-                mats = np.stack([moment_matrix_of_graph(g, degree).entries for g in gs])
+                mats = _hankel_stack(moment_table(gs, 2 * degree, 1), degree)
                 t1 = time.perf_counter()
                 _moment_distances(mats, cfg)
                 t2 = time.perf_counter()

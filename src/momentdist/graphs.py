@@ -325,6 +325,8 @@ def _read_lines(lines: Iterable[str], header: bool) -> tuple[np.ndarray, list[in
             a, b = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise EdgeListError(f"non-integer token in {line!r}", lineno) from None
+        if max(a, b) > np.iinfo(np.int64).max:
+            raise EdgeListError(f"integer {max(a, b)} does not fit in int64", lineno)
         if header and not saw_header:
             saw_header = True
             if a < 0 or b < 0:
@@ -373,7 +375,12 @@ def _edge_graph(flat: np.ndarray, linenos: list[int] | None, header_n: int | Non
 def load_edge_list(path, indexing: str = "auto", header: bool = False) -> Graph:
     """Read an edge-list file from disk. See :func:`parse_edge_list`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), indexing=indexing, header=header)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise EdgeListError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
+                                f"{exc.start}") from None
+    return parse_edge_list(text, indexing=indexing, header=header)
 
 
 def write_edge_list(g: Graph, path) -> None:

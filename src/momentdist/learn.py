@@ -145,20 +145,15 @@ def _stratified_folds(labels: np.ndarray, folds: int, rng) -> list[np.ndarray]:
     return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
 
 
-def knn_classify(
-    d,
-    labels: Sequence,
-    k: int = 1,
-    folds: int = 10,
-    seed=None,
-    return_folds: bool = False,
-):
-    """Stratified k-fold cross-validated KNN accuracy on a distance matrix.
+def knn_classify(d, labels: Sequence, ks: Sequence[int] = (1,), folds: int = 10,
+                 seed=None) -> np.ndarray:
+    """Stratified k-fold cross-validated KNN accuracy on a distance matrix, per k.
 
     Each held-out item is labeled by majority vote among its k nearest
-    training items; vote ties are broken by the single nearest neighbor's
-    label. Returns the mean accuracy across folds (and the per-fold array
-    with ``return_folds=True``).
+    training items (all of them when k exceeds the training set); vote ties
+    are broken by the single nearest neighbor's label. One stable sort of each
+    fold's test-by-train distances, with running vote counts along it, serves
+    every k of ``ks``. Returns the per-fold accuracies, one row per k.
     """
     dm = _entries(d)
     labels = np.asarray(labels)
@@ -169,26 +164,21 @@ def knn_classify(
         raise ConfigError("folds must be at least 2")
     if folds > n:
         raise ConfigError(f"more folds ({folds}) than items ({n})")
-    if k < 1:
+    if any(k < 1 for k in ks):
         raise ConfigError("k must be positive")
     _, codes = np.unique(labels, return_inverse=True)
-    rng = np.random.default_rng(seed)
-    fold_sets = _stratified_folds(codes, folds, rng)
+    fold_sets = _stratified_folds(codes, folds, np.random.default_rng(seed))
 
-    accuracies = np.empty(folds, dtype=np.float64)
-    all_idx = np.arange(n)
+    accuracies = np.empty((len(ks), folds), dtype=np.float64)
     for f, test in enumerate(fold_sets):
-        train = np.setdiff1d(all_idx, test, assume_unique=True)
-        correct = 0
-        for i in test:
-            order = train[np.argsort(dm[i, train], kind="stable")]
-            nearest = order[: min(k, order.size)]
-            votes = np.bincount(codes[nearest])
-            top = np.flatnonzero(votes == votes.max())
-            pred = top[0] if top.size == 1 else codes[order[0]]
-            correct += int(pred == codes[i])
-        accuracies[f] = correct / test.size
-    mean = float(accuracies.mean())
-    if return_folds:
-        return mean, accuracies
-    return mean
+        train = np.setdiff1d(np.arange(n), test, assume_unique=True)
+        order = np.argsort(dm[np.ix_(test, train)], axis=1, kind="stable")
+        ranked = codes[train][order[:, : min(max(ks, default=1), train.size)]]
+        # votes[i, j, c]: class-c items among the j+1 nearest of test item i
+        votes = np.cumsum(ranked[:, :, None] == np.arange(codes.max() + 1), axis=1)
+        for row, k in enumerate(ks):
+            v = votes[:, min(k, train.size) - 1]
+            top = v == v.max(axis=1, keepdims=True)
+            pred = np.where(top.sum(axis=1) == 1, top.argmax(axis=1), ranked[:, 0])
+            accuracies[row, f] = np.count_nonzero(pred == codes[test]) / test.size
+    return accuracies

@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import ConfigError, Graph
-from .hankel import MomentMatrix, build_moment_matrix
-from .moments import vector_state_moments
+from .hankel import MomentMatrix
+from .moments import _finite, _vector_chain
 
 __all__ = [
     "ConfigError",
@@ -41,6 +41,7 @@ __all__ = [
     "affine_invariant_dist",
     "log_frobenius_dist",
     "cholesky_frobenius_dist",
+    "moment_table",
     "moment_matrix_of_graph",
     "graph_distance",
     "pairwise_distance_matrix",
@@ -311,13 +312,32 @@ def cholesky_frobenius_dist(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 
+def moment_table(gs: Sequence[Graph], order: int, threads: int | None = None) -> np.ndarray:
+    """Uniform-vector moments m_0..m_order of a corpus, one row per graph.
+
+    One chain of ``order`` sparse matvecs per graph, on a thread pool unless
+    ``threads`` is 1 or less. Overflow stays in the table as inf.
+    """
+    chain = functools.partial(_vector_chain, order=order)
+    if threads is not None and threads <= 1:
+        return np.stack([chain(g) for g in gs])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.stack(list(pool.map(chain, gs)))
+
+
+def _hankel_stack(table: np.ndarray, degree: int, eps: float = 0.0) -> np.ndarray:
+    """Degree-d moment matrix of every table row (its leading Hankel block) plus eps*I.
+
+    NonFiniteMomentError if a row has a non-finite moment of order <= 2d.
+    """
+    _finite(table[:, : 2 * degree + 1])
+    mats = table[:, np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
+    return mats + eps * np.eye(degree + 1) if eps > 0.0 else mats
+
+
 def moment_matrix_of_graph(g: Graph, degree: int, eps: float = 0.0) -> MomentMatrix:
     """Degree-d moment matrix of a graph in the uniform vector state."""
-    ms = vector_state_moments(g, 2 * degree)
-    mm = build_moment_matrix(ms, degree)
-    if eps > 0.0:
-        return MomentMatrix(degree, mm.entries + eps * np.eye(degree + 1))
-    return mm
+    return MomentMatrix(degree, _hankel_stack(moment_table([g], 2 * degree, 1), degree, eps)[0])
 
 
 def graph_distance(
@@ -332,7 +352,7 @@ def graph_distance(
     actually used and whether the PD-metric singularity fallback fired.
     """
     cfg = cfg or DistanceConfig()
-    mats = np.stack([moment_matrix_of_graph(g, cfg.degree, cfg.eps).entries for g in (g1, g2)])
+    mats = _hankel_stack(moment_table([g1, g2], 2 * cfg.degree, 1), cfg.degree, cfg.eps)
     out, fallbacks = _moment_distances(mats, cfg)
     val = float(out[0, 1])
     if not return_info:
@@ -411,27 +431,21 @@ def pairwise_distance_matrix(
     cfg: DistanceConfig | None = None,
     labels: Sequence[str] | None = None,
     threads: int | None = None,
+    table: np.ndarray | None = None,
 ) -> DistanceMatrix:
     """All-pairs graph distances over a corpus.
 
-    Moment matrices are extracted once per graph (2*degree matvec passes
-    each, parallelized across graphs when ``threads`` allows), then every
-    pair is compared. The number of pairs that hit the PD-singularity
-    fallback is recorded in the metadata.
+    The moment matrices are the leading blocks of ``table``, a
+    :func:`moment_table` of ``gs`` of order at least 2*degree; without one,
+    the table is extracted here on ``threads``. Then every pair is compared.
+    The number of pairs that hit the PD-singularity fallback is recorded in
+    the metadata.
     """
     cfg = cfg or DistanceConfig()
     labels = _corpus_labels(gs, labels)
-
-    def extract(g: Graph) -> np.ndarray:
-        return moment_matrix_of_graph(g, cfg.degree, cfg.eps).entries
-
-    if threads is not None and threads <= 1:
-        mats = [extract(g) for g in gs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            mats = list(pool.map(extract, gs))
-
-    out, fallbacks = _moment_distances(np.stack(mats), cfg)
+    if table is None:
+        table = moment_table(gs, 2 * cfg.degree, threads)
+    out, fallbacks = _moment_distances(_hankel_stack(table, cfg.degree, cfg.eps), cfg)
     meta = {
         "metric": cfg.metric,
         "degree": cfg.degree,

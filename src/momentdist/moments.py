@@ -74,13 +74,14 @@ def _require_nonempty(g: Graph) -> None:
         raise EmptyGraphError("moments of the empty graph are undefined")
 
 
-def _finite_sequence(state_kind: str, vals: np.ndarray) -> MomentSequence:
-    bad = np.flatnonzero(~np.isfinite(vals))
+def _finite(vals: np.ndarray) -> np.ndarray:
+    """``vals``, or NonFiniteMomentError naming the first bad row's first non-finite order."""
+    bad = np.argwhere(~np.isfinite(np.atleast_2d(vals)))
     if bad.size:
         raise NonFiniteMomentError(
-            f"moment of order {bad[0]} is not finite in float64; lower the order"
+            f"moment of order {bad[0, 1]} is not finite in float64; lower the order"
         )
-    return MomentSequence(state_kind, vals)
+    return vals
 
 
 def vector_state_moments(g: Graph, order: int) -> MomentSequence:
@@ -89,6 +90,11 @@ def vector_state_moments(g: Graph, order: int) -> MomentSequence:
     m_k = <1, A^k 1> / n, i.e. the average over vertices of the number of
     length-k walks leaving each vertex. Exactly ``order`` sparse matvecs.
     """
+    return MomentSequence(STATE_UNIFORM, _finite(_vector_chain(g, order)))
+
+
+def _vector_chain(g: Graph, order: int) -> np.ndarray:
+    """The moments of :func:`vector_state_moments` unchecked: overflow leaves inf."""
     _require_nonempty(g)
     if order < 0:
         raise ConfigError("order must be nonnegative")
@@ -100,7 +106,7 @@ def vector_state_moments(g: Graph, order: int) -> MomentSequence:
         for k in range(1, order + 1):
             w = a @ w
             vals[k] = w.sum() / g.n
-    return _finite_sequence(STATE_UNIFORM, vals)
+    return vals
 
 
 def trace_moments(g: Graph, order: int) -> MomentSequence:
@@ -130,7 +136,7 @@ def trace_moments(g: Graph, order: int) -> MomentSequence:
             for k in range(1, order + 1):
                 w = a @ w
                 traces[k] += w[rows, cols].sum()
-    return _finite_sequence(STATE_TRACE, traces / n)
+    return MomentSequence(STATE_TRACE, _finite(traces / n))
 
 
 def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequence:

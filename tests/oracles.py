@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from momentdist import EdgeListError, Graph, SelfLoopError
+from momentdist.learn import _stratified_folds
 
 
 def random_graph(rng, n: int, p: float) -> Graph:
@@ -249,3 +250,25 @@ def parse_edge_list_by_lines(text: str, indexing: str = "auto", header: bool = F
             raise EdgeListError(f"header n={header_n} smaller than max vertex id {n - 1}")
         n = header_n
     return Graph.from_edges(n, flat)
+
+
+def knn_fold_accuracies_by_query(d: np.ndarray, labels, k: int, folds: int, seed) -> np.ndarray:
+    """Per-fold KNN accuracy with one stable sort and one vote per held-out item.
+
+    The reference for the one-pass ``knn_classify``: the same fold split, then
+    the k nearest training items vote and a tie goes to the nearest one's label.
+    """
+    _, codes = np.unique(labels, return_inverse=True)
+    fold_sets = _stratified_folds(codes, folds, np.random.default_rng(seed))
+    accuracies = np.empty(folds, dtype=np.float64)
+    for f, test in enumerate(fold_sets):
+        train = np.setdiff1d(np.arange(len(codes)), test, assume_unique=True)
+        correct = 0
+        for i in test:
+            order = train[np.argsort(d[i, train], kind="stable")]
+            votes = np.bincount(codes[order[: min(k, order.size)]])
+            top = np.flatnonzero(votes == votes.max())
+            pred = top[0] if top.size == 1 else codes[order[0]]
+            correct += int(pred == codes[i])
+        accuracies[f] = correct / test.size
+    return accuracies

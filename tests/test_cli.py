@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -209,6 +210,21 @@ def test_exit_code_input_error_bad_file(tmp_path, capsys):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("data, message", [
+    (b"0 1\n99999999999999999999 1\n",
+     "line 2: integer 99999999999999999999 does not fit in int64"),
+    (b"0 1\n1 \xff2\n", "not UTF-8: byte 0xff at offset 6"),
+], ids=["id-above-int64", "not-utf8"])
+def test_exit_code_input_error_unreadable_edge_list(tmp_path, capsys, data, message):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    code = main(["moments", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
 def test_exit_code_input_error_unknown_name(capsys):
     code, _ = run(capsys, ["moments", "--named", "zorp"])
     assert code == 2
@@ -265,6 +281,25 @@ def test_exit_code_numeric_error_moment_overflow(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("numeric error: ") and captured.err.count("\n") == 1
 
+
+
+def test_classify_overflow_names_first_failing_degree(tmp_path, capsys):
+    # K50's moments overflow from order 182 and K60's from order 174; the
+    # first swept degree (88, so orders up to 176) fails on K60 alone
+    files = []
+    for i, n in enumerate((50, 60, 51, 61)):
+        md.write_edge_list(md.complete_graph(n), tmp_path / f"k{n}.txt")
+        files.append({"path": f"k{n}.txt", "label": i % 2})
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"files": files, "indexing": "zero"}))
+    code = main(["classify", "--corpus", str(corpus), "--degrees", "88", "92", "--folds", "2",
+                 "--knn-k", "1", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric error: moment of order 174 is not finite in float64; lower the order\n"
+    )
 
 def _write_one_setting_corpus(path, count):
     spec = {"synthetic": {"seed": 1, "settings": [{"nv": 30, "ne": 60, "rho": 0.1, "count": count}]}}
@@ -350,3 +385,56 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MOMENTDIST_THREADS", "zebra")
     code, _ = run(capsys, ["pairwise", "--named", "K4", "C4"])
     assert code == 4
+
+
+# -- pinned outputs ----------------------------------------------------------------
+
+
+def _write_rewiring_corpus(path):
+    """Three classes of ten small graphs that differ only in rewiring, so KNN errs."""
+    settings = [{"nv": 30, "ne": 90, "rho": rho, "count": 10} for rho in (0.1, 0.3, 0.6)]
+    path.write_text(json.dumps({"synthetic": {"seed": 5, "settings": settings}}))
+
+
+# SHA-256 of each output file, recorded with the per-degree extraction and the
+# per-k KNN loop that the shared moment table and the one-sort KNN replaced.
+# Paths are relative and --threads is explicit, so the manifests are stable.
+_PINNED_OUTPUTS = {
+    "classify-default": (["classify", "--threads", "1"],
+        "dae494571853d323757456aa336f530197ef5714afd235a1823d6f9adde58cc5"),
+    "classify-default-threads-2": (["classify", "--threads", "2"],
+        "dd25027b29d347e1d7589c568e910b12dd4b3b9848cbb0c10f5a6906c9311094"),
+    "classify-degrees-3-2-3": (["classify", "--degrees", "3", "2", "3", "--reg", "1e4",
+                                "--threads", "1"],
+        "675c8ef7d5835a37fdee3368f95ab62c9febc1c5b36747f37e732d4cfacc179c"),
+    "classify-frobenius-log1p": (["classify", "--metric", "frobenius", "--scale", "log1p",
+                                  "--knn-k", "1", "4", "40", "--threads", "2"],
+        "47cd09e44230eb964121bd9b3a4e8322399a2698b2d89ae7acc827c5a366a77e"),
+    "cluster": (["cluster", "--degree", "3", "--reg", "1e4", "--threads", "1"],
+        "f9d7150ee22a45ee4c22203de90441f5eef2e0023357dd06db96ed426901af85"),
+    "pairwise": (["pairwise", "--named", "K4", "C4", "paw", "P5", "S5", "C4uK1", "C6",
+                  "--degree", "3", "--reg", "1e-3", "--threads", "2"],
+        "74e4520b315af6c0af8906117ca29cec02244913feb3014c14135b9220b7d222"),
+}
+
+
+def _pinned_output(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    _write_rewiring_corpus(tmp_path / "corpus.json")
+    if argv[0] != "pairwise":
+        argv = argv[:1] + ["--corpus", "corpus.json", "--seed", "2"] + argv[1:]
+    assert main(argv + ["--out", "out.json"]) == 0
+    return (tmp_path / "out.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", list(_PINNED_OUTPUTS))
+def test_output_digest_pinned(tmp_path, monkeypatch, case):
+    argv, digest = _PINNED_OUTPUTS[case]
+    assert hashlib.sha256(_pinned_output(tmp_path, monkeypatch, argv)).hexdigest() == digest
+
+
+def test_classify_output_same_under_threads(tmp_path, monkeypatch):
+    one = _pinned_output(tmp_path, monkeypatch, ["classify", "--threads", "1"])
+    two = _pinned_output(tmp_path, monkeypatch, ["classify", "--threads", "2"])
+    diff = [(a, b) for a, b in zip(one.splitlines(), two.splitlines()) if a != b]
+    assert diff == [(b'      "threads_bound": 1', b'      "threads_bound": 2')]

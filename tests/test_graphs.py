@@ -109,6 +109,9 @@ _BAD_EDGE_LISTS = {
         "auto": (md.EdgeListError, "header n=3 smaller than max vertex id 4", None)}),
     "header-no-data": ("# only\n\n", True, dict.fromkeys(
         ("zero", "one", "auto"), (md.EdgeListError, "header requested but no data lines found", None))),
+    "id-above-int64": ("0 1\n99999999999999999999 1\n", False, dict.fromkeys(
+        ("zero", "one", "auto"),
+        (md.EdgeListError, "line 2: integer 99999999999999999999 does not fit in int64", 2))),
 }
 
 

@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momentdist as md
+from oracles import knn_fold_accuracies_by_query
 
 
 def _block_distance_matrix(sizes, within=0.1, between=5.0, seed=0):
@@ -123,7 +127,7 @@ def test_accuracy_unequal_cluster_count():
 
 def test_knn_separable_perfect():
     d, labels = _block_distance_matrix([15, 15], seed=7)
-    assert md.knn_classify(d, labels, k=3, folds=5, seed=0) == 1.0
+    assert md.knn_classify(d, labels, [3], folds=5, seed=0).mean() == 1.0
 
 
 def test_knn_duplicate_at_zero_distance():
@@ -136,7 +140,7 @@ def test_knn_duplicate_at_zero_distance():
         ]
     )
     labels = np.array([0, 0, 1, 1])
-    assert md.knn_classify(d, labels, k=1, folds=2, seed=0) == 1.0
+    assert md.knn_classify(d, labels, [1], folds=2, seed=0).mean() == 1.0
 
 
 def test_knn_vote_tie_broken_by_nearest():
@@ -149,7 +153,7 @@ def test_knn_vote_tie_broken_by_nearest():
     np.fill_diagonal(d, 0.0)
     labels = np.array([0, 0, 1, 1])
     for seed in range(5):
-        assert md.knn_classify(d, labels, k=2, folds=2, seed=seed) == 1.0
+        assert md.knn_classify(d, labels, [2], folds=2, seed=seed).mean() == 1.0
 
 
 def test_knn_indistinguishable_classes_near_chance():
@@ -159,31 +163,58 @@ def test_knn_indistinguishable_classes_near_chance():
     d = (noise + noise.T) / 2
     np.fill_diagonal(d, 0.0)
     labels = np.repeat([0, 1], n // 2)
-    acc = md.knn_classify(d, labels, k=3, folds=10, seed=0)
+    acc = md.knn_classify(d, labels, [3], folds=10, seed=0).mean()
     assert 0.3 <= acc <= 0.7
 
 
 def test_knn_deterministic():
     d, labels = _block_distance_matrix([10, 10], seed=9)
-    a, folds_a = md.knn_classify(d, labels, k=2, folds=4, seed=3, return_folds=True)
-    b, folds_b = md.knn_classify(d, labels, k=2, folds=4, seed=3, return_folds=True)
-    assert a == b and np.array_equal(folds_a, folds_b)
+    folds_a = md.knn_classify(d, labels, [2], folds=4, seed=3)
+    folds_b = md.knn_classify(d, labels, [2], folds=4, seed=3)
+    assert np.array_equal(folds_a, folds_b)
 
 
 def test_knn_stratification_warning():
     d, _ = _block_distance_matrix([4, 4], seed=10)
     labels = np.array([0] * 6 + [1] * 2)
     with pytest.warns(UserWarning, match="unstratified"):
-        md.knn_classify(d, labels, k=1, folds=4, seed=0)
+        md.knn_classify(d, labels, [1], folds=4, seed=0)
 
 
 def test_knn_validation():
     d, labels = _block_distance_matrix([4, 4], seed=11)
     with pytest.raises(ValueError):
-        md.knn_classify(d, labels[:-1], k=1)
+        md.knn_classify(d, labels[:-1], [1])
     with pytest.raises(md.ConfigError):
-        md.knn_classify(d, labels, k=0)
+        md.knn_classify(d, labels, [0])
     with pytest.raises(md.ConfigError):
-        md.knn_classify(d, labels, k=1, folds=1)
+        md.knn_classify(d, labels, [1], folds=1)
     with pytest.raises(md.ConfigError, match=r"more folds \(9\) than items \(8\)"):
-        md.knn_classify(d, labels, k=1, folds=9)
+        md.knn_classify(d, labels, [1], folds=9)
+
+
+@st.composite
+def _knn_problems(draw):
+    """Small symmetric distance matrices with many tied entries, 3-5 classes."""
+    n = draw(st.integers(6, 24))
+    classes = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 4))  # few distinct distances, so ties abound
+    d = rng.integers(0, levels, (n, n)).astype(np.float64)
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    labels = rng.integers(0, classes, n)
+    folds = draw(st.integers(2, min(n, 8)))
+    ks = draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=6))
+    return d, labels, folds, ks, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_knn_problems())
+def test_knn_one_pass_matches_per_query_reference(problem):
+    d, labels, folds, ks, seed = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small classes make the folds unstratified
+        got = md.knn_classify(d, labels, ks, folds=folds, seed=seed)
+        for row, k in zip(got, ks):
+            want = knn_fold_accuracies_by_query(d, labels, k, folds, seed)
+            assert row.tobytes() == want.tobytes(), k

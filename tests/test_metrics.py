@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import momentdist as md
-from momentdist.metrics import METRICS, _pairwise
+from momentdist.metrics import METRICS, _hankel_stack, _pairwise
 from oracles import random_graph, reference_pairwise
 
 
@@ -237,6 +238,50 @@ def test_pairwise_engine_matches_per_pair_reference(metric):
     if metric != "frobenius":
         # the corpus exercises the PD kernel and the fallback within one matrix
         assert any(0 < f < pairs for f in fallback_counts)
+
+
+def test_moment_table_blocks_match_one_graph_extraction():
+    gs = engine_corpus()
+    table = md.moment_table(gs, 14, threads=2)
+    assert table.shape == (len(gs), 15)
+    for degree in range(1, 8):
+        for eps in (0.0, 1e4):
+            blocks = _hankel_stack(table, degree, eps)
+            for g, block in zip(gs, blocks):
+                ms = md.vector_state_moments(g, 2 * degree)
+                want = md.build_moment_matrix(ms, degree).entries
+                if eps > 0.0:
+                    want = want + eps * np.eye(degree + 1)
+                got = md.moment_matrix_of_graph(g, degree, eps).entries
+                assert block.tobytes() == got.tobytes() == want.tobytes(), (degree, eps)
+
+
+# SHA-256 over the entries of every matrix, and the fallback counts, of the
+# engine corpus at degrees 1..7 and eps 0 and 1e4 (in that order), recorded
+# when each pairwise call still extracted its own moments
+_PINNED_PAIRWISE = {
+    "frobenius": ("2b39668fce3e6a1f79c2801fc1394e46d8b76b33810df18b455da7d95a8cbb5b",
+                  [0] * 14),
+    "affine-invariant": ("1121885cc94385d4ba906eb4d060a14be598b0035b96339733d6f2922bd1507c",
+                         [70, 0, 135, 0, 161, 0, 161, 0, 161, 0, 185, 0, 186, 0]),
+    "log-frobenius": ("7f0688c10fb7f42f0d6b972a861764341d389ce4bba4cdf74180a13d8c3991c9",
+                      [70, 0, 135, 0, 161, 0, 161, 0, 161, 0, 185, 0, 186, 0]),
+    "cholesky-frobenius": ("3857564018ff9ba06b8242daea4495d22f2c1cacb0d7d6101f812c83c5531a61",
+                           [70, 0, 135, 0, 161, 0, 161, 0, 161, 0, 161, 0, 161, 0]),
+}
+
+
+@pytest.mark.parametrize("metric", list(METRICS))
+def test_pairwise_entries_and_fallbacks_pinned(metric):
+    gs = engine_corpus()
+    digest, fallbacks = hashlib.sha256(), []
+    for degree in range(1, 8):
+        for eps in (0.0, 1e4):
+            dm = md.pairwise_distance_matrix(
+                gs, md.DistanceConfig(degree=degree, metric=metric, eps=eps), threads=2)
+            digest.update(dm.entries.tobytes())
+            fallbacks.append(dm.metadata["fallback_pairs"])
+    assert (digest.hexdigest(), fallbacks) == _PINNED_PAIRWISE[metric]
 
 
 def test_pairwise_needs_two():
