@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .baselines import (
     EigensolverError,
     FeatureVector,
-    GRAPHLET3_TYPES,
     GRAPHLET4_TYPES,
-    bhattacharyya_dist,
     cov_descriptor,
     graphlet3_distribution,
     graphlet4_distribution,
@@ -51,17 +49,10 @@ from .graphs import (
     path_graph,
     permute,
     star_graph,
-    walk_count,
-    write_edge_list,
 )
 from .hankel import MomentMatrix, build_moment_matrix, hankel_rank, mix
 from .learn import clustering_accuracy, kernel_from_distances, kernel_kmeans, knn_classify
-from .measures import (
-    DiscreteMeasure,
-    graph_spectral_measure,
-    measure_moment,
-    spectral_measure,
-)
+from .measures import DiscreteMeasure, graph_spectral_measure, spectral_measure
 from .metrics import (
     METRICS,
     DistanceConfig,
@@ -69,10 +60,7 @@ from .metrics import (
     NonFiniteDistanceError,
     SingularMatrixError,
     affine_invariant_dist,
-    cholesky_frobenius_dist,
-    frobenius_dist,
     graph_distance,
-    log_frobenius_dist,
     moment_matrix_of_graph,
     moment_table,
     pairwise_distance_matrix,

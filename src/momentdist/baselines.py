@@ -14,19 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .graphs import Graph
-from .moments import trace_moments
+from .graphs import ConfigError, Graph
+from .moments import EmptyGraphError, trace_moments
 
 __all__ = [
     "FeatureVector",
     "EigensolverError",
     "cov_descriptor",
-    "bhattacharyya_dist",
     "nclm_vector",
     "top_k_eigenvalues",
     "graphlet3_distribution",
     "graphlet4_distribution",
-    "GRAPHLET3_TYPES",
     "GRAPHLET4_TYPES",
 ]
 
@@ -70,9 +68,9 @@ def cov_descriptor(g: Graph, k: int = 4) -> np.ndarray:
     give the zero matrix (every column equals e).
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise ConfigError("k must be at least 2")
     if g.n == 0:
-        raise ValueError("covariance descriptor of the empty graph is undefined")
+        raise EmptyGraphError("covariance descriptor of the empty graph is undefined")
     a = g.to_csr()
     w = np.full(g.n, 1.0 / np.sqrt(g.n))
     cols = np.empty((g.n, k), dtype=np.float64)
@@ -84,22 +82,13 @@ def cov_descriptor(g: Graph, k: int = 4) -> np.ndarray:
     return (cols.T @ cols) / g.n
 
 
-def bhattacharyya_dist(c1: np.ndarray, c2: np.ndarray, jitter: float | None = None) -> float:
-    """Zero-mean-Gaussian Bhattacharyya distance between covariance matrices.
+def _bhattacharyya(c1: np.ndarray, c2s: np.ndarray, jitter: float | None) -> np.ndarray:
+    """Zero-mean-Gaussian Bhattacharyya distances from ``c1`` to each matrix in ``c2s``.
 
     D = 0.5 * ln det((S1+S2)/2) - 0.25 * ln(det S1 * det S2), each matrix
-    ridged by jitter*I. The default jitter is 1e-8 of the mean per-dimension
-    trace so rank-deficient descriptors stay usable.
+    ridged by jitter*I. A ``jitter`` of None is 1e-8 of the pair's mean
+    per-dimension trace, so rank-deficient descriptors stay usable.
     """
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    if c1.shape != c2.shape or c1.ndim != 2 or c1.shape[0] != c1.shape[1]:
-        raise ValueError("covariance matrices must be square and of equal size")
-    return float(_bhattacharyya(c1, c2[None], jitter)[0])
-
-
-def _bhattacharyya(c1: np.ndarray, c2s: np.ndarray, jitter: float | None) -> np.ndarray:
-    """Bhattacharyya distances from ``c1`` to each covariance matrix in ``c2s``."""
     k = c1.shape[0]
     if jitter is None:
         base = (np.trace(c1) + np.trace(c2s, axis1=1, axis2=2)) / (2 * k)
@@ -125,7 +114,7 @@ def nclm_vector(g: Graph) -> FeatureVector:
     which keeps cospectral graphs at distance exactly zero.
     """
     if g.m == 0:
-        raise ValueError("trace-moment features are undefined for edgeless graphs")
+        raise EmptyGraphError("trace-moment features are undefined for edgeless graphs")
     tm = trace_moments(g, 7)
     logn = np.log(g.n)
     out = np.empty(6, dtype=np.float64)
@@ -147,7 +136,7 @@ def top_k_eigenvalues(g: Graph, k: int = 10) -> FeatureVector:
     beyond; zero-padded when the graph has fewer than k vertices.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ConfigError("k must be positive")
     if g.n <= DENSE_EIG_N:
         eigs = np.linalg.eigvalsh(g.to_dense()) if g.n else np.zeros(0)
         top = eigs[::-1][:k]
@@ -168,8 +157,6 @@ def top_k_eigenvalues(g: Graph, k: int = 10) -> FeatureVector:
 # ---------------------------------------------------------------------------
 # Graphlet distributions
 # ---------------------------------------------------------------------------
-
-GRAPHLET3_TYPES = ("empty", "one-edge", "wedge", "triangle")
 
 # 4-vertex isomorphism types keyed by sorted induced degree sequence,
 # in the order of the 4-vertex named-graph catalog.
@@ -211,7 +198,7 @@ def graphlet3_distribution(g: Graph) -> np.ndarray:
     """
     n = g.n
     if n < 3:
-        raise ValueError("need at least 3 vertices")
+        raise EmptyGraphError("need at least 3 vertices")
     a = g.to_csr()
     t = int(a.multiply(a @ a).sum()) // 6
     degs = g.degrees.astype(object)
@@ -233,9 +220,9 @@ def graphlet4_distribution(g: Graph, samples: int = 10000, seed=None) -> np.ndar
     """
     n = g.n
     if n < 4:
-        raise ValueError("need at least 4 vertices")
+        raise EmptyGraphError("need at least 4 vertices")
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise ConfigError("samples must be positive")
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(GRAPHLET4_TYPES), dtype=np.int64)
     for _ in range(samples):

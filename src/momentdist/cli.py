@@ -28,6 +28,7 @@ from .baselines import EigensolverError
 from .experiments import (
     METHODS,
     CorpusSpecError,
+    _nonnegative_int,
     _required,
     bench_moment_scaling,
     classify_experiment,
@@ -35,6 +36,7 @@ from .experiments import (
     make_rewired_corpus,
 )
 from .graphs import (
+    NAMED_GRAPH_CATALOG,
     EdgeListError,
     Graph,
     UnknownGraphNameError,
@@ -104,6 +106,11 @@ def _resolve_threads(value: int | None) -> int | None:
         except ValueError:
             raise ConfigError(f"MOMENTDIST_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count()
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
 def _load_graph(args) -> tuple[Graph, str, dict]:
@@ -209,20 +216,30 @@ def _cmd_pairwise(args) -> int:
 def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
     """Load a corpus manifest: synthetic generator settings or labeled files."""
     with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise CorpusSpecError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
+                                  f"{exc.start}") from None
     digests = {path: _sha256_file(path)}
+    if not isinstance(spec, dict):
+        raise CorpusSpecError("corpus manifest is not a JSON object")
     if "synthetic" in spec:
         block = spec["synthetic"]
-        corpus_seed = block.get("seed", seed)
         settings = _required(block, "settings", "synthetic block")
+        corpus_seed = (_required(block, "seed", "synthetic block", _nonnegative_int)
+                       if "seed" in block else seed)
         graphs, labels = make_rewired_corpus(settings, seed=corpus_seed)
         return graphs, labels, digests
     if "files" in spec:
         indexing = spec.get("indexing", "auto")
+        files = spec["files"]
+        if not isinstance(files, list):
+            raise CorpusSpecError(f"corpus manifest 'files' must be a list, got {files!r}")
         graphs, labels = [], []
         base = os.path.dirname(os.path.abspath(path))
-        for idx, entry in enumerate(spec["files"]):
-            fpath = _required(entry, "path", f"files entry {idx}")
+        for idx, entry in enumerate(files):
+            fpath = _required(entry, "path", f"files entry {idx}", str)
             if not os.path.isabs(fpath):
                 fpath = os.path.join(base, fpath)
             graphs.append(load_edge_list(fpath, indexing=indexing))
@@ -244,6 +261,7 @@ def _method_params(args) -> dict:
 
 def _cmd_experiment(args) -> int:
     """``cluster`` or ``classify`` on a corpus manifest."""
+    _check_seed(args.seed)
     graphs, labels, digests = _load_corpus(args.corpus, args.seed)
     threads = _resolve_threads(args.threads)
     params = _method_params(args)
@@ -296,6 +314,7 @@ def _parse_sizes(tokens: list[str]) -> list[tuple[int, int]]:
 
 
 def _cmd_bench(args) -> int:
+    _check_seed(args.seed)
     sizes = _parse_sizes(args.sizes)
     t0 = time.perf_counter()
     rows = bench_moment_scaling(
@@ -327,7 +346,7 @@ def _cmd_bench(args) -> int:
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--named", help="named graph, e.g. K4, C4uK1, co-paw")
+    src.add_argument("--named", help=f"named graph: {NAMED_GRAPH_CATALOG}")
     src.add_argument("--input", help="edge-list file")
     p.add_argument("--indexing", choices=["zero", "one", "auto"], default="auto")
     p.add_argument("--header", action="store_true", help="first data line is 'n m'")
@@ -361,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("pairwise", help="pairwise distance matrix over graphs")
-    p.add_argument("--named", nargs="*", help="named graphs")
+    p.add_argument("--named", nargs="*", help=f"named graphs: {NAMED_GRAPH_CATALOG}")
     p.add_argument("--inputs", nargs="*", help="edge-list files")
     p.add_argument("--indexing", choices=["zero", "one", "auto"], default="auto")
     p.add_argument("--header", action="store_true")

@@ -51,14 +51,30 @@ __all__ = [
 
 
 class CorpusSpecError(ValueError):
-    """A corpus manifest or a generator setting lacks a required key."""
+    """A corpus manifest or a generator setting is malformed or lacks a required key."""
 
 
-def _required(spec: dict, key: str, where: str):
-    """``spec[key]``, or CorpusSpecError naming the key and where it is missing."""
+def _required(spec: dict, key: str, where: str, kind=None):
+    """``spec[key]``, converted by ``kind`` if given.
+
+    CorpusSpecError names the key and where it is missing or fails to convert.
+    """
     if not isinstance(spec, dict) or key not in spec:
         raise CorpusSpecError(f"{where} has no {key!r}")
-    return spec[key]
+    if kind is None:
+        return spec[key]
+    try:
+        return kind(spec[key])
+    except (TypeError, ValueError, OverflowError):
+        raise CorpusSpecError(f"{where} has a bad {key!r}: {spec[key]!r}") from None
+
+
+def _nonnegative_int(value) -> int:
+    """``value`` as an int; ValueError if it is negative."""
+    n = int(value)
+    if n < 0:
+        raise ValueError(n)
+    return n
 
 
 def _spawn_seeds(seed, count: int) -> np.ndarray:
@@ -75,20 +91,23 @@ def make_rewired_corpus(
     optional ``label`` (defaults to the setting index). Per-graph seeds are
     derived from the master seed.
     """
+    if not isinstance(settings, list):
+        raise CorpusSpecError(f"settings must be a list, got {settings!r}")
+    rows = []
     for idx, s in enumerate(settings):
-        for key in ("nv", "ne", "rho", "count"):
-            _required(s, key, f"setting {idx}")
-    total = sum(int(s["count"]) for s in settings)
-    seeds = _spawn_seeds(seed, total)
+        where = f"setting {idx}"
+        nv, ne = (_required(s, key, where, int) for key in ("nv", "ne"))
+        rho = _required(s, "rho", where, float)
+        count = _required(s, "count", where, _nonnegative_int)
+        label = _required(s, "label", where, int) if "label" in s else idx
+        rows.append((nv, ne, rho, count, label))
+    seeds = iter(_spawn_seeds(seed, sum(row[3] for row in rows)))
     graphs: list[Graph] = []
     labels: list[int] = []
-    pos = 0
-    for idx, s in enumerate(settings):
-        label = int(s.get("label", idx))
-        for _ in range(int(s["count"])):
-            graphs.append(generate_rewired(int(s["nv"]), int(s["ne"]), float(s["rho"]), seeds[pos]))
+    for nv, ne, rho, count, label in rows:
+        for _ in range(count):
+            graphs.append(generate_rewired(nv, ne, rho, next(seeds)))
             labels.append(label)
-            pos += 1
     return graphs, np.asarray(labels)
 
 

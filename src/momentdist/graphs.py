@@ -29,7 +29,6 @@ __all__ = [
     "UnknownGraphNameError",
     "parse_edge_list",
     "load_edge_list",
-    "write_edge_list",
     "disjoint_union",
     "permute",
     "complement",
@@ -42,9 +41,12 @@ __all__ = [
     "empty_graph",
     "generate_rewired",
     "diameter",
-    "walk_count",
     "NAMED_GRAPH_CATALOG",
 ]
+
+
+# the most vertices for which every edge code u*n+v fits in int64
+MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
 
 
 class ConfigError(ValueError):
@@ -99,8 +101,8 @@ class Graph:
 
         Duplicate edges (in either orientation) collapse; self-loops raise.
         """
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
         arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
             return cls(n, np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -228,18 +230,9 @@ class Permutation:
         return self.map.size
 
     @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(np.arange(n, dtype=np.int64))
-
-    @classmethod
     def random(cls, n: int, seed=None) -> Permutation:
         rng = np.random.default_rng(seed)
         return cls(rng.permutation(n).astype(np.int64))
-
-    def inverse(self) -> Permutation:
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.map] = np.arange(self.n)
-        return Permutation(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +261,7 @@ def parse_edge_list(
     which alone reports messages and line numbers.
     """
     if indexing not in ("zero", "one", "auto"):
-        raise ValueError(f"unknown indexing mode {indexing!r}")
+        raise ConfigError(f"unknown indexing mode {indexing!r}")
     if isinstance(text, str):
         rows = _decimal_rows(text)
         if rows is not None:
@@ -345,7 +338,7 @@ def _read_lines(lines: Iterable[str], header: bool) -> tuple[np.ndarray, list[in
 
 def _edge_graph(flat: np.ndarray, linenos: list[int] | None, header_n: int | None,
                 indexing: str) -> Graph:
-    """Graph from parsed edge rows: indexing shift, self-loop and header checks.
+    """Graph from parsed edge rows: indexing shift, self-loop, header and size checks.
 
     ``linenos`` gives each row's line number for the error messages; None
     leaves the errors without one.
@@ -369,6 +362,13 @@ def _edge_graph(flat: np.ndarray, linenos: list[int] | None, header_n: int | Non
         if flat.size and header_n < n:
             raise EdgeListError(f"header n={header_n} smaller than max vertex id {n - 1}")
         n = header_n
+    if n > MAX_VERTICES:
+        # the line of the largest id, unless the header set n
+        line = None
+        if header_n is None and linenos is not None:
+            line = linenos[int(np.argmax(flat.max(axis=1)))]
+        raise EdgeListError(f"vertex count {n} exceeds {MAX_VERTICES}, the most whose "
+                            "edge codes fit in int64", line)
     return Graph.from_edges(n, flat)
 
 
@@ -381,12 +381,6 @@ def load_edge_list(path, indexing: str = "auto", header: bool = False) -> Graph:
             raise EdgeListError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
                                 f"{exc.start}") from None
     return parse_edge_list(text, indexing=indexing, header=header)
-
-
-def write_edge_list(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={g.n} m={g.m}\n")
-        np.savetxt(fh, g.edge_array(), fmt="%d")
 
 
 # ---------------------------------------------------------------------------
@@ -489,21 +483,21 @@ def _build_family(letter: str, a: int, b: int | None) -> Graph:
         return complete_graph(a) if b is None else complete_bipartite_graph(a, b)
     if b is not None:
         raise UnknownGraphNameError(f"family {letter} takes one parameter")
-    if letter not in _FAMILIES:
-        raise UnknownGraphNameError(f"unknown graph family {letter!r}")
     try:
         return _FAMILIES[letter](a)
     except ValueError as exc:
         raise UnknownGraphNameError(f"{letter}{a}: {exc}") from None
 
 
-def _parse_name(name: str) -> Graph:
+def named_graph(name: str) -> Graph:
+    """Look up a standard graph by a compact name such as ``"C4"``, ``"K2,3"``,
+    ``"co-paw"``, ``"2K2"`` or ``"C4uK1"``. See :data:`NAMED_GRAPH_CATALOG`."""
     s = name.strip().replace(" ", "").replace("_", "")
     if not s:
         raise UnknownGraphNameError("empty graph name")
     low = s.lower()
     if low.startswith("co-"):
-        return complement(_parse_name(s[3:]))
+        return complement(named_graph(s[3:]))
     if low in _WORD_NAMES:
         return _WORD_NAMES[low]()
     m = _FAMILY_RE.fullmatch(s)
@@ -514,34 +508,18 @@ def _parse_name(name: str) -> Graph:
         count = int(m.group(1))
         if count < 1:
             raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
-        base = _parse_name(m.group(2))
+        base = named_graph(m.group(2))
         return disjoint_union([base] * count)
     # union separator: try each 'u' position until both halves parse
     for pos, ch in enumerate(low):
         if ch == "u" and 0 < pos < len(s) - 1:
             try:
-                left = _parse_name(s[:pos])
-                right = _parse_name(s[pos + 1 :])
+                left = named_graph(s[:pos])
+                right = named_graph(s[pos + 1 :])
             except UnknownGraphNameError:
                 continue
             return disjoint_union([left, right])
     raise UnknownGraphNameError(f"unknown graph name {name!r}")
-
-
-def named_graph(name: str, *params: int) -> Graph:
-    """Look up a standard graph by name.
-
-    Either a family letter with explicit parameters, e.g. ``named_graph("K", 4)``
-    or ``named_graph("K", 2, 3)``, or a compact string such as ``"C4"``,
-    ``"co-paw"``, ``"2K2"``, or ``"C4uK1"``. See :data:`NAMED_GRAPH_CATALOG`.
-    """
-    if params:
-        if len(params) == 1:
-            return _build_family(name, params[0], None)
-        if len(params) == 2:
-            return _build_family(name, params[0], params[1])
-        raise UnknownGraphNameError("too many parameters")
-    return _parse_name(name)
 
 
 # ---------------------------------------------------------------------------
@@ -619,21 +597,3 @@ def diameter(g: Graph) -> int | float:
         return 0
     longest = shortest_path(g.to_csr(), unweighted=True).max()
     return math.inf if np.isinf(longest) else int(longest)
-
-
-def walk_count(g: Graph, i: int, j: int, k: int) -> int:
-    """Number of walks of length k from i to j, by exhaustive enumeration.
-
-    Deliberately does not use matrix powers: this is the independent oracle
-    the moment pipeline is tested against. Cost grows as max-degree**k.
-    """
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise ValueError("vertex out of range")
-    if k < 0:
-        raise ValueError("walk length must be nonnegative")
-    if k == 0:
-        return 1 if i == j else 0
-    total = 0
-    for u in g.neighbors(i):
-        total += walk_count(g, int(u), j, k - 1)
-    return total

@@ -20,6 +20,9 @@ from .moments import MomentSequence
 
 __all__ = ["MomentMatrix", "build_moment_matrix", "hankel_rank", "mix"]
 
+# a float64 minor is numerically zero below this multiple of the previous one
+ZERO_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class MomentMatrix:
@@ -35,9 +38,6 @@ class MomentMatrix:
             raise ValueError("entries shape does not match degree")
         e.flags.writeable = False
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
     def __repr__(self):
         return f"MomentMatrix(degree={self.degree})"
 
@@ -46,6 +46,11 @@ def _moment_values(ms) -> np.ndarray:
     if isinstance(ms, MomentSequence):
         return ms.values
     return np.asarray(ms, dtype=np.float64)
+
+
+def _hankel_blocks(vals: np.ndarray, degree: int) -> np.ndarray:
+    """The degree-d Hankel matrix, entry (i, j) = m_{i+j}, of each row of moments."""
+    return vals[..., np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
 
 
 def build_moment_matrix(ms, degree: int) -> MomentMatrix:
@@ -57,8 +62,7 @@ def build_moment_matrix(ms, degree: int) -> MomentMatrix:
         raise ValueError(
             f"need moments up to order {2 * degree}, have only {vals.size - 1}"
         )
-    idx = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
-    return MomentMatrix(degree, vals[idx])
+    return MomentMatrix(degree, _hankel_blocks(vals, degree))
 
 
 def _bareiss_minors(ints: Sequence[int], size: int) -> list[int]:
@@ -110,7 +114,7 @@ def _int_ratio_to_float(num: int, den_log2: int, den: int = 1) -> float:
         return sign * math.inf
 
 
-def hankel_rank(ms, max_d: int, zero_tol: float = 1e-12) -> tuple[int, np.ndarray]:
+def hankel_rank(ms, max_d: int) -> tuple[int, np.ndarray]:
     """Leading-principal-determinant diagnostics of the moment matrix.
 
     Returns ``(s, dets)`` where ``dets[j]`` is the determinant of the
@@ -123,14 +127,14 @@ def hankel_rank(ms, max_d: int, zero_tol: float = 1e-12) -> tuple[int, np.ndarra
     values (fractions.Fraction / int). All minors are evaluated in exact
     integer arithmetic (fraction-free Bareiss after lifting the inputs over a
     common denominator), so the elimination itself introduces no roundoff.
-    With exact inputs the zero test is likewise exact and ``zero_tol`` is
-    ignored. With float64 inputs the moments carry their own 1e-16-relative
-    rounding, so a minor counts as numerically zero when, after normalizing
-    the sequence by a power-of-two scale near sqrt(max(1, m_2)), it fails to
-    exceed ``zero_tol`` times the previous normalized minor. Float64 moments
-    resolve ranks reliably up to roughly 8 mass points; pass exact values
-    when higher ranks must be certified. Raw determinants are returned for
-    inspection, saturating to +-inf beyond float range.
+    With exact inputs the zero test is likewise exact. With float64 inputs
+    the moments carry their own 1e-16-relative rounding, so a minor counts as
+    numerically zero when, after normalizing the sequence by a power-of-two
+    scale near sqrt(max(1, m_2)), it fails to exceed ``ZERO_TOL`` times the
+    previous normalized minor. Float64 moments resolve ranks reliably up to
+    roughly 8 mass points; pass exact values when higher ranks must be
+    certified. Raw determinants are returned for inspection, saturating to
+    +-inf beyond float range.
     """
     if max_d < 0:
         raise ValueError("max_d must be nonnegative")
@@ -143,16 +147,8 @@ def hankel_rank(ms, max_d: int, zero_tol: float = 1e-12) -> tuple[int, np.ndarra
         den = math.lcm(*(f.denominator for f in fracs))
         ints = [int(f * den) for f in fracs]
         int_dets = _bareiss_minors(ints, max_d + 1)
-        dets = np.empty(max_d + 1, dtype=np.float64)
-        s = 0
-        counting = True
-        for j in range(max_d + 1):
-            dets[j] = _int_ratio_to_float(int_dets[j], 0, den ** (j + 1))
-            if counting and int_dets[j] > 0:
-                s += 1
-            else:
-                counting = False
-        return s, dets
+        dets = np.array([_int_ratio_to_float(d, 0, den ** (j + 1)) for j, d in enumerate(int_dets)])
+        return _positive_run([d > 0 for d in int_dets]), dets
 
     vals = _moment_values(ms)
     if vals.size < 2 * max_d + 1:
@@ -166,22 +162,17 @@ def hankel_rank(ms, max_d: int, zero_tol: float = 1e-12) -> tuple[int, np.ndarra
     lshift = max(53 - math.frexp(v)[1] if v != 0.0 else 0 for v in normed)
     ints = [int(math.ldexp(v, lshift)) for v in normed]
     int_dets = _bareiss_minors(ints, max_d + 1)
+    # normalized det_j = int_dets[j] / 2**(lshift*(j+1)); the raw value
+    # additionally undoes the power-of-two moment normalization
+    norms = [_int_ratio_to_float(d, lshift * (j + 1)) for j, d in enumerate(int_dets)]
+    dets = np.array([_int_ratio_to_float(d, lshift * (j + 1) - p * j * (j + 1))
+                     for j, d in enumerate(int_dets)])
+    return _positive_run([n > ZERO_TOL * prev for n, prev in zip(norms, [1.0] + norms)]), dets
 
-    dets = np.empty(max_d + 1, dtype=np.float64)
-    s = 0
-    counting = True
-    prev_norm = 1.0
-    for j in range(max_d + 1):
-        # normalized det_j = int_dets[j] / 2**(lshift*(j+1)); the raw value
-        # additionally undoes the power-of-two moment normalization
-        norm_det = _int_ratio_to_float(int_dets[j], lshift * (j + 1))
-        dets[j] = _int_ratio_to_float(int_dets[j], lshift * (j + 1) - p * j * (j + 1))
-        if counting and norm_det > zero_tol * prev_norm:
-            s += 1
-            prev_norm = norm_det
-        else:
-            counting = False
-    return s, dets
+
+def _positive_run(positive: list[bool]) -> int:
+    """How many minors count as positive before the first that does not."""
+    return next((j for j, ok in enumerate(positive) if not ok), len(positive))
 
 
 def _is_exact_sequence(ms) -> bool:

@@ -22,6 +22,9 @@ __all__ = [
     "knn_classify",
 ]
 
+# Lloyd iterations per kernel k-means restart
+KMEANS_MAX_ITER = 300
+
 
 def _entries(d) -> np.ndarray:
     if isinstance(d, DistanceMatrix):
@@ -34,12 +37,11 @@ def kernel_from_distances(d) -> np.ndarray:
     return np.exp(-_entries(d))
 
 
-def _kmeans_pass(k_mat: np.ndarray, labels: np.ndarray, k: int, max_iter: int):
-    """One Lloyd run of kernel k-means; returns (labels, objective, history)."""
+def _kmeans_pass(k_mat: np.ndarray, labels: np.ndarray, k: int):
+    """One Lloyd run of kernel k-means; returns (labels, objective)."""
     n = k_mat.shape[0]
     diag = np.diag(k_mat)
-    history = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist2 = np.empty((n, k), dtype=np.float64)
         for c in range(k):
             members = np.flatnonzero(labels == c)
@@ -63,26 +65,17 @@ def _kmeans_pass(k_mat: np.ndarray, labels: np.ndarray, k: int, max_iter: int):
                 contrib[far] = 0.0
                 reseeded = True
         objective = float(contrib.sum())
-        history.append(objective)
         if np.array_equal(new_labels, labels) and not reseeded:
             break
         labels = new_labels
-    return labels, history[-1], history
+    return labels, objective
 
 
-def kernel_kmeans(
-    k_mat: np.ndarray,
-    k: int,
-    restarts: int = 20,
-    seed=None,
-    max_iter: int = 300,
-    return_info: bool = False,
-):
+def kernel_kmeans(k_mat: np.ndarray, k: int, restarts: int = 20, seed=None) -> np.ndarray:
     """Kernel k-means clustering; best of ``restarts`` random initializations.
 
-    ``k_mat`` is a symmetric kernel matrix. Returns the assignment array, or
-    with ``return_info=True`` a tuple (assignment, info) where info carries
-    the best objective and per-iteration objective history.
+    ``k_mat`` is a symmetric kernel matrix. Returns the assignment array of
+    the restart with the lowest objective.
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
     n = k_mat.shape[0]
@@ -91,22 +84,19 @@ def kernel_kmeans(
     if np.max(np.abs(k_mat - k_mat.T)) > 1e-10:
         raise ValueError("kernel matrix must be symmetric")
     if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}")
+        raise ConfigError(f"k must be in 1..{n}")
     if restarts < 1:
-        raise ValueError("restarts must be positive")
+        raise ConfigError("restarts must be positive")
 
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
         init = rng.integers(0, k, size=n)
         init[rng.permutation(n)[:k]] = np.arange(k)  # every cluster starts nonempty
-        labels, objective, history = _kmeans_pass(k_mat, init, k, max_iter)
+        labels, objective = _kmeans_pass(k_mat, init, k)
         if best is None or objective < best[1]:
-            best = (labels, objective, history)
-    labels, objective, history = best
-    if return_info:
-        return labels, {"objective": objective, "history": history}
-    return labels
+            best = (labels, objective)
+    return best[0]
 
 
 def clustering_accuracy(assignment: Sequence[int], labels: Sequence[int]) -> float:

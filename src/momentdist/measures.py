@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import ConfigError, Graph
+from .moments import EmptyGraphError
 
 __all__ = [
     "DiscreteMeasure",
     "spectral_measure",
-    "measure_moment",
     "graph_spectral_measure",
 ]
 
@@ -58,7 +58,10 @@ class DiscreteMeasure:
         return [(float(l), float(w)) for l, w in zip(self.lambdas, self.omegas)]
 
     def moment(self, k: int) -> float:
-        return measure_moment(self, k)
+        """k-th moment of the measure: sum of omega_i * lambda_i**k."""
+        if k < 0:
+            raise ValueError("order must be nonnegative")
+        return float(np.sum(self.omegas * self.lambdas**k))
 
     def to_csv(self) -> str:
         """Stem-plot data: CSV with columns lambda, omega."""
@@ -123,26 +126,19 @@ def spectral_measure(
     return DiscreteMeasure(np.asarray(lambdas), om / total)
 
 
-def measure_moment(mu: DiscreteMeasure, k: int) -> float:
-    """k-th moment of the measure: sum of omega_i * lambda_i**k."""
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    return float(np.sum(mu.omegas * mu.lambdas**k))
-
-
-def graph_spectral_measure(g: Graph, merge_tol: float | None = None) -> DiscreteMeasure:
+def graph_spectral_measure(g: Graph) -> DiscreteMeasure:
     """Spectral distribution of a graph in the uniform vector state.
 
-    Dense-eigendecomposition oracle; raises for graphs above
+    Dense-eigendecomposition oracle; ConfigError for graphs above
     ``DENSE_MEASURE_N`` vertices, where the sparse moment pipeline is the
     intended path.
     """
     if g.n == 0:
-        raise ValueError("spectral measure of the empty graph is undefined")
+        raise EmptyGraphError("spectral measure of the empty graph is undefined")
     if g.n > DENSE_MEASURE_N:
-        raise ValueError(
+        raise ConfigError(
             f"n={g.n} exceeds the dense threshold {DENSE_MEASURE_N}; "
             "use the moment pipeline for large graphs"
         )
     xi = np.full(g.n, 1.0 / np.sqrt(g.n))
-    return spectral_measure(g.to_dense(), xi, merge_tol=merge_tol)
+    return spectral_measure(g.to_dense(), xi)

@@ -10,7 +10,7 @@ metadata.
 
 Every metric is written once, as a per-matrix embedding plus a batched pair
 kernel; one engine runs the kernel a row at a time to fill all-pairs
-matrices, and the one-pair functions call the same kernels.
+matrices. The one-pair geodesic calls the same kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import ConfigError, Graph
-from .hankel import MomentMatrix
+from .hankel import MomentMatrix, _hankel_blocks
 from .moments import _finite, _vector_chain
 
 __all__ = [
@@ -37,10 +37,7 @@ __all__ = [
     "DistanceConfig",
     "DistanceMatrix",
     "METRICS",
-    "frobenius_dist",
     "affine_invariant_dist",
-    "log_frobenius_dist",
-    "cholesky_frobenius_dist",
     "moment_table",
     "moment_matrix_of_graph",
     "graph_distance",
@@ -86,8 +83,8 @@ class DistanceConfig:
             raise ConfigError(
                 f"unknown metric {self.metric!r}; choose from {sorted(METRICS)}"
             )
-        if self.eps < 0:
-            raise ConfigError(f"eps must be nonnegative, got {self.eps}")
+        if not 0 <= self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and nonnegative, got {self.eps}")
         if self.scaling not in ("none", "log1p"):
             raise ConfigError(f"unknown scaling {self.scaling!r}")
 
@@ -187,12 +184,13 @@ def _pairwise(kernel, *stacks: np.ndarray) -> tuple[np.ndarray, int]:
     graph i, ``kernel`` gets graph i's entry of every stack followed by the
     stacks' rows i+1..n-1, and returns the distances to those graphs and how
     many of them fell back. Negative distances are clipped to 0; a non-finite
-    distance raises NonFiniteDistanceError.
+    distance raises NonFiniteDistanceError, and overflow or NaN arithmetic
+    along the way warns nothing.
     """
     n = len(stacks[0])
     out = np.zeros((n, n), dtype=np.float64)
     fallbacks = 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1):
             d, fell = kernel(*(s[i] for s in stacks), *(s[i + 1:] for s in stacks))
             out[i, i + 1:] = out[i + 1:, i] = np.maximum(d, 0.0)
@@ -221,7 +219,9 @@ def _moment_distances(mats: np.ndarray, cfg: DistanceConfig) -> tuple[np.ndarray
         d[fell] = _euclidean(a, bs[fell])
         return d, int(fell.sum())
 
-    out, fallbacks = _pairwise(row, mats, *embed(mats))
+    # the embedding too: overflow or NaN surfaces as a non-finite distance
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, fallbacks = _pairwise(row, mats, *embed(mats))
     if cfg.scaling == "log1p":
         # math.log1p, not np.log1p: the two differ in the last bit on some inputs
         out = np.vectorize(math.log1p, otypes=[np.float64])(out)
@@ -229,82 +229,32 @@ def _moment_distances(mats: np.ndarray, cfg: DistanceConfig) -> tuple[np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# One-pair matrix metrics
+# One-pair geodesic
 # ---------------------------------------------------------------------------
 
 
-def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("expected a square matrix")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def _pd_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    w, u, pd = _spectra(a)
-    if not pd:
-        raise SingularMatrixError(f"{what} is not numerically positive definite", float(w[0]))
-    return w, u
-
-
-def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(a)
-        raise SingularMatrixError(f"{what} has no Cholesky factor", float(w[0])) from None
-
-
-def _one_pair(metric):
-    """A one-pair metric with the engine's checks: a pair of square matrices of
-    one shape in, and a finite distance out, else NonFiniteDistanceError."""
-
-    @functools.wraps(metric)
-    def checked(a, b) -> float:
-        a, b = _as_pair(a, b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = float(metric(a, b))
-        if not math.isfinite(d):
-            raise NonFiniteDistanceError(f"distance is {d}")
-        return d
-
-    return checked
-
-
-@_one_pair
-def frobenius_dist(a, b) -> float:
-    """Entrywise l2 distance ||a - b||_2."""
-    return _euclidean(a, b[None])[0]
-
-
-@_one_pair
 def affine_invariant_dist(a, b) -> float:
-    """Geodesic distance ||log(a^{-1/2} b a^{-1/2})||_2 on the PD cone."""
-    inv_sqrt = _inv_sqrt(*_pd_eigh(a, "first argument"))
-    _pd_eigh(b, "second argument")
-    d, w0 = _geodesic(inv_sqrt, b[None])
+    """Geodesic distance ||log(a^{-1/2} b a^{-1/2})||_2 on the PD cone.
+
+    ``a`` and ``b`` are square matrices of one shape; SingularMatrixError if
+    either is not numerically PD, NonFiniteDistanceError if the distance is
+    not finite.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+        raise ValueError(f"expected two square matrices of one shape, got {a.shape} and {b.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, u, pd = _spectra(np.stack([a, b]))
+        for k, what in enumerate(("first argument", "second argument")):
+            if not pd[k]:
+                raise SingularMatrixError(f"{what} is not numerically positive definite",
+                                          float(w[k, 0]))
+        d, w0 = _geodesic(_inv_sqrt(w[0], u[0]), b[None])
     if w0[0] <= 0:
         raise SingularMatrixError("whitened product lost positivity", float(w0[0]))
-    return d[0]
-
-
-@_one_pair
-def log_frobenius_dist(a, b) -> float:
-    """||log a - log b||_2 with matrix logs via eigendecomposition."""
-    log_a = _logm(*_pd_eigh(a, "first argument"))
-    log_b = _logm(*_pd_eigh(b, "second argument"))
-    return _euclidean(log_a, log_b[None])[0]
-
-
-@_one_pair
-def cholesky_frobenius_dist(a, b) -> float:
-    """||chol(a) - chol(b)||_2 on the lower-triangular Cholesky factors."""
-    chol_a = _cholesky(a, "first argument")
-    chol_b = _cholesky(b, "second argument")
-    return _euclidean(chol_a, chol_b[None])[0]
+    if not math.isfinite(d[0]):
+        raise NonFiniteDistanceError(f"distance is {d[0]}")
+    return float(d[0])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +281,7 @@ def _hankel_stack(table: np.ndarray, degree: int, eps: float = 0.0) -> np.ndarra
     NonFiniteMomentError if a row has a non-finite moment of order <= 2d.
     """
     _finite(table[:, : 2 * degree + 1])
-    mats = table[:, np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
+    mats = _hankel_blocks(table, degree)
     return mats + eps * np.eye(degree + 1) if eps > 0.0 else mats
 
 
@@ -340,31 +290,15 @@ def moment_matrix_of_graph(g: Graph, degree: int, eps: float = 0.0) -> MomentMat
     return MomentMatrix(degree, _hankel_stack(moment_table([g], 2 * degree, 1), degree, eps)[0])
 
 
-def graph_distance(
-    g1: Graph,
-    g2: Graph,
-    cfg: DistanceConfig | None = None,
-    return_info: bool = False,
-):
+def graph_distance(g1: Graph, g2: Graph, cfg: DistanceConfig | None = None) -> float:
     """Distance between two graphs via their moment matrices.
 
-    With ``return_info=True`` also returns a dict recording the metric
-    actually used and whether the PD-metric singularity fallback fired.
+    Whether the pair fell back to Frobenius is the ``fallback_pairs`` entry
+    of :func:`pairwise_distance_matrix`'s metadata.
     """
     cfg = cfg or DistanceConfig()
     mats = _hankel_stack(moment_table([g1, g2], 2 * cfg.degree, 1), cfg.degree, cfg.eps)
-    out, fallbacks = _moment_distances(mats, cfg)
-    val = float(out[0, 1])
-    if not return_info:
-        return val
-    fell_back = fallbacks > 0
-    info = {
-        "metric": cfg.metric,
-        "metric_used": "frobenius" if fell_back else cfg.metric,
-        "fallback": fell_back,
-        "scaling": cfg.scaling,
-    }
-    return val, info
+    return float(_moment_distances(mats, cfg)[0][0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +343,6 @@ class DistanceMatrix:
     def to_json(self) -> str:
         payload = {"labels": list(self.labels), "entries": self.entries.tolist()}
         return json.dumps(payload, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> DistanceMatrix:
-        payload = json.loads(text)
-        return cls(list(payload["labels"]), np.asarray(payload["entries"], dtype=np.float64))
 
 
 def _corpus_labels(gs: Sequence[Graph], labels: Sequence[str] | None = None) -> list[str]:

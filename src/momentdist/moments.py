@@ -33,7 +33,8 @@ STATE_DENSITY = "density"
 
 
 class EmptyGraphError(ValueError):
-    """States on the empty (0-vertex) graph are undefined."""
+    """The graph has too few vertices or edges for the quantity asked of it,
+    as states on the empty (0-vertex) graph."""
 
 
 class NonFiniteMomentError(ValueError):
@@ -51,11 +52,6 @@ class MomentSequence:
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
         vals.flags.writeable = False
-
-    @property
-    def order(self) -> int:
-        """Largest computed moment order K."""
-        return self.values.size - 1
 
     def __getitem__(self, k: int) -> float:
         return float(self.values[k])
@@ -182,14 +178,6 @@ class DensityParams:
             raise ValueError(f"p must be nonnegative, got {self.p}")
         if self.p + self.q * n < -tol:
             raise ValueError(f"p + q*n must be nonnegative, got {self.p + self.q * n}")
-
-    @classmethod
-    def trace_state(cls, n: int) -> DensityParams:
-        return cls(1.0 / n, 0.0)
-
-    @classmethod
-    def uniform_vector_state(cls, n: int) -> DensityParams:
-        return cls(0.0, 1.0 / n)
 
 
 def density_state_moments(g: Graph, d: DensityParams, order: int) -> MomentSequence:

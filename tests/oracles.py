@@ -1,9 +1,9 @@
 """Independent oracles shared across tests.
 
 Everything here is deliberately brute force: permutation search for
-isomorphism, dense integer matrix powers for walk counts, exhaustive subset
-enumeration for graphlets. These stay independent of the library's fast
-paths so they can referee them.
+isomorphism, walk enumeration and dense integer matrix powers for walk
+counts, exhaustive subset enumeration for graphlets. These stay independent
+of the library's fast paths so they can referee them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,28 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         if mapped == e2:
             return True
     return False
+
+
+def walk_count(g: Graph, i: int, j: int, k: int) -> int:
+    """Number of walks of length k from i to j, by exhaustive enumeration.
+
+    Deliberately does not use matrix powers: this is the independent oracle
+    the moment pipeline is tested against. Cost grows as max-degree**k.
+    """
+    if not (0 <= i < g.n and 0 <= j < g.n):
+        raise ValueError("vertex out of range")
+    if k < 0:
+        raise ValueError("walk length must be nonnegative")
+    if k == 0:
+        return 1 if i == j else 0
+    return sum(walk_count(g, int(u), j, k - 1) for u in g.neighbors(i))
+
+
+def write_edge_list(g: Graph, path) -> None:
+    """An edge-list file of ``g``: a ``# n= m=`` comment, then one ``u v`` line per edge."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n={g.n} m={g.m}\n")
+        np.savetxt(fh, g.edge_array(), fmt="%d")
 
 
 def dense_int_power(g: Graph, k: int) -> np.ndarray:

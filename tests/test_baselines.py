@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import momentdist as md
+from momentdist.baselines import _bhattacharyya
 from oracles import (
     brute_graphlet3_counts,
     brute_graphlet4_distribution,
@@ -43,30 +44,34 @@ def test_cov_permutation_invariant_spectrum():
     assert np.allclose(ea, eb, atol=1e-9)
 
 
-# -- Bhattacharyya ----------------------------------------------------------------
+# -- Bhattacharyya kernel ---------------------------------------------------------
+
+
+def _bhattacharyya_pair(c1, c2, jitter=None):
+    return float(_bhattacharyya(c1, c2[None], jitter)[0])
 
 
 def test_bhattacharyya_identity_zero():
     c = md.cov_descriptor(md.star_graph(5), k=3)
-    assert md.bhattacharyya_dist(c, c) == pytest.approx(0.0, abs=1e-12)
+    assert _bhattacharyya_pair(c, c) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bhattacharyya_diagonal_closed_form():
     c1, c2 = np.diag([1.0, 1.0]), np.diag([4.0, 4.0])
     expected = 0.5 * math.log(6.25 / 4.0)
-    assert md.bhattacharyya_dist(c1, c2, jitter=0.0) == pytest.approx(expected, rel=1e-12)
+    assert _bhattacharyya_pair(c1, c2, jitter=0.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bhattacharyya_symmetric():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 3)); a = a @ a.T
     b = rng.normal(size=(3, 3)); b = b @ b.T
-    assert md.bhattacharyya_dist(a, b) == pytest.approx(md.bhattacharyya_dist(b, a), rel=1e-12)
+    assert _bhattacharyya_pair(a, b) == pytest.approx(_bhattacharyya_pair(b, a), rel=1e-12)
 
 
 def test_bhattacharyya_zero_matrices():
     z = np.zeros((3, 3))
-    assert md.bhattacharyya_dist(z, z) == pytest.approx(0.0, abs=1e-12)
+    assert _bhattacharyya_pair(z, z) == pytest.approx(0.0, abs=1e-12)
 
 
 def _gk4_reference_features(gs, samples, seed):

@@ -2,13 +2,17 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import momentdist as md
 from momentdist.cli import main
+from oracles import write_edge_list
 
 
 def run(capsys, argv):
@@ -152,7 +156,7 @@ def test_classify_files_corpus_eigs_vs_moment(tmp_path, capsys):
         for name, core in (("a", md.named_graph("C4uK1")), ("b", md.named_graph("S5"))):
             g = md.disjoint_union([core, deco])
             p = tmp_path / f"{name}{i}.txt"
-            md.write_edge_list(g, p)
+            write_edge_list(g, p)
             files.append({"path": p.name, "label": 0 if name == "a" else 1})
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps({"files": files, "indexing": "zero"}))
@@ -288,7 +292,7 @@ def test_classify_overflow_names_first_failing_degree(tmp_path, capsys):
     # first swept degree (88, so orders up to 176) fails on K60 alone
     files = []
     for i, n in enumerate((50, 60, 51, 61)):
-        md.write_edge_list(md.complete_graph(n), tmp_path / f"k{n}.txt")
+        write_edge_list(md.complete_graph(n), tmp_path / f"k{n}.txt")
         files.append({"path": f"k{n}.txt", "label": i % 2})
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps({"files": files, "indexing": "zero"}))
@@ -346,7 +350,7 @@ def test_exit_code_config_error_empty_sweep(tmp_path, capsys, flag, name):
     ({"files": ["path.txt"]}, "files entry 0 has no 'path'"),
 ], ids=["settings", "path", "label", "nv", "entry-not-object"])
 def test_exit_code_input_error_manifest_missing_key(tmp_path, capsys, spec, message):
-    md.write_edge_list(md.cycle_graph(4), tmp_path / "g.txt")
+    write_edge_list(md.cycle_graph(4), tmp_path / "g.txt")
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps(spec))
     code = main(["cluster", "--corpus", str(corpus)])
@@ -354,6 +358,73 @@ def test_exit_code_input_error_manifest_missing_key(tmp_path, capsys, spec, mess
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+_CONTRACT_FILES = {
+    "big-id.txt": b"0 1\n9223372036854775807 1\n",
+    "wide.txt": b"0 5000\n",
+    "not-utf8.json": b'{"files": [\xff',
+    "files-not-list.json": b'{"files": 3}',
+    "bad-rho.json": json.dumps({"synthetic": {"settings": [
+        {"nv": 10, "ne": 20, "rho": "x", "count": 2}]}}).encode(),
+    "negative-count.json": json.dumps({"synthetic": {"settings": [
+        {"nv": 10, "ne": 20, "rho": 0.1, "count": -1}]}}).encode(),
+    "list.json": b"[]",
+    "small.json": json.dumps({"synthetic": {"seed": 1, "settings": [
+        {"nv": 10, "ne": 20, "rho": 0.1, "count": 2}]}}).encode(),
+    "empty.txt": b"# no edges\n",
+    "empty-files.json": json.dumps({"files": [{"path": "empty.txt", "label": 0},
+                                              {"path": "empty.txt", "label": 1}]}).encode(),
+}
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["moments", "--input", "big-id.txt"], 2, "input error: line 2: vertex count "
+     "9223372036854775808 exceeds 3037000499, the most whose edge codes fit in int64"),
+    (["cluster", "--corpus", "not-utf8.json"], 2,
+     "input error: not UTF-8: byte 0xff at offset 11"),
+    (["spectrum", "--named", "K0"], 3,
+     "numeric error: spectral measure of the empty graph is undefined"),
+    (["spectrum", "--input", "wide.txt"], 4, "config error: n=5001 exceeds the dense "
+     "threshold 4096; use the moment pipeline for large graphs"),
+    (["cluster", "--corpus", "files-not-list.json"], 2,
+     "input error: corpus manifest 'files' must be a list, got 3"),
+    (["cluster", "--corpus", "bad-rho.json"], 2, "input error: setting 0 has a bad 'rho': 'x'"),
+    (["cluster", "--corpus", "negative-count.json"], 2,
+     "input error: setting 0 has a bad 'count': -1"),
+    (["cluster", "--corpus", "list.json"], 2, "input error: corpus manifest is not a JSON object"),
+    (["cluster", "--corpus", "small.json", "--seed", "-1"], 4,
+     "config error: seed must be nonnegative, got -1"),
+    (["cluster", "--corpus", "small.json", "--restarts", "0"], 4,
+     "config error: restarts must be positive"),
+    (["cluster", "--corpus", "small.json", "--method", "cov", "--cov-k", "1"], 4,
+     "config error: k must be at least 2"),
+    (["cluster", "--corpus", "empty-files.json", "--method", "nclm"], 3,
+     "numeric error: trace-moment features are undefined for edgeless graphs"),
+    (["pairwise", "--named", "K4", "C4", "--reg", "nan"], 4,
+     "config error: eps must be finite and nonnegative, got nan"),
+    (["pairwise", "--named", "K4", "C4", "--reg", "inf"], 4,
+     "config error: eps must be finite and nonnegative, got inf"),
+    # the ridge overflows each trace; the pairs fall back without a warning
+    (["pairwise", "--named", "K4", "C4", "--reg", "1e308"], 0, None),
+], ids=["id-int64-max", "manifest-not-utf8", "spectrum-empty", "spectrum-above-dense",
+        "files-not-list", "rho-not-number", "negative-count", "manifest-not-object",
+        "negative-seed", "no-restarts", "cov-k-1", "nclm-edgeless", "reg-nan", "reg-inf",
+        "reg-overflows-trace"])
+def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
+    monkeypatch.chdir(tmp_path)
+    for name, data in _CONTRACT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # a warning reaches the one-line path
+        got = main(argv)
+    captured = capsys.readouterr()
+    assert got == code
+    if err is None:
+        assert captured.out and captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err == err + "\n"
 
 
 def test_classify_unstratified_folds_one_warning_line(tmp_path, capsys):
@@ -438,3 +509,129 @@ def test_classify_output_same_under_threads(tmp_path, monkeypatch):
     two = _pinned_output(tmp_path, monkeypatch, ["classify", "--threads", "2"])
     diff = [(a, b) for a, b in zip(one.splitlines(), two.splitlines()) if a != b]
     assert diff == [(b'      "threads_bound": 1', b'      "threads_bound": 2')]
+
+
+# -- fuzzed error contract --------------------------------------------------------
+
+_FUZZ_NAMES = ["K0", "K1", "K2", "K4", "C4", "C6", "P3", "S5", "claw", "paw", "diamond",
+               "2K2", "4K1", "co-paw", "C4uK1", "K2,3", "K3,3"]
+_EDGE_FILES = ["a.txt", "b.txt", "c.txt"]
+_ERROR_PREFIXES = ("input error: ", "numeric error: ", "config error: ")
+
+
+@st.composite
+def _edge_list_bytes(draw):
+    """Edge-list text over digits, '-', spaces, '#', '%', newlines and 0xff.
+
+    Most lines are pairs of one-digit ids. Ids have at most three digits, so
+    no example builds a graph of more than 1000 vertices.
+    """
+    number = st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "", "-"]),
+                       st.text("0123456789", min_size=1, max_size=3))
+    piece = st.one_of(number, st.sampled_from([" ", "#", "%", "\xff"]))
+    pair = st.builds("{} {}".format, st.integers(0, 9), st.integers(0, 9))
+    line = st.one_of(*[pair] * 6, st.lists(piece, max_size=4).map(" ".join))
+    text = "\n".join(draw(st.lists(line, max_size=8)))
+    return text.encode("latin-1")
+
+
+@st.composite
+def _setting(draw):
+    """A generator setting with nv <= 20: mostly a feasible lattice, else any values."""
+    nv = draw(st.integers(1, 20))
+    setting = {"nv": nv, "ne": nv * draw(st.integers(1, 3)),
+               "rho": draw(st.sampled_from([0.0, 0.2, 1.0])), "count": draw(st.integers(1, 3))}
+    if draw(st.integers(0, 3)) == 0:
+        setting.update(draw(st.fixed_dictionaries({}, optional={
+            "ne": st.integers(0, 40), "rho": st.sampled_from([1.5, "x"]),
+            "count": st.integers(-1, 0), "label": st.sampled_from([0, 1, "y"])})))
+    return setting
+
+
+def _manifests():
+    entry = st.fixed_dictionaries({"path": st.sampled_from(_EDGE_FILES),
+                                   "label": st.integers(0, 1)})
+    odd_entry = st.fixed_dictionaries({}, optional={"path": st.sampled_from(_EDGE_FILES + [7]),
+                                                    "label": st.integers(0, 2)})
+    files = st.fixed_dictionaries(
+        {"files": st.lists(st.one_of(*[entry] * 6, odd_entry), max_size=6)},
+        optional={"indexing": st.sampled_from(["zero", "one", "auto", "x"])})
+    synthetic = st.fixed_dictionaries({"synthetic": st.fixed_dictionaries(
+        {"settings": st.lists(_setting(), min_size=1, max_size=3)},
+        optional={"seed": st.sampled_from([0, 3, 0, 3, -1, "s"])})})
+    odd = st.sampled_from([[], 3, {}, {"files": 3}, {"synthetic": {"settings": 3}}])
+    return st.one_of(*[files] * 3, *[synthetic] * 3, odd)
+
+
+def _source(draw):
+    if draw(st.booleans()):
+        return ["--named", draw(st.sampled_from(_FUZZ_NAMES))]
+    argv = ["--input", draw(st.sampled_from(_EDGE_FILES)),
+            "--indexing", draw(st.sampled_from(["zero", "one", "auto"]))]
+    return argv + (["--header"] if draw(st.booleans()) else [])
+
+
+def _distance_options(draw):
+    return ["--degree", str(draw(st.integers(0, 5))),
+            "--metric", draw(st.sampled_from(list(md.METRICS))),
+            "--scale", draw(st.sampled_from(["none", "log1p"])),
+            "--reg", draw(st.sampled_from(["0", "0", "0", "1e-6", "1e4", "1e308", "-1", "nan",
+                                           "inf"])),
+            "--threads", "1"]
+
+
+def _ints(draw, flag):
+    """``flag`` with one to three values from 1 to 4; one time in four, any values from 0 to 4."""
+    values = st.one_of(*[st.lists(st.integers(1, 4), min_size=1, max_size=3)] * 3,
+                       st.lists(st.integers(0, 4), max_size=3))
+    return [flag, *map(str, draw(values))]
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(["moments", "pairwise", "spectrum", "cluster", "classify"]))
+    if cmd == "moments":
+        return [cmd, *_source(draw), "--order", str(draw(st.integers(-1, 12))),
+                "--state", draw(st.sampled_from(["vector", "trace"]))]
+    if cmd == "spectrum":
+        return [cmd, *_source(draw)]
+    if cmd == "pairwise":
+        names = draw(st.lists(st.sampled_from(_FUZZ_NAMES), max_size=4))
+        files = draw(st.lists(st.sampled_from(_EDGE_FILES), max_size=2))
+        return [cmd, "--named", *names, "--inputs", *files, *_distance_options(draw)]
+    argv = [cmd, "--corpus", "corpus.json", "--method", draw(st.sampled_from(list(md.METHODS))),
+            *_distance_options(draw), "--cov-k", str(draw(st.integers(0, 5))),
+            "--eigs-k", str(draw(st.integers(0, 5))),
+            "--gk4-samples", str(draw(st.integers(0, 30))),
+            "--seed", str(draw(st.sampled_from([0, 1, 2, 0, 1, 2, -1])))]
+    if cmd == "cluster":
+        return argv + ["--restarts", str(draw(st.sampled_from([1, 3, 1, 3, 0])))]
+    return argv + _ints(draw, "--knn-k") + _ints(draw, "--degrees") + [
+        "--folds", str(draw(st.sampled_from([2, 3, 2, 3, 0, 1])))]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs(), st.lists(_edge_list_bytes(), min_size=3, max_size=3), _manifests())
+def test_cli_fuzz_exit_code_contract(capsys, argv, edge_lists, manifest):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in zip(_EDGE_FILES, edge_lists):
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        with open(os.path.join(tmp, "corpus.json"), "w") as fh:
+            json.dump(manifest, fh)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")  # a warning reaches the one-line path
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code != 0:
+        lines = err.splitlines()
+        assert lines and lines[-1].startswith(_ERROR_PREFIXES)
+        assert sum(line.startswith(_ERROR_PREFIXES) for line in lines) == 1

@@ -13,6 +13,8 @@ from oracles import (
     dense_int_power,
     parse_edge_list_by_lines,
     random_graph,
+    walk_count,
+    write_edge_list,
 )
 
 
@@ -112,6 +114,22 @@ _BAD_EDGE_LISTS = {
     "id-above-int64": ("0 1\n99999999999999999999 1\n", False, dict.fromkeys(
         ("zero", "one", "auto"),
         (md.EdgeListError, "line 2: integer 99999999999999999999 does not fit in int64", 2))),
+    # ids past MAX_VERTICES - 1 would wrap the int64 edge codes u*n+v
+    "id-int64-max": ("0 1\n9223372036854775807 1\n", False, {
+        "zero": (md.EdgeListError, "line 2: vertex count 9223372036854775808 exceeds 3037000499, "
+                 "the most whose edge codes fit in int64", 2),
+        "one": (md.EdgeListError, "line 1: vertex id 0 under one-based indexing", 1),
+        "auto": (md.EdgeListError, "line 2: vertex count 9223372036854775808 exceeds 3037000499, "
+                 "the most whose edge codes fit in int64", 2)}),
+    "id-18-digits": ("0 1\n2 3\n100000000000000000 1\n4 5\n", False, dict.fromkeys(
+        ("zero", "auto"),
+        (md.EdgeListError, "line 3: vertex count 100000000000000001 exceeds 3037000499, "
+         "the most whose edge codes fit in int64", 3)) | {
+        "one": (md.EdgeListError, "line 1: vertex id 0 under one-based indexing", 1)}),
+    "header-above-max": ("3037000500 1\n1 2\n", True, dict.fromkeys(
+        ("zero", "one", "auto"),
+        (md.EdgeListError, "vertex count 3037000500 exceeds 3037000499, "
+         "the most whose edge codes fit in int64", None))),
 }
 
 
@@ -167,7 +185,7 @@ def test_write_read_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     g = random_graph(rng, 12, 0.4)
     path = tmp_path / "g.txt"
-    md.write_edge_list(g, path)
+    write_edge_list(g, path)
     assert md.load_edge_list(path) == g
 
 
@@ -197,6 +215,13 @@ def test_recanonicalization_noop():
     g = md.named_graph("paw")
     again = md.Graph.from_edges(g.n, g.edge_array().tolist())
     assert again == g
+
+
+def test_from_edges_vertex_count_range():
+    with pytest.raises(ValueError, match="vertex count must be in 0..3037000499"):
+        md.Graph.from_edges(md.graphs.MAX_VERTICES + 1, [])
+    with pytest.raises(ValueError, match="got -1"):
+        md.Graph.from_edges(-1, [])
 
 
 def test_self_loop_in_from_edges():
@@ -279,7 +304,7 @@ def test_union_empty_list_rejected():
 
 def test_permute_identity():
     g = md.path_graph(3)
-    assert md.permute(g, md.Permutation.identity(3)) == g
+    assert md.permute(g, md.Permutation(np.arange(3))) == g
 
 
 def test_permute_star_degree_multiset():
@@ -296,7 +321,7 @@ def test_permute_cycle_reversal_isomorphic():
 
 def test_permute_length_mismatch():
     with pytest.raises(ValueError):
-        md.permute(md.path_graph(3), md.Permutation.identity(4))
+        md.permute(md.path_graph(3), md.Permutation(np.arange(4)))
 
 
 def test_permutation_not_bijection():
@@ -305,17 +330,20 @@ def test_permutation_not_bijection():
 
 
 def test_permutation_inverse():
+    g = random_graph(np.random.default_rng(5), 8, 0.4)
     p = md.Permutation.random(8, seed=5)
-    q = p.inverse()
+    q = md.Permutation(np.argsort(p.map))
     assert np.array_equal(q.map[p.map], np.arange(8))
+    assert md.permute(md.permute(g, p), q) == g
 
 
 # -- named graphs ------------------------------------------------------------
 
 
 def test_named_complete_by_params():
-    g = md.named_graph("K", 4)
+    g = md.named_graph("K4")
     assert g.m == 6 and set(g.degrees) == {3}
+    assert md.named_graph("k2,3") == md.complete_bipartite_graph(2, 3)
 
 
 def test_named_claw_degrees():
@@ -489,18 +517,18 @@ def test_diameter_examples():
 
 def test_walk_count_length_zero():
     g = md.named_graph("paw")
-    assert md.walk_count(g, 1, 1, 0) == 1
-    assert md.walk_count(g, 1, 2, 0) == 0
+    assert walk_count(g, 1, 1, 0) == 1
+    assert walk_count(g, 1, 2, 0) == 0
 
 
 def test_walk_count_triangle():
     g = md.complete_graph(3)
-    assert md.walk_count(g, 0, 0, 2) == 2
+    assert walk_count(g, 0, 0, 2) == 2
 
 
 def test_walk_count_path_parity():
     g = md.path_graph(3)
-    assert md.walk_count(g, 0, 2, 3) == 0
+    assert walk_count(g, 0, 2, 3) == 0
 
 
 def test_walk_count_matches_dense_powers():
@@ -511,4 +539,4 @@ def test_walk_count_matches_dense_powers():
             p = dense_int_power(g, k)
             for i in range(g.n):
                 for j in range(g.n):
-                    assert md.walk_count(g, i, j, k) == p[i, j]
+                    assert walk_count(g, i, j, k) == p[i, j]

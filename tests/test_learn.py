@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentdist as md
+from momentdist import learn
 from oracles import knn_fold_accuracies_by_query
 
 
@@ -53,16 +54,25 @@ def test_kmeans_separable_blocks():
 def test_kmeans_singleton_clusters():
     d, _ = _block_distance_matrix([3, 3])
     k = md.kernel_from_distances(d)
-    labels, info = md.kernel_kmeans(k, 6, restarts=5, seed=1, return_info=True)
+    labels = md.kernel_kmeans(k, 6, restarts=5, seed=1)
     assert len(set(labels.tolist())) == 6
-    assert info["objective"] == pytest.approx(0.0, abs=1e-9)
+    _, objective = learn._kmeans_pass(k, labels, 6)
+    assert objective == pytest.approx(0.0, abs=1e-9)
 
 
-def test_kmeans_objective_non_increasing():
+def test_kmeans_objective_non_increasing(monkeypatch):
     d, _ = _block_distance_matrix([8, 8, 8], seed=3)
     k = md.kernel_from_distances(d)
-    _, info = md.kernel_kmeans(k, 3, restarts=1, seed=5, return_info=True)
-    hist = info["history"]
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 3, size=24)
+    labels[rng.permutation(24)[:3]] = np.arange(3)
+    # one Lloyd iteration per pass: the objective after each one
+    monkeypatch.setattr(learn, "KMEANS_MAX_ITER", 1)
+    hist = []
+    for _ in range(20):
+        labels, objective = learn._kmeans_pass(k, labels, 3)
+        hist.append(objective)
+    assert len(set(hist)) > 1  # the run moved before it settled
     assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
 
 

@@ -77,10 +77,12 @@ def test_cospectral_pair_distinguished():
 
 def test_measure_moment_examples():
     delta3 = md.DiscreteMeasure(np.array([3.0]), np.array([1.0]))
-    assert md.measure_moment(delta3, 2) == 9.0
+    assert delta3.moment(2) == 9.0
     star = md.DiscreteMeasure(np.array([-2.0, 2.0]), np.array([0.1, 0.9]))
-    assert md.measure_moment(star, 1) == pytest.approx(1.6)
-    assert md.measure_moment(star, 0) == 1.0
+    assert star.moment(1) == pytest.approx(1.6)
+    assert star.moment(0) == 1.0
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        star.moment(-1)
 
 
 def test_moment_agreement_random():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import momentdist as md
-from momentdist.metrics import METRICS, _hankel_stack, _pairwise
+from momentdist.metrics import METRICS, _hankel_stack, _moment_distances, _pairwise
 from oracles import random_graph, reference_pairwise
 
 
@@ -16,7 +16,12 @@ def _random_pd(rng, k):
     return x @ x.T + 0.5 * np.eye(k)
 
 
-# -- individual metrics ---------------------------------------------------------
+# -- individual metrics, through the engine ------------------------------------
+
+
+def _engine(mats, metric, scaling="none"):
+    """All-pairs distances and the fallback count of the engine on a stack of matrices."""
+    return _moment_distances(np.stack(mats), md.DistanceConfig(metric=metric, scaling=scaling))
 
 
 def test_frobenius_anchor_values():
@@ -29,11 +34,11 @@ def test_frobenius_anchor_values():
     assert d2(g["K4"], g["2K2"]) == pytest.approx(89.1740, abs=5e-4)
 
 
-def test_frobenius_identity_and_mismatch():
-    a = np.eye(3)
-    assert md.frobenius_dist(a, a) == 0.0
-    with pytest.raises(ValueError):
-        md.frobenius_dist(np.eye(3), np.eye(4))
+def test_frobenius_identity_and_closed_form():
+    a, b = np.eye(3), np.diag([1.0, 3.0, -1.0])
+    d, fallbacks = _engine([a, a, b], "frobenius")
+    assert d[0, 1] == 0.0 and fallbacks == 0
+    assert d[0, 2] == math.sqrt(8.0)
 
 
 def test_affine_invariant_identity_and_diagonal():
@@ -61,59 +66,80 @@ def test_affine_rejects_singular_with_min_eig():
     with pytest.raises(md.SingularMatrixError) as exc:
         md.affine_invariant_dist(singular, np.eye(2))
     assert exc.value.min_eigenvalue <= 1e-12
+    with pytest.raises(md.SingularMatrixError, match="second argument"):
+        md.affine_invariant_dist(np.eye(2), singular)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.eye(3), np.eye(4)),
+    (np.ones((2, 3)), np.ones((2, 3))),
+    (np.ones(3), np.ones(3)),
+], ids=["mismatch", "not-square", "vector"])
+def test_affine_invariant_rejects_bad_shapes(a, b):
+    with pytest.raises(ValueError, match="expected two square matrices of one shape"):
+        md.affine_invariant_dist(a, b)
+
+
+def test_affine_invariant_rejects_non_finite_distance():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(md.NonFiniteDistanceError):
+            md.affine_invariant_dist(1e-300 * np.eye(2), 1e300 * np.eye(2))
 
 
 def test_log_frobenius_diagonal_closed_form():
     d = np.array([1.0, 4.0, 9.0])
     e = np.array([2.0, 2.0, 2.0])
-    got = md.log_frobenius_dist(np.diag(d), np.diag(e))
-    assert got == pytest.approx(np.sqrt(np.sum((np.log(d) - np.log(e)) ** 2)), rel=1e-12)
+    got, fallbacks = _engine([np.diag(d), np.diag(e)], "log-frobenius")
+    assert fallbacks == 0
+    assert got[0, 1] == pytest.approx(np.sqrt(np.sum((np.log(d) - np.log(e)) ** 2)), rel=1e-12)
 
 
 def test_cholesky_frobenius_basic():
     m = _random_pd(np.random.default_rng(2), 4)
-    assert md.cholesky_frobenius_dist(m, m) == 0.0
-    with pytest.raises(md.SingularMatrixError):
-        md.cholesky_frobenius_dist(np.diag([1.0, -1.0]), np.eye(2))
+    d, fallbacks = _engine([m, m + np.eye(4)], "cholesky-frobenius")
+    want = np.linalg.norm(np.linalg.cholesky(m) - np.linalg.cholesky(m + np.eye(4)))
+    assert fallbacks == 0 and d[0, 1] == pytest.approx(want, rel=1e-12)
+    # no Cholesky factor: the pair falls back to the Frobenius distance
+    d, fallbacks = _engine([np.diag([1.0, -1.0]), np.eye(2)], "cholesky-frobenius")
+    assert fallbacks == 1 and d[0, 1] == 2.0
 
 
 @pytest.mark.parametrize("metric, a, b", [
-    ("frobenius_dist", np.full((2, 2), 1e200), np.zeros((2, 2))),  # overflows
-    ("affine_invariant_dist", 1e-300 * np.eye(2), 1e300 * np.eye(2)),  # whitening overflows
-    ("log_frobenius_dist", np.diag([np.inf, 1.0]), np.eye(2)),
-    ("cholesky_frobenius_dist", 1e308 * np.eye(2), 1e-308 * np.eye(2)),  # overflows
+    ("frobenius", np.full((2, 2), 1e200), np.zeros((2, 2))),  # overflows
+    ("affine-invariant", 1e-300 * np.eye(2), 1e300 * np.eye(2)),  # whitening overflows
+    ("log-frobenius", np.diag([np.inf, 1.0]), np.eye(2)),
+    ("cholesky-frobenius", 1e308 * np.eye(2), 1e-308 * np.eye(2)),  # overflows
 ], ids=["frobenius", "affine-invariant", "log-frobenius", "cholesky-frobenius"])
 def test_one_pair_metric_rejects_non_finite_distance(metric, a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(md.NonFiniteDistanceError):
-            getattr(md, metric)(a, b)
+        with pytest.raises(md.NonFiniteDistanceError, match="graphs 0 and 1"):
+            _engine([a, b], metric)
 
 
 def test_metric_axioms_sampled():
     rng = np.random.default_rng(3)
     mats = [_random_pd(rng, 3) for _ in range(6)]
-    metrics = [
-        md.frobenius_dist,
-        md.affine_invariant_dist,
-        md.log_frobenius_dist,
-        md.cholesky_frobenius_dist,
-    ]
-    for dist in metrics:
-        d = np.array([[dist(a, b) for b in mats] for a in mats])
-        assert np.allclose(d, d.T, atol=1e-10)
-        assert np.all(np.abs(np.diag(d)) <= 1e-10)
-        assert np.all(d >= -1e-12)
+    for metric in METRICS:
+        d, fallbacks = _engine(mats, metric)
+        assert fallbacks == 0
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        assert np.all(d >= 0.0)
         for i in range(6):
             for j in range(6):
                 for k in range(6):
                     assert d[i, k] <= d[i, j] + d[j, k] + 1e-9
+    # the one-pair geodesic agrees with the engine's
+    d, _ = _engine(mats, "affine-invariant")
+    assert md.affine_invariant_dist(mats[0], mats[1]) == pytest.approx(d[0, 1], rel=1e-12)
 
 
 def test_log1p_preserves_metric_axioms_sampled():
     rng = np.random.default_rng(4)
     mats = [_random_pd(rng, 3) for _ in range(6)]
-    d = np.array([[math.log1p(md.frobenius_dist(a, b)) for b in mats] for a in mats])
+    d, _ = _engine(mats, "frobenius", scaling="log1p")
     for i in range(6):
         for j in range(6):
             for k in range(6):
@@ -142,20 +168,18 @@ def test_graph_distance_identity_and_permutation():
 
 def test_graph_distance_fallback_flagged():
     cfg = md.DistanceConfig(degree=2, metric="affine-invariant")
-    val, info = md.graph_distance(
-        md.named_graph("4K1"), md.named_graph("K4"), cfg, return_info=True
-    )
-    assert info["fallback"] and info["metric_used"] == "frobenius"
-    assert val == pytest.approx(90.9945, abs=5e-4)
+    gs = [md.named_graph("4K1"), md.named_graph("K4")]
+    assert md.pairwise_distance_matrix(gs, cfg).metadata["fallback_pairs"] == 1
+    assert md.graph_distance(*gs, cfg) == pytest.approx(90.9945, abs=5e-4)
 
 
 def test_graph_distance_eps_restores_geodesic():
     cfg = md.DistanceConfig(degree=2, metric="affine-invariant", eps=1e-6)
-    val, info = md.graph_distance(
-        md.named_graph("paw"), md.named_graph("diamond"), cfg, return_info=True
-    )
-    assert not info["fallback"] and info["metric_used"] == "affine-invariant"
-    assert val > 0
+    gs = [md.named_graph("paw"), md.named_graph("diamond")]
+    assert md.pairwise_distance_matrix(gs, cfg).metadata["fallback_pairs"] == 0
+    val = md.graph_distance(*gs, cfg)
+    frobenius = md.graph_distance(*gs, md.DistanceConfig(degree=2, metric="frobenius", eps=1e-6))
+    assert val > 0 and val != frobenius
 
 
 def test_graph_distance_log1p_scaling():
@@ -172,8 +196,9 @@ def test_distance_config_validation():
         md.DistanceConfig(degree=0)
     with pytest.raises(md.ConfigError):
         md.DistanceConfig(metric="euclid")
-    with pytest.raises(md.ConfigError):
-        md.DistanceConfig(eps=-1.0)
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(md.ConfigError, match="eps must be finite and nonnegative"):
+            md.DistanceConfig(eps=eps)
     with pytest.raises(md.ConfigError):
         md.DistanceConfig(scaling="sqrt")
 
@@ -318,12 +343,11 @@ def test_distance_matrix_csv_json_round_trip(tmp_path):
     assert lines[0] == "label,claw,paw,C4"
     assert len(lines) == 4
 
-    back = md.DistanceMatrix.from_json(dm.to_json())
-    assert back.labels == dm.labels
-    assert np.array_equal(back.entries, dm.entries)
-
     payload = json.loads(dm.to_json())
     assert set(payload) == {"labels", "entries"}
+    back = md.DistanceMatrix(payload["labels"], np.asarray(payload["entries"]))
+    assert back.labels == dm.labels
+    assert np.array_equal(back.entries, dm.entries)
 
 
 def test_distance_matrix_validation():

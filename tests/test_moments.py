@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import momentdist as md
-from oracles import random_graph
+from oracles import random_graph, walk_count
 
 
 # -- uniform vector state ------------------------------------------------------
@@ -44,7 +44,7 @@ def test_walk_sum_semantics_exact():
         ms = md.vector_state_moments(g, 4)
         for k in range(5):
             total = sum(
-                md.walk_count(g, i, j, k) for i in range(g.n) for j in range(g.n)
+                walk_count(g, i, j, k) for i in range(g.n) for j in range(g.n)
             )
             assert g.n * ms[k] == total  # integer-valued, exact in float64
 
@@ -69,7 +69,7 @@ def test_trace_moments_cospectral_agree_exactly():
 def test_trace_moments_triangle_closed_walks():
     g = md.complete_graph(3)
     ms = md.trace_moments(g, 3)
-    oracle = sum(md.walk_count(g, i, i, 3) for i in range(3)) / 3
+    oracle = sum(walk_count(g, i, i, 3) for i in range(3)) / 3
     assert ms[3] == oracle == 2
 
 
@@ -166,13 +166,13 @@ def test_xi_moments_rejects_bad_inputs():
 
 def test_density_reduces_to_trace():
     g = md.named_graph("paw")
-    dm = md.density_state_moments(g, md.DensityParams.trace_state(4), 5)
+    dm = md.density_state_moments(g, md.DensityParams(1 / 4, 0.0), 5)
     assert np.allclose(dm.values, md.trace_moments(g, 5).values, rtol=1e-12)
 
 
 def test_density_reduces_to_vector():
     g = md.named_graph("paw")
-    dm = md.density_state_moments(g, md.DensityParams.uniform_vector_state(4), 5)
+    dm = md.density_state_moments(g, md.DensityParams(0.0, 1 / 4), 5)
     assert np.allclose(dm.values, md.vector_state_moments(g, 5).values, rtol=1e-12)
 
 
@@ -182,7 +182,7 @@ def test_density_separates_cospectral_iff_q_nonzero():
     a = md.density_state_moments(c4k1, mixed, 4)
     b = md.density_state_moments(s5, mixed, 4)
     assert not np.allclose(a.values, b.values)
-    pure = md.DensityParams.trace_state(5)
+    pure = md.DensityParams(1 / 5, 0.0)
     assert np.array_equal(
         md.density_state_moments(c4k1, pure, 4).values,
         md.density_state_moments(s5, pure, 4).values,
@@ -248,4 +248,4 @@ def test_moment_sequence_hankel_psd():
         ms = md.vector_state_moments(g, 8)
         mm = md.build_moment_matrix(ms, 4)
         bound = -1e-8 * np.linalg.norm(mm.entries)
-        assert mm.min_eigenvalue() >= bound
+        assert np.linalg.eigvalsh(mm.entries)[0] >= bound
