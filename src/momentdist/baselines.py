@@ -189,6 +189,17 @@ _DEGSEQ4_TO_INDEX = {
 }
 
 
+# the 6 vertex pairs of a quad, and which 2 of its 4 vertices each pair touches
+_QUAD_PAIRS = np.array([(a, b) for a in range(4) for b in range(a + 1, 4)]).T
+_QUAD_INCIDENCE = np.eye(4, dtype=np.int64)[_QUAD_PAIRS].sum(axis=0)
+
+# sorted induced degree sequence, read as a base-4 number, to type index
+_BASE4 = 4 ** np.arange(4, dtype=np.int64)
+_DEGCODE4_TO_INDEX = np.full(4**4, -1, dtype=np.int64)
+_DEGCODE4_TO_INDEX[[np.dot(seq, _BASE4) for seq in _DEGSEQ4_TO_INDEX]] = list(
+    _DEGSEQ4_TO_INDEX.values())
+
+
 def graphlet3_distribution(g: Graph) -> np.ndarray:
     """Exact induced 3-subgraph distribution (empty, one-edge, wedge, triangle).
 
@@ -224,15 +235,15 @@ def graphlet4_distribution(g: Graph, samples: int = 10000, seed=None) -> np.ndar
     if samples < 1:
         raise ConfigError("samples must be positive")
     rng = np.random.default_rng(seed)
-    counts = np.zeros(len(GRAPHLET4_TYPES), dtype=np.int64)
-    for _ in range(samples):
-        quad = rng.choice(n, size=4, replace=False)
-        degs = [0, 0, 0, 0]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if g.has_edge(int(quad[a]), int(quad[b])):
-                    degs[a] += 1
-                    degs[b] += 1
-        counts[_DEGSEQ4_TO_INDEX[tuple(sorted(degs))]] += 1
-    return counts / samples
-
+    # one rng.choice per sample: its stream fixes which quads are drawn
+    quads = np.array([rng.choice(n, size=4, replace=False) for _ in range(samples)])
+    u, v = quads[:, _QUAD_PAIRS[0]], quads[:, _QUAD_PAIRS[1]]
+    # edge_array rows are u < v in CSR order, so their u*n+v codes are sorted;
+    # the n*n sentinel (no pair's code) keeps every search position in range
+    e = g.edge_array()
+    edge_codes = np.append(e[:, 0] * n + e[:, 1], n * n)
+    pair_codes = np.minimum(u, v) * n + np.maximum(u, v)
+    hits = edge_codes[np.searchsorted(edge_codes, pair_codes)] == pair_codes
+    degs = np.sort(hits.astype(np.int64) @ _QUAD_INCIDENCE, axis=1)
+    types = _DEGCODE4_TO_INDEX[degs @ _BASE4]
+    return np.bincount(types, minlength=len(GRAPHLET4_TYPES)) / samples

@@ -283,6 +283,10 @@ def bench_moment_scaling(
     2*degree matvec chain per graph; the pairwise phase compares all pairs.
     Additional methods time their full distance-matrix construction.
     """
+    if count < 1:
+        raise ConfigError("count must be positive")
+    if repeats < 1:
+        raise ConfigError("repeats must be positive")
     graph_seeds = iter(_spawn_seeds(seed, len(sizes) * count))
     corpora = [[generate_rewired(nv, ne, rho, next(graph_seeds)) for _ in range(count)]
                for nv, ne in sizes]

@@ -134,14 +134,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        pos = np.searchsorted(row, j)
-        return pos < row.size and row[pos] == j
-
     def _rows(self) -> np.ndarray:
         """Row (source vertex) of every entry of ``indices``."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)

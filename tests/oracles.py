@@ -14,7 +14,19 @@ from itertools import combinations, permutations
 import numpy as np
 
 from momentdist import EdgeListError, Graph, SelfLoopError
+from momentdist.baselines import _DEGSEQ4_TO_INDEX, GRAPHLET4_TYPES
 from momentdist.learn import _stratified_folds
+
+
+def neighbors(g: Graph, i: int) -> np.ndarray:
+    """Sorted neighbor list of vertex ``i``, read off the CSR rows."""
+    return g.indices[g.indptr[i] : g.indptr[i + 1]]
+
+
+def has_edge(g: Graph, i: int, j: int) -> bool:
+    row = neighbors(g, i)
+    pos = np.searchsorted(row, j)
+    return pos < row.size and row[pos] == j
 
 
 def random_graph(rng, n: int, p: float) -> Graph:
@@ -48,7 +60,7 @@ def walk_count(g: Graph, i: int, j: int, k: int) -> int:
         raise ValueError("walk length must be nonnegative")
     if k == 0:
         return 1 if i == j else 0
-    return sum(walk_count(g, int(u), j, k - 1) for u in g.neighbors(i))
+    return sum(walk_count(g, int(u), j, k - 1) for u in neighbors(g, i))
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -62,7 +74,7 @@ def dense_int_power(g: Graph, k: int) -> np.ndarray:
     """A^k as exact integers (object dtype so nothing overflows)."""
     a = np.zeros((g.n, g.n), dtype=object)
     for u in range(g.n):
-        for v in g.neighbors(u):
+        for v in neighbors(g, u):
             a[u, v] = 1
     p = np.eye(g.n, dtype=object)
     for _ in range(k):
@@ -75,26 +87,40 @@ def brute_graphlet3_counts(g: Graph) -> np.ndarray:
     counts = np.zeros(4, dtype=np.int64)
     for trio in combinations(range(g.n), 3):
         edges = sum(
-            g.has_edge(a, b) for a, b in combinations(trio, 2)
+            has_edge(g, a, b) for a, b in combinations(trio, 2)
         )
         counts[edges] += 1
     return counts
 
 
+def _graphlet4_type(g: Graph, quad) -> int:
+    """Catalog index of the subgraph that the 4 vertices of ``quad`` induce."""
+    degs = [0, 0, 0, 0]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            if has_edge(g, int(quad[a]), int(quad[b])):
+                degs[a] += 1
+                degs[b] += 1
+    return _DEGSEQ4_TO_INDEX[tuple(sorted(degs))]
+
+
 def brute_graphlet4_distribution(g: Graph) -> np.ndarray:
     """Exhaustive induced 4-subset distribution in catalog order."""
-    from momentdist.baselines import _DEGSEQ4_TO_INDEX, GRAPHLET4_TYPES
-
     counts = np.zeros(len(GRAPHLET4_TYPES), dtype=np.int64)
     for quad in combinations(range(g.n), 4):
-        degs = [0, 0, 0, 0]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if g.has_edge(quad[a], quad[b]):
-                    degs[a] += 1
-                    degs[b] += 1
-        counts[_DEGSEQ4_TO_INDEX[tuple(sorted(degs))]] += 1
+        counts[_graphlet4_type(g, quad)] += 1
     return counts / counts.sum()
+
+
+def graphlet4_distribution_by_samples(g: Graph, samples: int, seed) -> np.ndarray:
+    """Sampled induced 4-subgraph distribution, one quad and six edge lookups at
+    a time: the reference for the one-pass ``graphlet4_distribution``, drawing
+    the same quads from the same per-sample ``rng.choice`` calls."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(GRAPHLET4_TYPES), dtype=np.int64)
+    for _ in range(samples):
+        counts[_graphlet4_type(g, rng.choice(g.n, size=4, replace=False))] += 1
+    return counts / samples
 
 
 def component_count(g: Graph) -> int:
@@ -108,7 +134,7 @@ def component_count(g: Graph) -> int:
         seen[s] = True
         while stack:
             u = stack.pop()
-            for v in g.neighbors(u):
+            for v in neighbors(g, u):
                 if not seen[v]:
                     seen[v] = True
                     stack.append(int(v))

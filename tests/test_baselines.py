@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 import momentdist as md
 from momentdist.baselines import _bhattacharyya
+from momentdist.experiments import _spawn_seeds
 from oracles import (
     brute_graphlet3_counts,
     brute_graphlet4_distribution,
+    graphlet4_distribution_by_samples,
     random_graph,
     reference_bhattacharyya_matrix,
     reference_euclidean_matrix,
@@ -208,6 +211,43 @@ def test_gk4_sampled_close_to_exhaustive():
     exact = brute_graphlet4_distribution(g)
     sampled = md.graphlet4_distribution(g, samples=20000, seed=11)
     assert np.max(np.abs(exact - sampled)) <= 0.02
+
+
+def _gk4_equality_graphs():
+    rng = np.random.default_rng(21)
+    return [
+        *(random_graph(rng, n, p) for n, p in ((4, 0.5), (9, 0.3), (30, 0.1), (60, 0.5))),
+        md.empty_graph(4), md.empty_graph(17),
+        md.complete_graph(4), md.complete_graph(12), random_graph(rng, 25, 0.9),
+    ]
+
+
+@pytest.mark.parametrize("samples", [1, 7, 500])
+def test_gk4_matches_per_sample_reference(samples):
+    seeds = [0, 7, 2**40 + 3, *_spawn_seeds(5, 3)]  # the last three as experiments draw them
+    for g in _gk4_equality_graphs():
+        for seed in seeds:
+            got = md.graphlet4_distribution(g, samples=samples, seed=seed)
+            want = graphlet4_distribution_by_samples(g, samples, seed)
+            assert got.tobytes() == want.tobytes()
+
+
+# SHA-256 of the gk4 feature bytes (700 samples) of rewired graphs, recorded
+# with the per-sample loop that the one-pass classification replaced.
+_GK4_PINNED = {
+    (200, 2000, 0.1, 11): "2ade19df5e2862086658f0943c65d9d97a0a9af6704151346499c92042df9a14",
+    (200, 2000, 0.6, 12): "1be4dd479c25f069478c1c138d7357c952dbd114e7f0962179b5e372b6db17ec",
+    (200, 4000, 0.3, 13): "3b4e5b3a6c9c339167424050db6237c393bf89ce893c2a6f2adaf4cdea390eea",
+    (200, 4000, 1.0, 14): "59ae43856bee81668670a2929f35396cf46032f22d4e38db7c1e6cd335cdc0b2",
+}
+
+
+@pytest.mark.parametrize("setting", list(_GK4_PINNED))
+def test_gk4_features_digest_pinned(setting):
+    nv, ne, rho, seed = setting
+    features = md.graphlet4_distribution(md.generate_rewired(nv, ne, rho, seed),
+                                         samples=700, seed=seed + 100)
+    assert hashlib.sha256(features.tobytes()).hexdigest() == _GK4_PINNED[setting]
 
 
 def test_graphlet_size_guards():

@@ -407,10 +407,13 @@ _CONTRACT_FILES = {
      "config error: eps must be finite and nonnegative, got inf"),
     # the ridge overflows each trace; the pairs fall back without a warning
     (["pairwise", "--named", "K4", "C4", "--reg", "1e308"], 0, None),
+    (["bench", "--sizes", "10:20", "--count", "0"], 4, "config error: count must be positive"),
+    (["bench", "--sizes", "10:20", "--repeats", "0"], 4,
+     "config error: repeats must be positive"),
 ], ids=["id-int64-max", "manifest-not-utf8", "spectrum-empty", "spectrum-above-dense",
         "files-not-list", "rho-not-number", "negative-count", "manifest-not-object",
         "negative-seed", "no-restarts", "cov-k-1", "nclm-edgeless", "reg-nan", "reg-inf",
-        "reg-overflows-trace"])
+        "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats"])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
     monkeypatch.chdir(tmp_path)
     for name, data in _CONTRACT_FILES.items():
@@ -468,7 +471,8 @@ def _write_rewiring_corpus(path):
 
 
 # SHA-256 of each output file, recorded with the per-degree extraction and the
-# per-k KNN loop that the shared moment table and the one-sort KNN replaced.
+# per-k KNN loop that the shared moment table and the one-sort KNN replaced,
+# and (cluster-gk4) with the per-sample gk4 loop the one-pass classification replaced.
 # Paths are relative and --threads is explicit, so the manifests are stable.
 _PINNED_OUTPUTS = {
     "classify-default": (["classify", "--threads", "1"],
@@ -483,6 +487,8 @@ _PINNED_OUTPUTS = {
         "47cd09e44230eb964121bd9b3a4e8322399a2698b2d89ae7acc827c5a366a77e"),
     "cluster": (["cluster", "--degree", "3", "--reg", "1e4", "--threads", "1"],
         "f9d7150ee22a45ee4c22203de90441f5eef2e0023357dd06db96ed426901af85"),
+    "cluster-gk4": (["cluster", "--method", "gk4", "--gk4-samples", "300", "--threads", "1"],
+        "7678013ba91eea676981a12c3f35e910ddb42d9b2549090be8ee337fcc8d5687"),
     "pairwise": (["pairwise", "--named", "K4", "C4", "paw", "P5", "S5", "C4uK1", "C6",
                   "--degree", "3", "--reg", "1e-3", "--threads", "2"],
         "74e4520b315af6c0af8906117ca29cec02244913feb3014c14135b9220b7d222"),
