@@ -519,33 +519,23 @@ def named_graph(name: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _bulk_integers(rng: np.random.Generator, high: int, size: int):
-    """Endless ``rng.integers(high)`` values, drawn ``size`` at a time.
-
-    numpy's bounded draws (Lemire's method) take their words from the bit
-    generator one value at a time, and the generator itself buffers the spare
-    half of each 64-bit word, so a bulk draw yields the same values, in the
-    same order, as that many scalar draws: the stream and every graph stay
-    the same.
-    """
-    while True:
-        yield from rng.integers(high, size=size).tolist()
-
-
 def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
     """Ring lattice with random endpoint rewiring.
 
     Starts from the circulant lattice where each vertex links to its
     ``c = ne/nv`` nearest neighbors on each side, then independently with
     probability ``rho`` re-targets the far endpoint of each edge to a uniform
-    random vertex, rejecting self-loops and duplicates (the edge is kept as-is
-    if no admissible target is found). The result always has exactly ``nv``
-    vertices and ``ne`` edges, and is deterministic for a fixed seed.
+    random vertex, rejecting self-loops and duplicates. An edge whose 100
+    draws are all rejected keeps its lattice endpoint. The result always has
+    exactly ``nv`` vertices and ``ne`` edges, and is deterministic for a fixed
+    seed. ``nv`` may be at most ``MAX_VERTICES``, so that edge codes fit in int64.
     """
     if not (0.0 <= rho <= 1.0):
         raise ConfigError(f"rho must be in [0, 1], got {rho}")
     if nv <= 0 or ne <= 0:
         raise ConfigError("nv and ne must be positive")
+    if nv > MAX_VERTICES:
+        raise ConfigError(f"nv={nv} exceeds {MAX_VERTICES}, the most whose edge codes fit in int64")
     c, rem = divmod(ne, nv)
     if rem != 0 or c < 1:
         raise ConfigError(f"infeasible (nv={nv}, ne={ne}): ne/nv must be a positive integer")
@@ -557,24 +547,36 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
     other = (home + shift) % nv
 
     codes = np.minimum(home, other) * nv + np.maximum(home, other)
-    present = set(codes.tolist())
     rng = np.random.default_rng(seed)
-    rewire = rng.random(ne) < rho
-    picked = np.flatnonzero(rewire)
-    draws = _bulk_integers(rng, nv, picked.size)
-    for idx in picked:
-        u, old = int(home[idx]), int(codes[idx])
-        for _ in range(100):
-            w = next(draws)
-            if w == u:
-                continue
-            new = (u * nv + w) if u < w else (w * nv + u)
-            if new in present:
-                continue
-            present.remove(old)
-            present.add(new)
-            other[idx] = w
-            break
+    picked = np.flatnonzero(rng.random(ne) < rho)
+    if picked.size:
+        present = set(codes.tolist())
+        remove, add = present.remove, present.add
+        # Candidate endpoints are drawn in bulk, picked.size at a time, and
+        # again when rejections use them up. numpy's bounded draws (Lemire's
+        # method) take their words from the bit generator one value at a time,
+        # and the generator buffers the spare half of each 64-bit word, so a
+        # bulk draw yields the same values, in the same order, as that many
+        # scalar draws: the stream and every graph stay the same.
+        draws = iter(rng.integers(nv, size=picked.size).tolist())
+        new_other = []
+        for u, old, kept in zip(home[picked].tolist(), codes[picked].tolist(),
+                                other[picked].tolist()):
+            tries = 100  # draws left for this edge; 0 once one is accepted
+            while tries:
+                for w in draws:
+                    tries -= 1
+                    new = (u * nv + w) if u < w else (w * nv + u)
+                    if w != u and new not in present:
+                        remove(old)
+                        add(new)
+                        kept, tries = w, 0
+                    if not tries:
+                        break
+                else:  # rejections used up the draws mid-edge: draw as many again
+                    draws = iter(rng.integers(nv, size=picked.size).tolist())
+            new_other.append(kept)
+        other[picked] = new_other
     return Graph.from_edges(nv, np.stack([home, other], axis=1))
 
 

@@ -300,6 +300,36 @@ def parse_edge_list_by_lines(text: str, indexing: str = "auto", header: bool = F
     return Graph.from_edges(n, flat)
 
 
+def generate_rewired_by_draws(nv: int, ne: int, rho: float, seed) -> Graph:
+    """The rewired ring lattice with one scalar ``rng.integers(nv)`` draw per
+    rewire attempt and numpy scalars throughout, kept as the reference for the
+    bulk-drawn list loop of ``generate_rewired``: same RNG stream, same graphs.
+    Takes feasible parameters only."""
+    c = ne // nv
+    home = np.tile(np.arange(nv, dtype=np.int64), c)
+    shift = np.repeat(np.arange(1, c + 1, dtype=np.int64), nv)
+    other = (home + shift) % nv
+
+    codes = np.minimum(home, other) * nv + np.maximum(home, other)
+    present = set(codes.tolist())
+    rng = np.random.default_rng(seed)
+    rewire = rng.random(ne) < rho
+    for idx in np.flatnonzero(rewire):
+        u, old = int(home[idx]), int(codes[idx])
+        for _ in range(100):
+            w = int(rng.integers(nv))
+            if w == u:
+                continue
+            new = (u * nv + w) if u < w else (w * nv + u)
+            if new in present:
+                continue
+            present.remove(old)
+            present.add(new)
+            other[idx] = w
+            break
+    return Graph.from_edges(nv, np.stack([home, other], axis=1))
+
+
 def knn_fold_accuracies_by_query(d: np.ndarray, labels, k: int, folds: int, seed) -> np.ndarray:
     """Per-fold KNN accuracy with one stable sort and one vote per held-out item.
 

@@ -370,6 +370,8 @@ _CONTRACT_FILES = {
     "negative-count.json": json.dumps({"synthetic": {"settings": [
         {"nv": 10, "ne": 20, "rho": 0.1, "count": -1}]}}).encode(),
     "list.json": b"[]",
+    "huge-nv.json": json.dumps({"synthetic": {"settings": [
+        {"nv": 4000000000, "ne": 4000000000, "rho": 0.1, "count": 2}]}}).encode(),
     "small.json": json.dumps({"synthetic": {"seed": 1, "settings": [
         {"nv": 10, "ne": 20, "rho": 0.1, "count": 2}]}}).encode(),
     "empty.txt": b"# no edges\n",
@@ -410,10 +412,16 @@ _CONTRACT_FILES = {
     (["bench", "--sizes", "10:20", "--count", "0"], 4, "config error: count must be positive"),
     (["bench", "--sizes", "10:20", "--repeats", "0"], 4,
      "config error: repeats must be positive"),
+    # refused before the generator allocates its 4e9-edge lattice
+    (["cluster", "--corpus", "huge-nv.json"], 4,
+     "config error: nv=4000000000 exceeds 3037000499, the most whose edge codes fit in int64"),
+    (["bench", "--sizes", "4000000000:4000000000"], 4,
+     "config error: nv=4000000000 exceeds 3037000499, the most whose edge codes fit in int64"),
 ], ids=["id-int64-max", "manifest-not-utf8", "spectrum-empty", "spectrum-above-dense",
         "files-not-list", "rho-not-number", "negative-count", "manifest-not-object",
         "negative-seed", "no-restarts", "cov-k-1", "nclm-edgeless", "reg-nan", "reg-inf",
-        "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats"])
+        "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats",
+        "corpus-nv-above-max", "bench-nv-above-max"])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
     monkeypatch.chdir(tmp_path)
     for name, data in _CONTRACT_FILES.items():

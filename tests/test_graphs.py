@@ -11,6 +11,7 @@ from oracles import (
     are_isomorphic,
     component_count,
     dense_int_power,
+    generate_rewired_by_draws,
     has_edge,
     neighbors,
     parse_edge_list_by_lines,
@@ -417,6 +418,37 @@ def test_rewired_infeasible():
         md.generate_rewired(10, 10, 1.5, seed=0)
     with pytest.raises(ValueError):
         md.generate_rewired(4, 8, 0.0, seed=0)  # lattice needs nv >= 2c+1
+    nv = md.graphs.MAX_VERTICES + 1  # refused before the lattice is allocated
+    with pytest.raises(md.ConfigError, match="edge codes fit in int64"):
+        md.generate_rewired(nv, nv, 0.1, seed=0)
+
+
+@st.composite
+def _rewired_params(draw):
+    nv = draw(st.integers(3, 60))
+    c = draw(st.integers(1, (nv - 1) // 2))
+    rho = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return nv, c * nv, rho, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_rewired_params())
+def test_rewired_matches_scalar_draws(params):
+    nv, ne, rho, seed = params
+    g = md.generate_rewired(nv, ne, rho, seed)
+    want = generate_rewired_by_draws(nv, ne, rho, seed)
+    assert g.indptr.tobytes() == want.indptr.tobytes()
+    assert g.indices.tobytes() == want.indices.tobytes()
+    assert g.m == ne
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_rewired_complete_lattice_hits_attempt_cap(c):
+    # nv = 2c+1 makes the lattice complete: every draw is a self-loop or a
+    # duplicate, so each rewired edge spends its 100 draws and stays put
+    for seed in range(3):
+        g = md.generate_rewired(2 * c + 1, c * (2 * c + 1), 1.0, seed)
+        assert g == md.complete_graph(2 * c + 1)
 
 
 # -- pinned outputs ------------------------------------------------------------
@@ -470,6 +502,10 @@ _REFILL_DIGESTS = {
     (200, 4000, 0.9, 2): "9bb6713797881298f46f511847a7538feee2c3d4501f924108e974f0c47b9e65",
     (200, 4000, 0.9, 3): "8af3bd4237bfe0a53f35ba95a03a3660df82e8083ca57c589560d8bc5895fa2e",
     (200, 4000, 0.9, 4): "be108ea773d060c691e4ed604dd54de5a4f52bb8c0469d3c1ef0ab0ab7964aad",
+    # a near-complete lattice (44 of 55 edges) where most draws are rejected;
+    # recorded with the numpy-scalar loop that the list loop replaced
+    (11, 44, 1.0, 0): "4054c0acc88d5eead6ea0db97df08a5f1e671e68861f1e1b117e367b50227cc0",
+    (11, 44, 1.0, 1): "d012da244a1a22ecc39a4ee1887f1d22c2a95bb73ac4c1c3d69e9e4e5510ba2a",
 }
 
 
