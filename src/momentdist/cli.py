@@ -436,6 +436,9 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        except MemoryError as exc:
+            print(f"config error: out of memory: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         except _NUMERIC_ERRORS as exc:
             print(f"numeric error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

@@ -38,49 +38,67 @@ def kernel_from_distances(d) -> np.ndarray:
 
 
 def _kmeans_pass(k_mat: np.ndarray, labels: np.ndarray, k: int):
-    """One Lloyd run of kernel k-means; returns (labels, objective)."""
-    n = k_mat.shape[0]
-    diag = np.diag(k_mat)
+    """Lloyd runs of kernel k-means, one per row of the ``(R, n)`` stack
+    ``labels``, advanced together; returns the final ``(R, n)`` labels and
+    the ``(R,)`` objectives.
+
+    Each iteration makes one one-hot membership array of the rows still
+    moving and one product of it with ``k_mat``, which gives every point's
+    mean kernel value to every cluster and, summed over the members, every
+    cluster's self-similarity. A row leaves the active set once its labels
+    repeat.
+    """
+    labels = np.array(labels, dtype=np.int64)
+    objective = np.zeros(labels.shape[0], dtype=np.float64)
+    diag = np.diag(k_mat)[None, :, None]
+    active = np.arange(labels.shape[0])
     for _ in range(KMEANS_MAX_ITER):
-        dist2 = np.empty((n, k), dtype=np.float64)
-        for c in range(k):
-            members = np.flatnonzero(labels == c)
-            if members.size == 0:
-                dist2[:, c] = np.inf
-                continue
-            k_xc = k_mat[:, members].mean(axis=1)
-            k_cc = k_mat[np.ix_(members, members)].mean()
-            dist2[:, c] = diag - 2.0 * k_xc + k_cc
-        new_labels = np.argmin(dist2, axis=1)
-        # repopulate empty clusters from the points farthest from their center;
-        # a reseeded singleton sits on its own centroid, contributing zero
-        reseeded = False
-        own = dist2[np.arange(n), new_labels].copy()
-        contrib = own.copy()
-        for c in range(k):
-            if not np.any(new_labels == c):
-                far = int(np.argmax(own))
-                new_labels[far] = c
-                own[far] = -np.inf
-                contrib[far] = 0.0
-                reseeded = True
-        objective = float(contrib.sum())
-        if np.array_equal(new_labels, labels) and not reseeded:
+        if active.size == 0:
             break
-        labels = new_labels
+        cur = labels[active]
+        onehot = (cur[:, :, None] == np.arange(k)).astype(np.float64)
+        k_xh = k_mat @ onehot
+        counts = onehot.sum(axis=1)
+        empty = counts == 0
+        counts[empty] = 1.0
+        k_cc = np.einsum("ank,ank->ak", onehot, k_xh) / counts**2
+        k_cc[empty] = np.inf  # an empty cluster has no center to move to
+        dist2 = diag - 2.0 * (k_xh / counts[:, None, :]) + k_cc[:, None, :]
+        new_labels = np.argmin(dist2, axis=2)
+        own = np.take_along_axis(dist2, new_labels[:, :, None], axis=2)[:, :, 0]
+        contrib = own.copy()
+        # repopulate empty clusters from the points farthest from their center,
+        # one cluster at a time across the rows that lost one; a reseeded
+        # singleton sits on its own centroid, contributing zero
+        lost = np.flatnonzero(~(new_labels[:, :, None] == np.arange(k)).any(axis=1).all(axis=1))
+        if lost.size:
+            for c in range(k):
+                rows = lost[~np.any(new_labels[lost] == c, axis=1)]
+                far = np.argmax(own[rows], axis=1)
+                new_labels[rows, far] = c
+                own[rows, far] = -np.inf
+                contrib[rows, far] = 0.0
+        objective[active] = contrib.sum(axis=1)
+        # a row whose labels repeat would repeat its step, reseeds included
+        settled = np.all(new_labels == cur, axis=1)
+        labels[active] = new_labels
+        active = active[~settled]
     return labels, objective
 
 
 def kernel_kmeans(k_mat: np.ndarray, k: int, restarts: int = 20, seed=None) -> np.ndarray:
     """Kernel k-means clustering; best of ``restarts`` random initializations.
 
-    ``k_mat`` is a symmetric kernel matrix. Returns the assignment array of
-    the restart with the lowest objective.
+    ``k_mat`` is a finite symmetric kernel matrix. All restarts run in one
+    batched Lloyd loop; returns the assignment array of the first restart
+    with the lowest objective.
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
     n = k_mat.shape[0]
     if k_mat.ndim != 2 or k_mat.shape != (n, n):
         raise ValueError("kernel matrix must be square")
+    if not np.all(np.isfinite(k_mat)):
+        raise ValueError("kernel matrix must be finite")
     if np.max(np.abs(k_mat - k_mat.T)) > 1e-10:
         raise ValueError("kernel matrix must be symmetric")
     if not 1 <= k <= n:
@@ -89,14 +107,12 @@ def kernel_kmeans(k_mat: np.ndarray, k: int, restarts: int = 20, seed=None) -> n
         raise ConfigError("restarts must be positive")
 
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        init = rng.integers(0, k, size=n)
+    inits = np.empty((restarts, n), dtype=np.int64)
+    for init in inits:
+        init[:] = rng.integers(0, k, size=n)
         init[rng.permutation(n)[:k]] = np.arange(k)  # every cluster starts nonempty
-        labels, objective = _kmeans_pass(k_mat, init, k)
-        if best is None or objective < best[1]:
-            best = (labels, objective)
-    return best[0]
+    labels, objective = _kmeans_pass(k_mat, inits, k)
+    return labels[int(np.argmin(objective))]
 
 
 def clustering_accuracy(assignment: Sequence[int], labels: Sequence[int]) -> float:
@@ -150,6 +166,8 @@ def knn_classify(d, labels: Sequence, ks: Sequence[int] = (1,), folds: int = 10,
     n = dm.shape[0]
     if labels.shape != (n,):
         raise ValueError("labels length must match distance matrix")
+    if not np.all(np.isfinite(dm)):
+        raise ValueError("distance matrix must be finite")
     if folds < 2:
         raise ConfigError("folds must be at least 2")
     if folds > n:

@@ -15,6 +15,7 @@ import numpy as np
 
 from momentdist import EdgeListError, Graph, SelfLoopError
 from momentdist.baselines import _DEGSEQ4_TO_INDEX, GRAPHLET4_TYPES
+from momentdist import learn
 from momentdist.learn import _stratified_folds
 
 
@@ -350,3 +351,63 @@ def knn_fold_accuracies_by_query(d: np.ndarray, labels, k: int, folds: int, seed
             correct += int(pred == codes[i])
         accuracies[f] = correct / test.size
     return accuracies
+
+
+def kmeans_run(k_mat: np.ndarray, labels: np.ndarray, k: int):
+    """One Lloyd run of kernel k-means, one cluster at a time; returns
+    (labels, objective)."""
+    n = k_mat.shape[0]
+    diag = np.diag(k_mat)
+    for _ in range(learn.KMEANS_MAX_ITER):
+        dist2 = np.empty((n, k), dtype=np.float64)
+        for c in range(k):
+            members = np.flatnonzero(labels == c)
+            if members.size == 0:
+                dist2[:, c] = np.inf
+                continue
+            k_xc = k_mat[:, members].mean(axis=1)
+            k_cc = k_mat[np.ix_(members, members)].mean()
+            dist2[:, c] = diag - 2.0 * k_xc + k_cc
+        new_labels = np.argmin(dist2, axis=1)
+        reseeded = False
+        own = dist2[np.arange(n), new_labels].copy()
+        contrib = own.copy()
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = int(np.argmax(own))
+                new_labels[far] = c
+                own[far] = -np.inf
+                contrib[far] = 0.0
+                reseeded = True
+        objective = float(contrib.sum())
+        if np.array_equal(new_labels, labels) and not reseeded:
+            break
+        labels = new_labels
+    return labels, objective
+
+
+def kmeans_inits(n: int, k: int, restarts: int, seed) -> np.ndarray:
+    """The ``(restarts, n)`` initial labelings of ``kernel_kmeans``: per
+    restart, ``rng.integers`` labels, then the first k of ``rng.permutation``
+    set to 0..k-1 so that every cluster starts nonempty."""
+    rng = np.random.default_rng(seed)
+    inits = []
+    for _ in range(restarts):
+        init = rng.integers(0, k, size=n)
+        init[rng.permutation(n)[:k]] = np.arange(k)
+        inits.append(init)
+    return np.stack(inits)
+
+
+def kernel_kmeans_by_restarts(k_mat: np.ndarray, k: int, restarts: int, seed):
+    """Kernel k-means with one Lloyd run per restart, each on its own, kept as
+    the reference for the batched loop of ``kernel_kmeans``: the same
+    initializations, and the first restart with the lowest objective wins.
+    Returns (labels, objective)."""
+    k_mat = np.asarray(k_mat, dtype=np.float64)
+    best = None
+    for init in kmeans_inits(k_mat.shape[0], k, restarts, seed):
+        labels, objective = kmeans_run(k_mat, init, k)
+        if best is None or objective < best[1]:
+            best = (labels, objective)
+    return best

@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -372,12 +375,33 @@ _CONTRACT_FILES = {
     "list.json": b"[]",
     "huge-nv.json": json.dumps({"synthetic": {"settings": [
         {"nv": 4000000000, "ne": 4000000000, "rho": 0.1, "count": 2}]}}).encode(),
+    "huge-lattice.json": json.dumps({"synthetic": {"settings": [
+        {"nv": 3000000000, "ne": 3000000000, "rho": 0.1, "count": 2}]}}).encode(),
     "small.json": json.dumps({"synthetic": {"seed": 1, "settings": [
         {"nv": 10, "ne": 20, "rho": 0.1, "count": 2}]}}).encode(),
     "empty.txt": b"# no edges\n",
     "empty-files.json": json.dumps({"files": [{"path": "empty.txt", "label": 0},
                                               {"path": "empty.txt", "label": 1}]}).encode(),
 }
+
+
+_OUT_OF_MEMORY = "config error: out of memory: "
+_ADDRESS_SPACE_CAP = 3 * 2**30
+
+
+def _main_with_capped_memory(argv):
+    """``main(argv)`` in a child process whose address space is capped at
+    ``_ADDRESS_SPACE_CAP`` bytes; returns (exit code, stdout, stderr)."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_SPACE_CAP}, {_ADDRESS_SPACE_CAP}))\n"
+        "from momentdist.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(md.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("argv, code, err", [
@@ -417,25 +441,35 @@ _CONTRACT_FILES = {
      "config error: nv=4000000000 exceeds 3037000499, the most whose edge codes fit in int64"),
     (["bench", "--sizes", "4000000000:4000000000"], 4,
      "config error: nv=4000000000 exceeds 3037000499, the most whose edge codes fit in int64"),
+    # nv fits the edge codes but the 3e9-edge lattice does not fit in memory;
+    # run under a capped address space, so the allocation fails untouched
+    (["cluster", "--corpus", "huge-lattice.json"], 4, _OUT_OF_MEMORY + "Unable to allocate "
+     "22.4 GiB for an array with shape (3000000000,) and data type int64"),
+    (["bench", "--sizes", "3000000000:3000000000"], 4, _OUT_OF_MEMORY + "Unable to allocate "
+     "22.4 GiB for an array with shape (3000000000,) and data type int64"),
 ], ids=["id-int64-max", "manifest-not-utf8", "spectrum-empty", "spectrum-above-dense",
         "files-not-list", "rho-not-number", "negative-count", "manifest-not-object",
         "negative-seed", "no-restarts", "cov-k-1", "nclm-edgeless", "reg-nan", "reg-inf",
         "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats",
-        "corpus-nv-above-max", "bench-nv-above-max"])
+        "corpus-nv-above-max", "bench-nv-above-max",
+        "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory"])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
     monkeypatch.chdir(tmp_path)
     for name, data in _CONTRACT_FILES.items():
         (tmp_path / name).write_bytes(data)
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")  # a warning reaches the one-line path
-        got = main(argv)
-    captured = capsys.readouterr()
+    if err is not None and err.startswith(_OUT_OF_MEMORY):
+        got, out, stderr = _main_with_capped_memory(argv)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning reaches the one-line path
+            got = main(argv)
+        out, stderr = capsys.readouterr()
     assert got == code
     if err is None:
-        assert captured.out and captured.err == ""
+        assert out and stderr == ""
     else:
-        assert captured.out == ""
-        assert captured.err == err + "\n"
+        assert out == ""
+        assert stderr == err + "\n"
 
 
 def test_classify_unstratified_folds_one_warning_line(tmp_path, capsys):

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import momentdist as md
 from momentdist import learn
-from oracles import knn_fold_accuracies_by_query
+from oracles import (
+    kernel_kmeans_by_restarts,
+    kmeans_inits,
+    kmeans_run,
+    knn_fold_accuracies_by_query,
+)
 
 
 def _block_distance_matrix(sizes, within=0.1, between=5.0, seed=0):
@@ -56,8 +61,9 @@ def test_kmeans_singleton_clusters():
     k = md.kernel_from_distances(d)
     labels = md.kernel_kmeans(k, 6, restarts=5, seed=1)
     assert len(set(labels.tolist())) == 6
-    _, objective = learn._kmeans_pass(k, labels, 6)
-    assert objective == pytest.approx(0.0, abs=1e-9)
+    _, objective = learn._kmeans_pass(k, labels[None], 6)
+    assert objective.shape == (1,)
+    assert objective[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_kmeans_objective_non_increasing(monkeypatch):
@@ -66,12 +72,13 @@ def test_kmeans_objective_non_increasing(monkeypatch):
     rng = np.random.default_rng(5)
     labels = rng.integers(0, 3, size=24)
     labels[rng.permutation(24)[:3]] = np.arange(3)
+    labels = labels[None]  # a stack of one restart
     # one Lloyd iteration per pass: the objective after each one
     monkeypatch.setattr(learn, "KMEANS_MAX_ITER", 1)
     hist = []
     for _ in range(20):
         labels, objective = learn._kmeans_pass(k, labels, 3)
-        hist.append(objective)
+        hist.append(float(objective[0]))
     assert len(set(hist)) > 1  # the run moved before it settled
     assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
 
@@ -95,6 +102,90 @@ def test_kmeans_validation():
         md.kernel_kmeans(np.ones((3, 2)), 2)
     with pytest.raises(ValueError):
         md.kernel_kmeans(np.ones((3, 3)), 4)
+
+
+def test_kmeans_rejects_non_finite_kernel():
+    k = np.eye(4)
+    k[0, 1] = k[1, 0] = np.nan  # NaN passes the symmetry check
+    with pytest.raises(ValueError, match="kernel matrix must be finite"):
+        md.kernel_kmeans(k, 2, restarts=3, seed=0)
+    k[0, 1] = k[1, 0] = np.inf
+    with pytest.raises(ValueError, match="kernel matrix must be finite"):
+        md.kernel_kmeans(k, 2, restarts=3, seed=0)
+
+
+def _desk_settings(count):
+    return [{"nv": 200, "ne": ne, "rho": rho, "count": count}
+            for ne in (2000, 4000) for rho in (0.1, 0.9)]
+
+
+@pytest.mark.parametrize("corpus_seed", range(5))
+def test_kmeans_matches_restart_oracle_on_desk_corpus(corpus_seed):
+    # the moment method on the 60-graph desk corpus; the baselines, which cost
+    # far more per graph, on its 16-graph version with 500 gk4 samples
+    full, _ = md.make_rewired_corpus(_desk_settings(15), seed=corpus_seed)
+    small, _ = md.make_rewired_corpus(_desk_settings(4), seed=corpus_seed)
+    cases = [(full, "moment", {"degree": 4, "eps": 1e4})]
+    cases += [(small, name, {}) for name in ("cov", "nclm", "eigs", "gk3")]
+    cases += [(small, "gk4", {"samples": 500, "seed": corpus_seed})]
+    for gs, method, params in cases:
+        k = md.kernel_from_distances(md.method_distance_matrix(gs, method, **params))
+        got = md.kernel_kmeans(k, 4, restarts=20, seed=corpus_seed)
+        want, _ = kernel_kmeans_by_restarts(k, 4, 20, corpus_seed)
+        assert got.tobytes() == want.tobytes(), method
+
+
+@st.composite
+def _block_kernels(draw):
+    """Jittered block kernels exp(-D), with k and the restart count."""
+    n = draw(st.integers(3, 40))
+    k = draw(st.integers(1, min(n, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.integers(0, draw(st.integers(1, 6)), n)
+    d = np.where(blocks[:, None] == blocks[None, :], 0.1, 5.0) + rng.uniform(0, 0.5, (n, n))
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0.0)
+    return md.kernel_from_distances(d), k, draw(st.integers(1, 20)), draw(st.integers(0, 1000))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_block_kernels())
+def test_kmeans_batched_objective_matches_restart_oracle(problem):
+    k_mat, k, restarts, seed = problem
+    labels, objective = learn._kmeans_pass(k_mat, kmeans_inits(k_mat.shape[0], k, restarts, seed), k)
+    best = int(np.argmin(objective))
+    assert md.kernel_kmeans(k_mat, k, restarts=restarts, seed=seed).tobytes() == labels[best].tobytes()
+    _, want = kernel_kmeans_by_restarts(k_mat, k, restarts, seed)
+    assert abs(objective[best] - want) <= 1e-12 * abs(want)
+
+
+# points 0-2 coincide and 3, 4 stand apart: the start [0, 1, 2, 0, 0] moves all
+# of 0-2 into cluster 1 (the first of their tied nearest), leaving cluster 2
+# empty and reseeded with point 3; the start [0, 0, 0, 1, 2] is already settled
+_COINCIDENT_TRIPLE = np.block([[np.ones((3, 3)), np.zeros((3, 2))],
+                               [np.zeros((2, 3)), np.eye(2)]])
+
+
+@pytest.mark.parametrize("k_mat, k, fixed", [
+    (np.ones((5, 5)), 3, [[0, 1, 2, 0, 0]]),
+    (_COINCIDENT_TRIPLE, 3, [[0, 0, 0, 1, 2], [0, 1, 2, 0, 0]]),
+    (md.kernel_from_distances(_block_distance_matrix([6, 7, 5], seed=2)[0]), 3, []),
+], ids=["identical-points", "coincident-triple", "blocks"])
+@pytest.mark.parametrize("max_iter", [1, 2, learn.KMEANS_MAX_ITER])
+def test_kmeans_pass_rows_independent(monkeypatch, k_mat, k, fixed, max_iter):
+    monkeypatch.setattr(learn, "KMEANS_MAX_ITER", max_iter)  # the pass and the oracle
+    n = k_mat.shape[0]
+    stack = np.concatenate([np.asarray(fixed, dtype=np.int64).reshape(-1, n),
+                            kmeans_inits(n, k, 12, seed=3)])
+    labels, objective = learn._kmeans_pass(k_mat, stack, k)
+    assert labels.shape == stack.shape and objective.shape == (len(stack),)
+    for row, init in enumerate(stack):
+        alone_labels, alone_objective = learn._kmeans_pass(k_mat, init[None], k)
+        assert labels[row].tobytes() == alone_labels[0].tobytes(), row
+        assert objective[row].tobytes() == alone_objective[0].tobytes(), row
+        want_labels, want_objective = kmeans_run(k_mat, init, k)
+        assert labels[row].tobytes() == want_labels.tobytes(), row
+        assert objective[row] == pytest.approx(want_objective, rel=1e-12, abs=1e-12), row
 
 
 # -- clustering accuracy --------------------------------------------------------------
@@ -189,6 +280,16 @@ def test_knn_stratification_warning():
     labels = np.array([0] * 6 + [1] * 2)
     with pytest.warns(UserWarning, match="unstratified"):
         md.knn_classify(d, labels, [1], folds=4, seed=0)
+
+
+def test_knn_rejects_non_finite_distances():
+    labels = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="distance matrix must be finite"):
+        md.knn_classify(np.full((4, 4), np.nan), labels, [1], folds=2, seed=0)
+    d = np.ones((4, 4))
+    d[2, 3] = d[3, 2] = np.inf
+    with pytest.raises(ValueError, match="distance matrix must be finite"):
+        md.knn_classify(d, labels, [1], folds=2, seed=0)
 
 
 def test_knn_validation():
