@@ -96,18 +96,6 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _resolve_threads(value: int | None) -> int | None:
-    if value is not None:
-        return value
-    env = os.environ.get("MOMENTDIST_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"MOMENTDIST_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count()
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
@@ -187,9 +175,8 @@ def _graphs_from_args(args) -> tuple[list[Graph], list[str], dict]:
 def _cmd_pairwise(args) -> int:
     graphs, labels, digests = _graphs_from_args(args)
     cfg = DistanceConfig(degree=args.degree, metric=args.metric, eps=args.reg, scaling=args.scale)
-    threads = _resolve_threads(args.threads)
     t0 = time.perf_counter()
-    dm = pairwise_distance_matrix(graphs, cfg, labels=labels, threads=threads)
+    dm = pairwise_distance_matrix(graphs, cfg, labels=labels)
     manifest = RunManifest(
         command="pairwise",
         config={
@@ -198,7 +185,6 @@ def _cmd_pairwise(args) -> int:
             "reg": args.reg,
             "scale": args.scale,
             "labels": labels,
-            "threads_bound": threads,
         },
         seeds={},
         input_digests=digests,
@@ -211,6 +197,13 @@ def _cmd_pairwise(args) -> int:
     else:
         _emit_text(dm.to_csv(), manifest, args.out)
     return EXIT_OK
+
+
+def _label(value) -> str | int:
+    """A files entry's label: a JSON string or integer; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError(value)
+    return value
 
 
 def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
@@ -243,7 +236,7 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
             if not os.path.isabs(fpath):
                 fpath = os.path.join(base, fpath)
             graphs.append(load_edge_list(fpath, indexing=indexing))
-            labels.append(_required(entry, "label", f"files entry {idx}"))
+            labels.append(_required(entry, "label", f"files entry {idx}", _label))
             digests[fpath] = _sha256_file(fpath)
         return graphs, np.asarray(labels), digests
     raise ConfigError("corpus manifest must contain a 'synthetic' or 'files' block")
@@ -263,13 +256,12 @@ def _cmd_experiment(args) -> int:
     """``cluster`` or ``classify`` on a corpus manifest."""
     _check_seed(args.seed)
     graphs, labels, digests = _load_corpus(args.corpus, args.seed)
-    threads = _resolve_threads(args.threads)
     params = _method_params(args)
     config = {"corpus": args.corpus, "method": args.method, "params": params}
     t0 = time.perf_counter()
     if args.cmd == "cluster":
         report = cluster_experiment(graphs, labels, method=args.method, method_params=params,
-                                    restarts=args.restarts, seed=args.seed, threads=threads)
+                                    restarts=args.restarts, seed=args.seed)
         timings = report.pop("timings")
         config["restarts"] = args.restarts
     else:
@@ -277,10 +269,9 @@ def _cmd_experiment(args) -> int:
         degrees = args.degrees if args.method == "moment" else None
         report = classify_experiment(graphs, labels, method=args.method, method_params=params,
                                      knn_k=args.knn_k, degrees=degrees, folds=args.folds,
-                                     seed=args.seed, threads=threads)
+                                     seed=args.seed)
         timings = {}
         config.update(degrees=degrees, knn_k=args.knn_k, folds=args.folds)
-    config["threads_bound"] = threads
     timings["total_s"] = time.perf_counter() - t0
     _emit(report, RunManifest(args.cmd, config, {"seed": args.seed}, digests, timings=timings),
           args.out)
@@ -361,7 +352,8 @@ def _add_distance_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", default="affine-invariant", choices=list(METRICS))
     p.add_argument("--scale", choices=["none", "log1p"], default="none")
     p.add_argument("--reg", type=float, default=0.0, help="eps ridge added to moment matrices")
-    p.add_argument("--threads", type=int)
+    # ignored; accepted for existing callers
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -78,6 +78,8 @@ def _nonnegative_int(value) -> int:
 
 
 def _spawn_seeds(seed, count: int) -> np.ndarray:
+    if count > np.iinfo(np.intp).max:
+        raise ConfigError(f"graph count {count} exceeds {np.iinfo(np.intp).max}")
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
 
 
@@ -148,7 +150,6 @@ def _method_row(method: str, params: dict) -> tuple:
 def method_distance_matrix(
     gs: Sequence[Graph],
     method: str,
-    threads: int | None = None,
     **params,
 ) -> DistanceMatrix:
     """Pairwise distance matrix under one of the implemented methods.
@@ -160,7 +161,7 @@ def method_distance_matrix(
     """
     features, kernel = _method_row(method, params)
     if kernel is None:
-        return pairwise_distance_matrix(gs, DistanceConfig(**params), threads=threads)
+        return pairwise_distance_matrix(gs, DistanceConfig(**params))
     labels = _corpus_labels(gs)
     out, _ = _pairwise(kernel, np.stack(features(gs, **params)))
     return DistanceMatrix(labels, out, {"method": method, **params})
@@ -175,11 +176,14 @@ def cluster_experiment(
     seed=None,
     threads: int | None = None,
 ) -> dict:
-    """Kernel k-means with one cluster per label; reports accuracy vs true labels."""
+    """Kernel k-means with one cluster per label; reports accuracy vs true labels.
+
+    ``threads`` is ignored; it is kept for existing callers.
+    """
     labels = np.asarray(labels)
     clusters = np.unique(labels).size
     t0 = time.perf_counter()
-    dm = method_distance_matrix(gs, method, threads=threads, **dict(method_params or {}))
+    dm = method_distance_matrix(gs, method, **dict(method_params or {}))
     t1 = time.perf_counter()
     kernel = kernel_from_distances(dm)
     assignment = kernel_kmeans(kernel, clusters, restarts=restarts, seed=seed)
@@ -215,7 +219,8 @@ def classify_experiment(
     best (degree, k) cell by mean accuracy is reported along with the whole
     grid, so nothing about the selection is hidden. Every swept degree is
     checked first; then the moments are extracted once, to the largest
-    degree's order, and each degree reads its leading blocks.
+    degree's order, and each degree reads its leading blocks. ``threads`` is
+    ignored; it is kept for existing callers.
     """
     labels = np.asarray(labels)
     method_params = dict(method_params or {})
@@ -232,11 +237,10 @@ def classify_experiment(
         _method_row(method, method_params)
         cfgs = [DistanceConfig(**{**method_params, "degree": deg}) for deg in swept_degrees]
         _corpus_labels(gs)
-        table = moment_table(gs, 2 * max(swept_degrees), threads)
-        matrices = (pairwise_distance_matrix(gs, cfg, threads=threads, table=table)
-                    for cfg in cfgs)
+        table = moment_table(gs, 2 * max(swept_degrees))
+        matrices = (pairwise_distance_matrix(gs, cfg, table=table) for cfg in cfgs)
     else:
-        matrices = [method_distance_matrix(gs, method, threads=threads, **method_params)]
+        matrices = [method_distance_matrix(gs, method, **method_params)]
 
     grid = []
     best = None
@@ -296,7 +300,7 @@ def bench_moment_scaling(
         for gs, size_times in zip(corpora, times):
             if "moment" in methods:
                 t0 = time.perf_counter()
-                mats = _hankel_stack(moment_table(gs, 2 * degree, 1), degree)
+                mats = _hankel_stack(moment_table(gs, 2 * degree), degree)
                 t1 = time.perf_counter()
                 _moment_distances(mats, cfg)
                 t2 = time.perf_counter()

@@ -16,11 +16,9 @@ matrices. The one-pair geodesic calls the same kernel.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -262,17 +260,13 @@ def affine_invariant_dist(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 
-def moment_table(gs: Sequence[Graph], order: int, threads: int | None = None) -> np.ndarray:
+def moment_table(gs: Sequence[Graph], order: int) -> np.ndarray:
     """Uniform-vector moments m_0..m_order of a corpus, one row per graph.
 
-    One chain of ``order`` sparse matvecs per graph, on a thread pool unless
-    ``threads`` is 1 or less. Overflow stays in the table as inf.
+    One chain of ``order`` sparse matvecs per graph, on the calling thread.
+    Overflow stays in the table as inf.
     """
-    chain = functools.partial(_vector_chain, order=order)
-    if threads is not None and threads <= 1:
-        return np.stack([chain(g) for g in gs])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.stack(list(pool.map(chain, gs)))
+    return np.stack([_vector_chain(g, order) for g in gs])
 
 
 def _hankel_stack(table: np.ndarray, degree: int, eps: float = 0.0) -> np.ndarray:
@@ -287,7 +281,7 @@ def _hankel_stack(table: np.ndarray, degree: int, eps: float = 0.0) -> np.ndarra
 
 def moment_matrix_of_graph(g: Graph, degree: int, eps: float = 0.0) -> MomentMatrix:
     """Degree-d moment matrix of a graph in the uniform vector state."""
-    return MomentMatrix(degree, _hankel_stack(moment_table([g], 2 * degree, 1), degree, eps)[0])
+    return MomentMatrix(degree, _hankel_stack(moment_table([g], 2 * degree), degree, eps)[0])
 
 
 def graph_distance(g1: Graph, g2: Graph, cfg: DistanceConfig | None = None) -> float:
@@ -297,7 +291,7 @@ def graph_distance(g1: Graph, g2: Graph, cfg: DistanceConfig | None = None) -> f
     of :func:`pairwise_distance_matrix`'s metadata.
     """
     cfg = cfg or DistanceConfig()
-    mats = _hankel_stack(moment_table([g1, g2], 2 * cfg.degree, 1), cfg.degree, cfg.eps)
+    mats = _hankel_stack(moment_table([g1, g2], 2 * cfg.degree), cfg.degree, cfg.eps)
     return float(_moment_distances(mats, cfg)[0][0, 1])
 
 
@@ -366,14 +360,14 @@ def pairwise_distance_matrix(
 
     The moment matrices are the leading blocks of ``table``, a
     :func:`moment_table` of ``gs`` of order at least 2*degree; without one,
-    the table is extracted here on ``threads``. Then every pair is compared.
-    The number of pairs that hit the PD-singularity fallback is recorded in
-    the metadata.
+    the table is extracted here. Then every pair is compared. The number of
+    pairs that hit the PD-singularity fallback is recorded in the metadata.
+    ``threads`` is ignored; it is kept for existing callers.
     """
     cfg = cfg or DistanceConfig()
     labels = _corpus_labels(gs, labels)
     if table is None:
-        table = moment_table(gs, 2 * cfg.degree, threads)
+        table = moment_table(gs, 2 * cfg.degree)
     out, fallbacks = _moment_distances(_hankel_stack(table, cfg.degree, cfg.eps), cfg)
     meta = {
         "metric": cfg.metric,

@@ -139,7 +139,7 @@ def test_cluster_report_and_determinism(tmp_path, capsys):
     _write_synthetic_corpus(corpus)
     args = ["cluster", "--corpus", str(corpus), "--method", "moment",
             "--degree", "2", "--metric", "affine-invariant", "--reg", "1e-3",
-            "--seed", "7", "--threads", "1"]
+            "--seed", "7"]
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     assert main(args + ["--out", str(out1)]) == 0
@@ -165,7 +165,7 @@ def test_classify_files_corpus_eigs_vs_moment(tmp_path, capsys):
     corpus.write_text(json.dumps({"files": files, "indexing": "zero"}))
 
     base = ["classify", "--corpus", str(corpus), "--folds", "4",
-            "--knn-k", "1", "--seed", "0", "--threads", "1"]
+            "--knn-k", "1", "--seed", "0"]
     code, out = run(capsys, base + ["--method", "moment", "--degrees", "2",
                                     "--metric", "frobenius"])
     assert code == 0
@@ -183,7 +183,7 @@ def test_classify_sweep_is_explicit(tmp_path, capsys):
     code, out = run(capsys, ["classify", "--corpus", str(corpus), "--method", "moment",
                              "--metric", "frobenius", "--scale", "log1p",
                              "--degrees", "2", "3", "--knn-k", "1", "2",
-                             "--folds", "5", "--seed", "1", "--threads", "1"])
+                             "--folds", "5", "--seed", "1"])
     assert code == 0
     report = json.loads(out)
     assert len(report["sweep"]) == 4
@@ -300,7 +300,7 @@ def test_classify_overflow_names_first_failing_degree(tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps({"files": files, "indexing": "zero"}))
     code = main(["classify", "--corpus", str(corpus), "--degrees", "88", "92", "--folds", "2",
-                 "--knn-k", "1", "--threads", "2"])
+                 "--knn-k", "1"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -327,7 +327,7 @@ def test_exit_code_config_error_single_graph_corpus(tmp_path, capsys, method):
 def test_exit_code_config_error_fewer_graphs_than_folds(tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     _write_one_setting_corpus(corpus, 3)
-    code = main(["classify", "--corpus", str(corpus), "--degrees", "2", "--threads", "1"])
+    code = main(["classify", "--corpus", str(corpus), "--degrees", "2"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
@@ -338,7 +338,7 @@ def test_exit_code_config_error_fewer_graphs_than_folds(tmp_path, capsys):
 def test_exit_code_config_error_empty_sweep(tmp_path, capsys, flag, name):
     corpus = tmp_path / "corpus.json"
     _write_synthetic_corpus(corpus)
-    code = main(["classify", "--corpus", str(corpus), "--threads", "1", flag])
+    code = main(["classify", "--corpus", str(corpus), flag])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
@@ -351,7 +351,12 @@ def test_exit_code_config_error_empty_sweep(tmp_path, capsys, flag, name):
     ({"files": [{"path": "g.txt"}]}, "files entry 0 has no 'label'"),
     ({"synthetic": {"settings": [{"ne": 60, "rho": 0.1, "count": 2}]}}, "setting 0 has no 'nv'"),
     ({"files": ["path.txt"]}, "files entry 0 has no 'path'"),
-], ids=["settings", "path", "label", "nv", "entry-not-object"])
+    ({"files": [{"path": "g.txt", "label": [1]}]}, "files entry 0 has a bad 'label': [1]"),
+    ({"files": [{"path": "g.txt", "label": {"a": 1}}]},
+     "files entry 0 has a bad 'label': {'a': 1}"),
+    ({"files": [{"path": "g.txt", "label": None}]}, "files entry 0 has a bad 'label': None"),
+], ids=["settings", "path", "label", "nv", "entry-not-object", "label-list", "label-object",
+        "label-null"])
 def test_exit_code_input_error_manifest_missing_key(tmp_path, capsys, spec, message):
     write_edge_list(md.cycle_graph(4), tmp_path / "g.txt")
     corpus = tmp_path / "corpus.json"
@@ -372,6 +377,8 @@ _CONTRACT_FILES = {
         {"nv": 10, "ne": 20, "rho": "x", "count": 2}]}}).encode(),
     "negative-count.json": json.dumps({"synthetic": {"settings": [
         {"nv": 10, "ne": 20, "rho": 0.1, "count": -1}]}}).encode(),
+    "huge-count.json": json.dumps({"synthetic": {"settings": [
+        {"nv": 10, "ne": 20, "rho": 0.1, "count": 10**20}]}}).encode(),
     "list.json": b"[]",
     "huge-nv.json": json.dumps({"synthetic": {"settings": [
         {"nv": 4000000000, "ne": 4000000000, "rho": 0.1, "count": 2}]}}).encode(),
@@ -419,6 +426,10 @@ def _main_with_capped_memory(argv):
     (["cluster", "--corpus", "negative-count.json"], 2,
      "input error: setting 0 has a bad 'count': -1"),
     (["cluster", "--corpus", "list.json"], 2, "input error: corpus manifest is not a JSON object"),
+    (["cluster", "--corpus", "huge-count.json"], 4,
+     "config error: graph count 100000000000000000000 exceeds 9223372036854775807"),
+    (["bench", "--sizes", "10:20", "--count", "100000000000000000000"], 4,
+     "config error: graph count 100000000000000000000 exceeds 9223372036854775807"),
     (["cluster", "--corpus", "small.json", "--seed", "-1"], 4,
      "config error: seed must be nonnegative, got -1"),
     (["cluster", "--corpus", "small.json", "--restarts", "0"], 4,
@@ -449,6 +460,7 @@ def _main_with_capped_memory(argv):
      "22.4 GiB for an array with shape (3000000000,) and data type int64"),
 ], ids=["id-int64-max", "manifest-not-utf8", "spectrum-empty", "spectrum-above-dense",
         "files-not-list", "rho-not-number", "negative-count", "manifest-not-object",
+        "corpus-count-above-intp", "bench-count-above-intp",
         "negative-seed", "no-restarts", "cov-k-1", "nclm-edgeless", "reg-nan", "reg-inf",
         "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats",
         "corpus-nv-above-max", "bench-nv-above-max",
@@ -476,7 +488,7 @@ def test_classify_unstratified_folds_one_warning_line(tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     _write_synthetic_corpus(corpus)  # two classes of 5 graphs each
     args = ["classify", "--corpus", str(corpus), "--degrees", "2", "3", "--knn-k", "1", "2",
-            "--folds", "6", "--seed", "1", "--threads", "1"]
+            "--folds", "6", "--seed", "1"]
     with warnings.catch_warnings():
         warnings.simplefilter("default")
         code = main(args + ["--out", str(tmp_path / "a.json")])
@@ -493,16 +505,6 @@ def test_classify_unstratified_folds_one_warning_line(tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MOMENTDIST_THREADS", "2")
-    code, out = run(capsys, ["pairwise", "--named", "K4", "C4",
-                             "--degree", "2", "--metric", "frobenius"])
-    assert code == 0
-    monkeypatch.setenv("MOMENTDIST_THREADS", "zebra")
-    code, _ = run(capsys, ["pairwise", "--named", "K4", "C4"])
-    assert code == 4
-
-
 # -- pinned outputs ----------------------------------------------------------------
 
 
@@ -514,26 +516,24 @@ def _write_rewiring_corpus(path):
 
 # SHA-256 of each output file, recorded with the per-degree extraction and the
 # per-k KNN loop that the shared moment table and the one-sort KNN replaced,
-# and (cluster-gk4) with the per-sample gk4 loop the one-pass classification replaced.
-# Paths are relative and --threads is explicit, so the manifests are stable.
+# and (cluster-gk4) with the per-sample gk4 loop the one-pass classification
+# replaced; the manifests' former "threads_bound" line is removed from each.
+# Paths are relative, so the manifests are stable.
 _PINNED_OUTPUTS = {
-    "classify-default": (["classify", "--threads", "1"],
-        "dae494571853d323757456aa336f530197ef5714afd235a1823d6f9adde58cc5"),
-    "classify-default-threads-2": (["classify", "--threads", "2"],
-        "dd25027b29d347e1d7589c568e910b12dd4b3b9848cbb0c10f5a6906c9311094"),
-    "classify-degrees-3-2-3": (["classify", "--degrees", "3", "2", "3", "--reg", "1e4",
-                                "--threads", "1"],
-        "675c8ef7d5835a37fdee3368f95ab62c9febc1c5b36747f37e732d4cfacc179c"),
+    "classify-default": (["classify"],
+        "20559ab030cc5db52353cb6f9d40dc85a72f7a0e97aaf95bf6041c474b3a2dce"),
+    "classify-degrees-3-2-3": (["classify", "--degrees", "3", "2", "3", "--reg", "1e4"],
+        "0548ed12f6093440b5fd6df65cbe45202621af384535c198d199a6302bbc714b"),
     "classify-frobenius-log1p": (["classify", "--metric", "frobenius", "--scale", "log1p",
-                                  "--knn-k", "1", "4", "40", "--threads", "2"],
-        "47cd09e44230eb964121bd9b3a4e8322399a2698b2d89ae7acc827c5a366a77e"),
-    "cluster": (["cluster", "--degree", "3", "--reg", "1e4", "--threads", "1"],
-        "f9d7150ee22a45ee4c22203de90441f5eef2e0023357dd06db96ed426901af85"),
-    "cluster-gk4": (["cluster", "--method", "gk4", "--gk4-samples", "300", "--threads", "1"],
-        "7678013ba91eea676981a12c3f35e910ddb42d9b2549090be8ee337fcc8d5687"),
+                                  "--knn-k", "1", "4", "40"],
+        "4a097bc892e0cc114032113070e5e85d2924ade87d9136d3240ac2975a1ee5dd"),
+    "cluster": (["cluster", "--degree", "3", "--reg", "1e4"],
+        "a23166654904a61958fb47f4cd58221b52cfb864b663e389b482a12c9c5409c4"),
+    "cluster-gk4": (["cluster", "--method", "gk4", "--gk4-samples", "300"],
+        "cf8bf66daffc538aa96f6cc1a4356c8fbc0d95256dc7a32590d811ec08a72836"),
     "pairwise": (["pairwise", "--named", "K4", "C4", "paw", "P5", "S5", "C4uK1", "C6",
-                  "--degree", "3", "--reg", "1e-3", "--threads", "2"],
-        "74e4520b315af6c0af8906117ca29cec02244913feb3014c14135b9220b7d222"),
+                  "--degree", "3", "--reg", "1e-3"],
+        "de97af309a332209a3af7cedf12ed03c4d0509efabf1e993b4c66d53c2f777d4"),
 }
 
 
@@ -552,11 +552,29 @@ def test_output_digest_pinned(tmp_path, monkeypatch, case):
     assert hashlib.sha256(_pinned_output(tmp_path, monkeypatch, argv)).hexdigest() == digest
 
 
-def test_classify_output_same_under_threads(tmp_path, monkeypatch):
-    one = _pinned_output(tmp_path, monkeypatch, ["classify", "--threads", "1"])
-    two = _pinned_output(tmp_path, monkeypatch, ["classify", "--threads", "2"])
-    diff = [(a, b) for a, b in zip(one.splitlines(), two.splitlines()) if a != b]
-    assert diff == [(b'      "threads_bound": 1', b'      "threads_bound": 2')]
+def test_threads_flag_and_keyword_ignored(tmp_path, monkeypatch):
+    # extraction runs on the calling thread: --threads and threads= are
+    # accepted and ignored, and MOMENTDIST_THREADS is not read
+    for case in ("classify-default", "pairwise"):
+        argv = _PINNED_OUTPUTS[case][0]
+        want = _pinned_output(tmp_path, monkeypatch, argv)
+        assert _pinned_output(tmp_path, monkeypatch, argv + ["--threads", "2"]) == want
+        with monkeypatch.context() as env:
+            env.setenv("MOMENTDIST_THREADS", "zebra")
+            assert _pinned_output(tmp_path, monkeypatch, argv) == want
+    settings = [{"nv": 30, "ne": 90, "rho": rho, "count": 4} for rho in (0.1, 0.6)]
+    gs, labels = md.make_rewired_corpus(settings, seed=5)
+    cfg = md.DistanceConfig(degree=3, eps=1e4)
+    assert (md.pairwise_distance_matrix(gs, cfg, threads=2).entries.tobytes()
+            == md.pairwise_distance_matrix(gs, cfg).entries.tobytes())
+    params = {"degree": 3, "eps": 1e4}
+    runs = [md.cluster_experiment(gs, labels, method_params=params, seed=1, **kw)
+            for kw in ({"threads": 2}, {})]
+    for report in runs:
+        report.pop("timings")
+    assert runs[0] == runs[1]
+    assert (md.classify_experiment(gs, labels, method_params=params, folds=2, seed=1, threads=2)
+            == md.classify_experiment(gs, labels, method_params=params, folds=2, seed=1))
 
 
 # -- fuzzed error contract --------------------------------------------------------
@@ -599,8 +617,9 @@ def _setting(draw):
 def _manifests():
     entry = st.fixed_dictionaries({"path": st.sampled_from(_EDGE_FILES),
                                    "label": st.integers(0, 1)})
-    odd_entry = st.fixed_dictionaries({}, optional={"path": st.sampled_from(_EDGE_FILES + [7]),
-                                                    "label": st.integers(0, 2)})
+    odd_entry = st.fixed_dictionaries({}, optional={
+        "path": st.sampled_from(_EDGE_FILES + [7]),
+        "label": st.one_of(st.integers(0, 2), st.sampled_from([None, [1]]))})
     files = st.fixed_dictionaries(
         {"files": st.lists(st.one_of(*[entry] * 6, odd_entry), max_size=6)},
         optional={"indexing": st.sampled_from(["zero", "one", "auto", "x"])})
@@ -624,8 +643,7 @@ def _distance_options(draw):
             "--metric", draw(st.sampled_from(list(md.METRICS))),
             "--scale", draw(st.sampled_from(["none", "log1p"])),
             "--reg", draw(st.sampled_from(["0", "0", "0", "1e-6", "1e4", "1e308", "-1", "nan",
-                                           "inf"])),
-            "--threads", "1"]
+                                           "inf"]))]
 
 
 def _ints(draw, flag):

@@ -219,15 +219,6 @@ def test_pairwise_substructure_invariance():
     assert np.all(dm.entries <= 1e-9 * max(1.0, md.moment_matrix_of_graph(g, 3).entries.max()))
 
 
-def test_pairwise_threads_deterministic():
-    rng = np.random.default_rng(7)
-    gs = [random_graph(rng, 25, 0.3) for _ in range(8)]
-    cfg = md.DistanceConfig(degree=3, metric="frobenius")
-    a = md.pairwise_distance_matrix(gs, cfg, threads=1)
-    b = md.pairwise_distance_matrix(gs, cfg, threads=4)
-    assert np.array_equal(a.entries, b.entries)
-
-
 def test_pairwise_metadata_and_labels():
     gs = [md.named_graph(n) for n in ("4K1", "K4", "C4")]
     dm = md.pairwise_distance_matrix(gs, md.DistanceConfig(degree=2, metric="affine-invariant"),
@@ -256,7 +247,7 @@ def test_pairwise_engine_matches_per_pair_reference(metric):
         cfg = md.DistanceConfig(degree=degree, metric=metric, eps=eps)
         mats = [md.moment_matrix_of_graph(g, degree, eps).entries for g in gs]
         want, want_fallbacks = reference_pairwise(mats, metric)
-        dm = md.pairwise_distance_matrix(gs, cfg, threads=1)
+        dm = md.pairwise_distance_matrix(gs, cfg)
         assert dm.entries.tobytes() == want.tobytes(), (degree, eps)
         assert dm.metadata["fallback_pairs"] == want_fallbacks, (degree, eps)
         fallback_counts.add(want_fallbacks)
@@ -267,7 +258,7 @@ def test_pairwise_engine_matches_per_pair_reference(metric):
 
 def test_moment_table_blocks_match_one_graph_extraction():
     gs = engine_corpus()
-    table = md.moment_table(gs, 14, threads=2)
+    table = md.moment_table(gs, 14)
     assert table.shape == (len(gs), 15)
     for degree in range(1, 8):
         for eps in (0.0, 1e4):
@@ -303,7 +294,7 @@ def test_pairwise_entries_and_fallbacks_pinned(metric):
     for degree in range(1, 8):
         for eps in (0.0, 1e4):
             dm = md.pairwise_distance_matrix(
-                gs, md.DistanceConfig(degree=degree, metric=metric, eps=eps), threads=2)
+                gs, md.DistanceConfig(degree=degree, metric=metric, eps=eps))
             digest.update(dm.entries.tobytes())
             fallbacks.append(dm.metadata["fallback_pairs"])
     assert (digest.hexdigest(), fallbacks) == _PINNED_PAIRWISE[metric]
@@ -320,7 +311,7 @@ def test_pairwise_rejects_overflowing_distance():
     for metric in METRICS:
         cfg = md.DistanceConfig(degree=50, metric=metric)
         with pytest.raises(md.NonFiniteDistanceError, match="graphs 0 and 1 is inf"):
-            md.pairwise_distance_matrix(gs, cfg, threads=1)
+            md.pairwise_distance_matrix(gs, cfg)
 
 
 def test_engine_rejects_nan_distance():
