@@ -552,16 +552,26 @@ def test_output_digest_pinned(tmp_path, monkeypatch, case):
     assert hashlib.sha256(_pinned_output(tmp_path, monkeypatch, argv)).hexdigest() == digest
 
 
-def test_threads_flag_and_keyword_ignored(tmp_path, monkeypatch):
-    # extraction runs on the calling thread: --threads and threads= are
-    # accepted and ignored, and MOMENTDIST_THREADS is not read
+def test_classify_output_same_under_threads(tmp_path, monkeypatch):
+    # extraction runs on the calling thread: --threads is accepted and ignored
     for case in ("classify-default", "pairwise"):
         argv = _PINNED_OUTPUTS[case][0]
         want = _pinned_output(tmp_path, monkeypatch, argv)
         assert _pinned_output(tmp_path, monkeypatch, argv + ["--threads", "2"]) == want
+
+
+def test_threads_env_fallback(tmp_path, monkeypatch):
+    # MOMENTDIST_THREADS is not read: a value that is not a number changes nothing
+    for case in ("classify-default", "pairwise"):
+        argv = _PINNED_OUTPUTS[case][0]
+        want = _pinned_output(tmp_path, monkeypatch, argv)
         with monkeypatch.context() as env:
             env.setenv("MOMENTDIST_THREADS", "zebra")
             assert _pinned_output(tmp_path, monkeypatch, argv) == want
+
+
+def test_threads_keyword_ignored():
+    # the library entry points accept threads= and ignore it
     settings = [{"nv": 30, "ne": 90, "rho": rho, "count": 4} for rho in (0.1, 0.6)]
     gs, labels = md.make_rewired_corpus(settings, seed=5)
     cfg = md.DistanceConfig(degree=3, eps=1e4)
