@@ -2,9 +2,11 @@
 
 Subcommands: ``moments``, ``pairwise``, ``cluster``, ``classify``,
 ``spectrum``, ``bench``. Structured results are JSON, matrices and stem-plot
-data are CSV. Every result embeds a deterministic run manifest (command,
-flags, seeds, input digests, version); when written to a file, a sidecar
-``<out>.manifest.json`` additionally records wall-clock timings per phase.
+data are CSV. Each command returns its result, and ``main`` writes it through
+one writer. A JSON result embeds a deterministic run manifest (command,
+flags, seeds, input digests, version); a CSV result on stdout carries none.
+With ``--out``, a sidecar ``<out>.manifest.json`` holds that manifest plus
+wall-clock timings per phase, for JSON and CSV alike.
 
 Exit codes: 0 on success, 2 for input errors, 3 for numeric errors, 4 for
 configuration errors.
@@ -19,7 +21,6 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,23 +72,6 @@ _NUMERIC_ERRORS = (
 )
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record attached to every CLI output."""
-
-    command: str
-    config: dict
-    seeds: dict
-    input_digests: dict
-    version: str = __version__
-    timings: dict = field(default_factory=dict)
-
-    def deterministic_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("timings")
-        return d
-
-
 def _sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -108,52 +92,39 @@ def _load_graph(args) -> tuple[Graph, str, dict]:
     return g, args.input, {args.input: _sha256_file(args.input)}
 
 
-def _emit(payload: dict, manifest: RunManifest, out: str | None) -> None:
-    payload = dict(payload)
-    payload["manifest"] = manifest.deterministic_dict()
-    _emit_text(json.dumps(payload, indent=2) + "\n", manifest, out)
-
-
-def _emit_text(text: str, manifest: RunManifest, out: str | None) -> None:
-    """Write to stdout, or to ``out`` plus a ``<out>.manifest.json`` sidecar."""
+def _write(command: str, out: str | None, output: dict | str, config: dict, seeds: dict,
+           input_digests: dict, timings: dict) -> None:
+    """Write a command's output to stdout, or to ``out`` plus a ``<out>.manifest.json``
+    sidecar (the manifest and ``timings``). A dict output is JSON with the manifest embedded."""
+    manifest = {"command": command, "config": config, "seeds": seeds,
+                "input_digests": input_digests, "version": __version__}
+    if isinstance(output, dict):
+        output = json.dumps({**output, "manifest": manifest}, indent=2) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(output)
         return
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(output)
     with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
+        json.dump({**manifest, "timings": timings}, fh, indent=2)
         fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (output, config, seeds, input_digests, timings)
+# for ``_write``; none writes anything itself.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args) -> tuple:
     g, name, digests = _load_graph(args)
     t0 = time.perf_counter()
-    if args.state == "vector":
-        ms = vector_state_moments(g, args.order)
-    else:
-        ms = trace_moments(g, args.order)
-    manifest = RunManifest(
-        command="moments",
-        config={"graph": name, "order": args.order, "state": args.state},
-        seeds={},
-        input_digests=digests,
-        timings={"moments_s": time.perf_counter() - t0},
-    )
-    payload = {
-        "graph": name,
-        "n": g.n,
-        "m": g.m,
-        "state": args.state,
-        "values": ms.values.tolist(),
-    }
-    _emit(payload, manifest, args.out)
-    return EXIT_OK
+    ms = (vector_state_moments if args.state == "vector" else trace_moments)(g, args.order)
+    timings = {"moments_s": time.perf_counter() - t0}
+    payload = {"graph": name, "n": g.n, "m": g.m, "state": args.state,
+               "values": ms.values.tolist()}
+    config = {"graph": name, "order": args.order, "state": args.state}
+    return payload, config, {}, digests, timings
 
 
 def _graphs_from_args(args) -> tuple[list[Graph], list[str], dict]:
@@ -172,31 +143,19 @@ def _graphs_from_args(args) -> tuple[list[Graph], list[str], dict]:
     return graphs, labels, digests
 
 
-def _cmd_pairwise(args) -> int:
+def _cmd_pairwise(args) -> tuple:
     graphs, labels, digests = _graphs_from_args(args)
     cfg = DistanceConfig(degree=args.degree, metric=args.metric, eps=args.reg, scaling=args.scale)
     t0 = time.perf_counter()
     dm = pairwise_distance_matrix(graphs, cfg, labels=labels)
-    manifest = RunManifest(
-        command="pairwise",
-        config={
-            "degree": args.degree,
-            "metric": args.metric,
-            "reg": args.reg,
-            "scale": args.scale,
-            "labels": labels,
-        },
-        seeds={},
-        input_digests=digests,
-        timings={"pairwise_s": time.perf_counter() - t0},
-    )
+    timings = {"pairwise_s": time.perf_counter() - t0}
+    config = {"degree": args.degree, "metric": args.metric, "reg": args.reg,
+              "scale": args.scale, "labels": labels}
     if args.out is not None and args.out.endswith(".json"):
-        payload = json.loads(dm.to_json())
-        payload["metadata"] = dm.metadata
-        _emit(payload, manifest, args.out)
+        output = {**json.loads(dm.to_json()), "metadata": dm.metadata}
     else:
-        _emit_text(dm.to_csv(), manifest, args.out)
-    return EXIT_OK
+        output = dm.to_csv()
+    return output, config, {}, digests, timings
 
 
 def _label(value) -> str | int:
@@ -252,7 +211,7 @@ def _method_params(args) -> dict:
     }.get(args.method, {})
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> tuple:
     """``cluster`` or ``classify`` on a corpus manifest."""
     _check_seed(args.seed)
     graphs, labels, digests = _load_corpus(args.corpus, args.seed)
@@ -273,24 +232,14 @@ def _cmd_experiment(args) -> int:
         timings = {}
         config.update(degrees=degrees, knn_k=args.knn_k, folds=args.folds)
     timings["total_s"] = time.perf_counter() - t0
-    _emit(report, RunManifest(args.cmd, config, {"seed": args.seed}, digests, timings=timings),
-          args.out)
-    return EXIT_OK
+    return report, config, {"seed": args.seed}, digests, timings
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple:
     g, name, digests = _load_graph(args)
     t0 = time.perf_counter()
     mu = graph_spectral_measure(g)
-    manifest = RunManifest(
-        command="spectrum",
-        config={"graph": name},
-        seeds={},
-        input_digests=digests,
-        timings={"spectrum_s": time.perf_counter() - t0},
-    )
-    _emit_text(mu.to_csv(), manifest, args.out)
-    return EXIT_OK
+    return mu.to_csv(), {"graph": name}, {}, digests, {"spectrum_s": time.perf_counter() - t0}
 
 
 def _parse_sizes(tokens: list[str]) -> list[tuple[int, int]]:
@@ -304,7 +253,7 @@ def _parse_sizes(tokens: list[str]) -> list[tuple[int, int]]:
     return sizes
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple:
     _check_seed(args.seed)
     sizes = _parse_sizes(args.sizes)
     t0 = time.perf_counter()
@@ -317,17 +266,10 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         methods=args.methods,
     )
-    manifest = RunManifest(
-        command="bench",
-        config={"sizes": args.sizes, "count": args.count, "rho": args.rho,
-                "degree": args.degree, "repeats": args.repeats,
-                "methods": args.methods},
-        seeds={"seed": args.seed},
-        input_digests={},
-        timings={"total_s": time.perf_counter() - t0},
-    )
-    _emit({"rows": rows}, manifest, args.out)
-    return EXIT_OK
+    timings = {"total_s": time.perf_counter() - t0}
+    config = {"sizes": args.sizes, "count": args.count, "rho": args.rho, "degree": args.degree,
+              "repeats": args.repeats, "methods": args.methods}
+    return {"rows": rows}, config, {"seed": args.seed}, {}, timings
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +366,8 @@ def main(argv: list[str] | None = None) -> int:
         # one stderr line per warning, without the source line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return args.func(args)
+            _write(args.cmd, args.out, *args.func(args))
+            return EXIT_OK
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

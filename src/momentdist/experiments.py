@@ -113,24 +113,20 @@ def make_rewired_corpus(
     return graphs, np.asarray(labels)
 
 
-def _euclidean_pairs(x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
-    return _euclidean(x, ys), 0
-
-
-# baseline method -> (corpus -> one feature per graph, batched pair kernel).
+# baseline method -> (corpus -> one feature per graph, (x, ys) -> distances).
 # The keyword parameters of the feature function are the method's parameters.
-# Functions are called by their module-level names, so replacing a name here
-# reaches every call.
+# Feature functions are called by their module-level names, so replacing a
+# name here reaches every call.
 _BASELINES = {
     "cov": (lambda gs, k=4: [cov_descriptor(g, k=k) for g in gs],
-            lambda c, cs: (_bhattacharyya(c, cs, None), 0)),
-    "nclm": (lambda gs: [nclm_vector(g).values for g in gs], _euclidean_pairs),
-    "eigs": (lambda gs, k=10: [top_k_eigenvalues(g, k=k).values for g in gs], _euclidean_pairs),
-    "gk3": (lambda gs: [graphlet3_distribution(g) for g in gs], _euclidean_pairs),
+            lambda c, cs: _bhattacharyya(c, cs, None)),
+    "nclm": (lambda gs: [nclm_vector(g).values for g in gs], _euclidean),
+    "eigs": (lambda gs, k=10: [top_k_eigenvalues(g, k=k).values for g in gs], _euclidean),
+    "gk3": (lambda gs: [graphlet3_distribution(g) for g in gs], _euclidean),
     "gk4": (lambda gs, samples=10000, seed=None: [
                 graphlet4_distribution(g, samples=samples, seed=s)
                 for g, s in zip(gs, _spawn_seeds(seed, len(gs)))],
-            _euclidean_pairs),
+            _euclidean),
 }
 METHODS = ("moment", *_BASELINES)
 
@@ -163,7 +159,8 @@ def method_distance_matrix(
     if kernel is None:
         return pairwise_distance_matrix(gs, DistanceConfig(**params))
     labels = _corpus_labels(gs)
-    out, _ = _pairwise(kernel, np.stack(features(gs, **params)))
+    # baselines never fall back: each row's fallback count is 0
+    out, _ = _pairwise(lambda x, ys: (kernel(x, ys), 0), np.stack(features(gs, **params)))
     return DistanceMatrix(labels, out, {"method": method, **params})
 
 

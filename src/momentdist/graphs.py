@@ -157,36 +157,6 @@ class Graph:
         a[self._rows(), self.indices] = 1.0
         return a
 
-    # -- invariants ---------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check all structural invariants; raises ValueError on violation."""
-        if self.indptr.shape != (self.n + 1,) or self.indptr[0] != 0:
-            raise ValueError("bad indptr")
-        if self.indptr[-1] != self.indices.size:
-            raise ValueError("indptr does not cover indices")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr not monotone")
-        rows, cols = self._rows(), self.indices
-        # per vertex: unsorted row, self-loop, neighbor out of range; the
-        # first faulty vertex is reported, with its first fault in that order
-        faults = np.zeros((self.n, 3), dtype=bool)
-        faults[rows[1:][(rows[1:] == rows[:-1]) & (np.diff(cols) <= 0)], 0] = True
-        faults[rows[cols == rows], 1] = True
-        faults[rows[(cols < 0) | (cols >= self.n)], 2] = True
-        if faults.any():
-            u, kind = np.argwhere(faults)[0]
-            messages = (f"neighbor list of {u} not strictly increasing", f"self-loop at {u}",
-                        f"neighbor of {u} out of range")
-            raise ValueError(messages[kind])
-        mirrored = np.isin(cols * self.n + rows, rows * self.n + cols, assume_unique=True)
-        missing = np.flatnonzero(~mirrored)
-        if missing.size:
-            i = missing[0]
-            raise ValueError(f"asymmetric edge ({rows[i]},{cols[i]})")
-        if int(self.degrees.sum()) != 2 * self.m:
-            raise ValueError("degree sum != 2m")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

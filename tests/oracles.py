@@ -35,6 +35,35 @@ def random_graph(rng, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def validate_graph(g: Graph) -> None:
+    """Check all structural invariants of ``g``; raises ValueError on violation."""
+    if g.indptr.shape != (g.n + 1,) or g.indptr[0] != 0:
+        raise ValueError("bad indptr")
+    if g.indptr[-1] != g.indices.size:
+        raise ValueError("indptr does not cover indices")
+    if np.any(np.diff(g.indptr) < 0):
+        raise ValueError("indptr not monotone")
+    rows, cols = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees), g.indices
+    # per vertex: unsorted row, self-loop, neighbor out of range; the
+    # first faulty vertex is reported, with its first fault in that order
+    faults = np.zeros((g.n, 3), dtype=bool)
+    faults[rows[1:][(rows[1:] == rows[:-1]) & (np.diff(cols) <= 0)], 0] = True
+    faults[rows[cols == rows], 1] = True
+    faults[rows[(cols < 0) | (cols >= g.n)], 2] = True
+    if faults.any():
+        u, kind = np.argwhere(faults)[0]
+        messages = (f"neighbor list of {u} not strictly increasing", f"self-loop at {u}",
+                    f"neighbor of {u} out of range")
+        raise ValueError(messages[kind])
+    mirrored = np.isin(cols * g.n + rows, rows * g.n + cols, assume_unique=True)
+    missing = np.flatnonzero(~mirrored)
+    if missing.size:
+        i = missing[0]
+        raise ValueError(f"asymmetric edge ({rows[i]},{cols[i]})")
+    if int(g.degrees.sum()) != 2 * g.m:
+        raise ValueError("degree sum != 2m")
+
+
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Brute-force isomorphism test; only sensible for n <= 8."""
     if g1.n != g2.n or g1.m != g2.m:

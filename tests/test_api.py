@@ -51,21 +51,33 @@ def _definitions(tree: ast.Module, name: str) -> frozenset:
     return frozenset(node for node in tree.body if defines(node))
 
 
+def _public_methods(trees, cls: str) -> list:
+    """(name, definition) of each public method of the class ``cls`` defined in ``trees``."""
+    return [(f.name, f) for tree in trees for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == cls
+            for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+
+
 def test_public_names_reached_outside_tests():
-    """Each public name is used by another part of the package, the benchmark or
-    an acceptance criterion: by a command, an experiment or a criterion, not
-    only by the unit tests. Imports, ``__init__.py`` and the name's own
-    definition do not count."""
+    """Each public name, and each public method of a public class, is used by
+    another part of the package, the benchmark or an acceptance criterion: by
+    a command, an experiment or a criterion, not only by the unit tests.
+    Imports, ``__init__.py`` and the name's own definition do not count."""
     package = {p.stem: ast.parse(p.read_text())
                for p in (_ROOT / "src" / "momentdist").glob("*.py") if p.stem != "__init__"}
     users = [*sorted((_ROOT / "perfbench").glob("*.py")), _ROOT / "tests" / "test_acceptance.py"]
     outside = set().union(*(_used_names(ast.parse(p.read_text())) for p in users))
+    public = [(module, name) for module in _MODULES
+              for name in importlib.import_module(f"momentdist.{module}").__all__]
+    # (reported name, name, the definitions that do not count as a use)
+    names = [(f"{module}.{name}", name, _definitions(package[module], name))
+             for module, name in public]
+    names += [(f"{module}.{cls}.{method}", method, frozenset([node]))
+              for module, cls in public
+              for method, node in _public_methods(package.values(), cls)]
     unused = [
-        f"{module}.{name}"
-        for module in _MODULES
-        for name in importlib.import_module(f"momentdist.{module}").__all__
-        if name not in outside and not any(
-            name in _used_names(other, _definitions(other, name) if m == module else frozenset())
-            for m, other in package.items())
+        reported for reported, name, own in names
+        if name not in outside and not any(name in _used_names(tree, own)
+                                           for tree in package.values())
     ]
     assert unused == []

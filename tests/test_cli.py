@@ -534,22 +534,44 @@ _PINNED_OUTPUTS = {
     "pairwise": (["pairwise", "--named", "K4", "C4", "paw", "P5", "S5", "C4uK1", "C6",
                   "--degree", "3", "--reg", "1e-3"],
         "de97af309a332209a3af7cedf12ed03c4d0509efabf1e993b4c66d53c2f777d4"),
+    "moments": (["moments", "--named", "C4uK1", "--order", "8"],
+        "f1ff009d592e61f3c635ddb6ba5408c209516d5719bff39c9aef77f2ffe035e4"),
+    "moments-trace": (["moments", "--named", "C4uK1", "--order", "8", "--state", "trace"],
+        "8cf592e87a773fe0e9bb45a3da527c115df254b0546dfdfe12c4600bcae78185"),
+    "spectrum.csv": (["spectrum", "--named", "C4uK1"],
+        "d58fd6cba9d4696476ed90a4982e240f5ed3406b63265b31e0733b915619d340"),
 }
+# a case whose name ends in .csv is written to out.csv, the others to out.json
+_PINNED_OUTPUTS["pairwise.csv"] = (_PINNED_OUTPUTS["pairwise"][0],
+    "4a5d66518e024cfa3d1b4c1831bd49db710a81a42ec536cdf134de5e4512074b")
+
+_MANIFEST_KEYS = ["command", "config", "seeds", "input_digests", "version"]
+_TIMINGS_KEYS = {"moments": ["moments_s"], "pairwise": ["pairwise_s"], "spectrum": ["spectrum_s"],
+                 "cluster": ["distance_s", "cluster_s", "total_s"], "classify": ["total_s"],
+                 "bench": ["total_s"]}
 
 
-def _pinned_output(tmp_path, monkeypatch, argv):
+def _pinned_output(tmp_path, monkeypatch, argv, out="out.json"):
     monkeypatch.chdir(tmp_path)
     _write_rewiring_corpus(tmp_path / "corpus.json")
-    if argv[0] != "pairwise":
+    if argv[0] in ("cluster", "classify"):
         argv = argv[:1] + ["--corpus", "corpus.json", "--seed", "2"] + argv[1:]
-    assert main(argv + ["--out", "out.json"]) == 0
-    return (tmp_path / "out.json").read_bytes()
+    assert main(argv + ["--out", out]) == 0
+    return (tmp_path / out).read_bytes()
 
 
 @pytest.mark.parametrize("case", list(_PINNED_OUTPUTS))
 def test_output_digest_pinned(tmp_path, monkeypatch, case):
     argv, digest = _PINNED_OUTPUTS[case]
-    assert hashlib.sha256(_pinned_output(tmp_path, monkeypatch, argv)).hexdigest() == digest
+    out = "out.csv" if case.endswith(".csv") else "out.json"
+    data = _pinned_output(tmp_path, monkeypatch, argv, out)
+    assert hashlib.sha256(data).hexdigest() == digest
+    # the sidecar is the manifest plus per-phase timings; JSON embeds that manifest
+    sidecar = json.loads((tmp_path / (out + ".manifest.json")).read_text())
+    assert list(sidecar.pop("timings")) == _TIMINGS_KEYS[argv[0]]
+    assert list(sidecar) == _MANIFEST_KEYS
+    if out == "out.json":
+        assert sidecar == json.loads(data)["manifest"]
 
 
 def test_classify_output_same_under_threads(tmp_path, monkeypatch):
@@ -595,18 +617,29 @@ _EDGE_FILES = ["a.txt", "b.txt", "c.txt"]
 _ERROR_PREFIXES = ("input error: ", "numeric error: ", "config error: ")
 
 
+def _one_of(*strategies):
+    """``st.one_of`` in which a strategy given k times is drawn k times as often.
+
+    ``st.one_of`` keeps one copy of a repeated strategy, so there repeating it
+    adds no weight.
+    """
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
 @st.composite
 def _edge_list_bytes(draw):
     """Edge-list text over digits, '-', spaces, '#', '%', newlines and 0xff.
 
-    Most lines are pairs of one-digit ids. Ids have at most three digits, so
-    no example builds a graph of more than 1000 vertices.
+    Most lines are pairs of two different one-digit ids, so most files load;
+    the other lines can hold self-loops. Ids have at most three digits, so no
+    example builds a graph of more than 1000 vertices.
     """
     number = st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "", "-"]),
                        st.text("0123456789", min_size=1, max_size=3))
     piece = st.one_of(number, st.sampled_from([" ", "#", "%", "\xff"]))
-    pair = st.builds("{} {}".format, st.integers(0, 9), st.integers(0, 9))
-    line = st.one_of(*[pair] * 6, st.lists(piece, max_size=4).map(" ".join))
+    pair = st.builds(lambda u, step: f"{u} {(u + step) % 10}", st.integers(0, 9),
+                     st.integers(1, 9))
+    line = _one_of(*[pair] * 6, st.lists(piece, max_size=4).map(" ".join))
     text = "\n".join(draw(st.lists(line, max_size=8)))
     return text.encode("latin-1")
 
@@ -627,17 +660,26 @@ def _setting(draw):
 def _manifests():
     entry = st.fixed_dictionaries({"path": st.sampled_from(_EDGE_FILES),
                                    "label": st.integers(0, 1)})
-    odd_entry = st.fixed_dictionaries({}, optional={
-        "path": st.sampled_from(_EDGE_FILES + [7]),
-        "label": st.one_of(st.integers(0, 2), st.sampled_from([None, [1]]))})
+    # one faulty entry: mostly a label that is neither a string nor an integer,
+    # else a key missing or a path that is not a string
+    odd_entry = _one_of(*[st.fixed_dictionaries({"path": st.sampled_from(_EDGE_FILES),
+                                                 "label": st.sampled_from([None, [1]])})] * 2,
+                        st.fixed_dictionaries({}, optional={
+                            "path": st.sampled_from(_EDGE_FILES + [7]),
+                            "label": st.integers(0, 2)}))
+    # a fault shows only if the entries around it load, so a list holds at most one
+    entries = st.builds(lambda good, odd, at: good[:at] + odd + good[at:],
+                        st.lists(entry, min_size=1, max_size=5),
+                        _one_of(st.just([]), *[odd_entry.map(lambda e: [e])] * 2),
+                        st.integers(0, 5))
     files = st.fixed_dictionaries(
-        {"files": st.lists(st.one_of(*[entry] * 6, odd_entry), max_size=6)},
+        {"files": entries},
         optional={"indexing": st.sampled_from(["zero", "one", "auto", "x"])})
     synthetic = st.fixed_dictionaries({"synthetic": st.fixed_dictionaries(
         {"settings": st.lists(_setting(), min_size=1, max_size=3)},
         optional={"seed": st.sampled_from([0, 3, 0, 3, -1, "s"])})})
     odd = st.sampled_from([[], 3, {}, {"files": 3}, {"synthetic": {"settings": 3}}])
-    return st.one_of(*[files] * 3, *[synthetic] * 3, odd)
+    return _one_of(*[files] * 3, *[synthetic] * 3, odd)
 
 
 def _source(draw):
@@ -658,14 +700,15 @@ def _distance_options(draw):
 
 def _ints(draw, flag):
     """``flag`` with one to three values from 1 to 4; one time in four, any values from 0 to 4."""
-    values = st.one_of(*[st.lists(st.integers(1, 4), min_size=1, max_size=3)] * 3,
-                       st.lists(st.integers(0, 4), max_size=3))
+    values = _one_of(*[st.lists(st.integers(1, 4), min_size=1, max_size=3)] * 3,
+                     st.lists(st.integers(0, 4), max_size=3))
     return [flag, *map(str, draw(values))]
 
 
 @st.composite
 def _argvs(draw):
-    cmd = draw(st.sampled_from(["moments", "pairwise", "spectrum", "cluster", "classify"]))
+    cmd = draw(st.sampled_from(["moments", "pairwise", "spectrum", "cluster", "classify",
+                                "bench"]))
     if cmd == "moments":
         return [cmd, *_source(draw), "--order", str(draw(st.integers(-1, 12))),
                 "--state", draw(st.sampled_from(["vector", "trace"]))]
@@ -675,6 +718,16 @@ def _argvs(draw):
         names = draw(st.lists(st.sampled_from(_FUZZ_NAMES), max_size=4))
         files = draw(st.lists(st.sampled_from(_EDGE_FILES), max_size=2))
         return [cmd, "--named", *names, "--inputs", *files, *_distance_options(draw)]
+    if cmd == "bench":
+        sizes = [f"{s['nv']}:{s['ne']}" for s in draw(st.lists(_setting(), min_size=1,
+                                                                 max_size=2))]
+        return [cmd, "--sizes", *sizes,
+                "--count", str(draw(st.sampled_from([1, 2, 1, 2, 0]))),
+                "--repeats", str(draw(st.sampled_from([1, 2, 1, 2, 0]))),
+                "--degree", str(draw(st.integers(0, 5))),
+                "--rho", draw(st.sampled_from(["0", "0.2", "1", "0", "0.2", "1", "1.5", "nan"])),
+                "--methods", *draw(st.lists(st.sampled_from(list(md.METHODS)), unique=True)),
+                "--seed", str(draw(st.sampled_from([0, 1, 0, 1, -1])))]
     argv = [cmd, "--corpus", "corpus.json", "--method", draw(st.sampled_from(list(md.METHODS))),
             *_distance_options(draw), "--cov-k", str(draw(st.integers(0, 5))),
             "--eigs-k", str(draw(st.integers(0, 5))),
