@@ -152,7 +152,7 @@ def _cmd_pairwise(args) -> tuple:
     config = {"degree": args.degree, "metric": args.metric, "reg": args.reg,
               "scale": args.scale, "labels": labels}
     if args.out is not None and args.out.endswith(".json"):
-        output = {**json.loads(dm.to_json()), "metadata": dm.metadata}
+        output = {"labels": dm.labels, "entries": dm.entries.tolist(), "metadata": dm.metadata}
     else:
         output = dm.to_csv()
     return output, config, {}, digests, timings
@@ -202,9 +202,11 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
 
 
 def _method_params(args) -> dict:
+    moment = {"metric": args.metric, "eps": args.reg, "scaling": args.scale}
+    if args.cmd == "cluster":  # classify sweeps --degrees instead
+        moment = {"degree": args.degree, **moment}
     return {
-        "moment": {"degree": args.degree, "metric": args.metric, "eps": args.reg,
-                   "scaling": args.scale},
+        "moment": moment,
         "cov": {"k": args.cov_k},
         "eigs": {"k": args.eigs_k},
         "gk4": {"samples": args.gk4_samples, "seed": args.seed},
@@ -224,7 +226,6 @@ def _cmd_experiment(args) -> tuple:
         timings = report.pop("timings")
         config["restarts"] = args.restarts
     else:
-        params.pop("degree", None)  # the moment method sweeps --degrees instead
         degrees = args.degrees if args.method == "moment" else None
         report = classify_experiment(graphs, labels, method=args.method, method_params=params,
                                      knn_k=args.knn_k, degrees=degrees, folds=args.folds,
@@ -289,8 +290,9 @@ def _add_common_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (stdout if omitted)")
 
 
-def _add_distance_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--degree", type=int, default=4)
+def _add_distance_options(p: argparse.ArgumentParser, degree: bool = True) -> None:
+    if degree:
+        p.add_argument("--degree", type=int, default=4)
     p.add_argument("--metric", default="affine-invariant", choices=list(METRICS))
     p.add_argument("--scale", choices=["none", "log1p"], default="none")
     p.add_argument("--reg", type=float, default=0.0, help="eps ridge added to moment matrices")
@@ -323,10 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pairwise)
 
     for name in ("cluster", "classify"):
-        p = sub.add_parser(name, help=f"{name} a corpus manifest")
+        # no abbreviations in classify, where --degree would be read as --degrees
+        p = sub.add_parser(name, help=f"{name} a corpus manifest", allow_abbrev=name != "classify")
         p.add_argument("--corpus", required=True, help="corpus manifest JSON")
         p.add_argument("--method", choices=list(METHODS), default="moment")
-        _add_distance_options(p)
+        _add_distance_options(p, degree=name == "cluster")
         p.add_argument("--cov-k", type=int, default=4)
         p.add_argument("--eigs-k", type=int, default=10)
         p.add_argument("--gk4-samples", type=int, default=10000)

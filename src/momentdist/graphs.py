@@ -219,26 +219,21 @@ def parse_edge_list(
     everything else is zero-based.
 
     A string whose data lines are all two ASCII decimal tokens is converted
-    in bulk. Any other input, and every error, goes through the line loop,
-    which alone reports messages and line numbers.
+    in bulk; any other input goes through a loop over lines. Both report the
+    same errors, with the same messages and line numbers.
     """
     if indexing not in ("zero", "one", "auto"):
         raise ConfigError(f"unknown indexing mode {indexing!r}")
     if isinstance(text, str):
-        rows = _decimal_rows(text)
-        if rows is not None:
-            try:
-                if header:
-                    return _edge_graph(rows[1:], None, int(rows[0, 0]), indexing)
-                return _edge_graph(rows, None, None, indexing)
-            except EdgeListError:
-                pass  # the line loop below reports it, with its line number
+        parsed = _decimal_rows(text, header)
+        if parsed is not None:
+            return _edge_graph(*parsed, indexing)
         text = io.StringIO(text)
     return _edge_graph(*_read_lines(text, header), indexing)
 
 
-def _decimal_rows(text: str) -> np.ndarray | None:
-    """The data lines as an ``(m, 2)`` int64 array, if each is two ASCII decimal tokens.
+def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, np.ndarray, int | None] | None:
+    """:func:`_read_lines`' result in bulk, if each data line is two ASCII decimal tokens.
 
     Tokens are runs of the digits 0-9, at most 18 of them (so int64 holds
     each), separated by spaces, tabs or carriage returns. Returns None for
@@ -260,7 +255,11 @@ def _decimal_rows(text: str) -> np.ndarray | None:
                        prepend=0)
     if starts.size == 0 or np.any((per_line != 0) & (per_line != 2)) or lengths.max() > 18:
         return None
-    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+    rows = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+    linenos = np.flatnonzero(per_line) + 1
+    if header:
+        return rows[1:], linenos[1:], int(rows[0, 0])
+    return rows, linenos, None
 
 
 def _read_lines(lines: Iterable[str], header: bool) -> tuple[np.ndarray, list[int], int | None]:
@@ -298,12 +297,11 @@ def _read_lines(lines: Iterable[str], header: bool) -> tuple[np.ndarray, list[in
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), linenos, header_n
 
 
-def _edge_graph(flat: np.ndarray, linenos: list[int] | None, header_n: int | None,
+def _edge_graph(flat: np.ndarray, linenos: Sequence[int], header_n: int | None,
                 indexing: str) -> Graph:
     """Graph from parsed edge rows: indexing shift, self-loop, header and size checks.
 
-    ``linenos`` gives each row's line number for the error messages; None
-    leaves the errors without one.
+    ``linenos`` gives each row's line number for the error messages.
     """
     n = 0
     if flat.size:
@@ -311,14 +309,12 @@ def _edge_graph(flat: np.ndarray, linenos: list[int] | None, header_n: int | Non
         if indexing == "one" or (indexing == "auto" and lo == 1):
             if lo == 0:
                 bad = int(np.argmax((flat == 0).any(axis=1)))
-                raise EdgeListError("vertex id 0 under one-based indexing",
-                                    None if linenos is None else linenos[bad])
+                raise EdgeListError("vertex id 0 under one-based indexing", int(linenos[bad]))
             flat = flat - 1
         loops = np.flatnonzero(flat[:, 0] == flat[:, 1])
         if loops.size:
             a = flat[loops[0], 0]
-            raise SelfLoopError(f"self-loop {a} {a} rejected",
-                                None if linenos is None else linenos[loops[0]])
+            raise SelfLoopError(f"self-loop {a} {a} rejected", int(linenos[loops[0]]))
         n = int(flat.max()) + 1
     if header_n is not None:
         if flat.size and header_n < n:
@@ -326,9 +322,7 @@ def _edge_graph(flat: np.ndarray, linenos: list[int] | None, header_n: int | Non
         n = header_n
     if n > MAX_VERTICES:
         # the line of the largest id, unless the header set n
-        line = None
-        if header_n is None and linenos is not None:
-            line = linenos[int(np.argmax(flat.max(axis=1)))]
+        line = None if header_n is not None else int(linenos[np.argmax(flat.max(axis=1))])
         raise EdgeListError(f"vertex count {n} exceeds {MAX_VERTICES}, the most whose "
                             "edge codes fit in int64", line)
     return Graph.from_edges(n, flat)

@@ -91,27 +91,12 @@ def _bareiss_minors(ints: Sequence[int], size: int) -> list[int]:
     return dets
 
 
-def _int_ratio_to_float(num: int, den_log2: int, den: int = 1) -> float:
-    """float(num / (den * 2**den_log2)) with overflow saturating to +-inf."""
-    if num == 0:
-        return 0.0
-    sign = -1.0 if (num < 0) != (den < 0) else 1.0
-    n, d = abs(num), abs(den)
-    log2v = n.bit_length() - d.bit_length() - den_log2
-    if log2v > 1026:
-        return sign * math.inf
-    if log2v < -1100:
-        return sign * 0.0
-    # align operands into float range, then divide
-    shift_n = max(0, n.bit_length() - 500)
-    shift_d = max(0, d.bit_length() - 500)
+def _ratio(num: int, den: int) -> float:
+    """``num / den`` for ``den > 0``, correctly rounded, saturating to +-inf."""
     try:
-        return sign * math.ldexp(
-            float(n >> shift_n) / float(d >> shift_d),
-            shift_n - shift_d - den_log2,
-        )
+        return num / den
     except OverflowError:
-        return sign * math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def hankel_rank(ms, max_d: int) -> tuple[int, np.ndarray]:
@@ -124,62 +109,45 @@ def hankel_rank(ms, max_d: int) -> tuple[int, np.ndarray]:
     number of mass points of its spectral distribution.
 
     ``ms`` may be a MomentSequence, a float array, or a sequence of exact
-    values (fractions.Fraction / int). All minors are evaluated in exact
-    integer arithmetic (fraction-free Bareiss after lifting the inputs over a
-    common denominator), so the elimination itself introduces no roundoff.
-    With exact inputs the zero test is likewise exact. With float64 inputs
-    the moments carry their own 1e-16-relative rounding, so a minor counts as
-    numerically zero when, after normalizing the sequence by a power-of-two
-    scale near sqrt(max(1, m_2)), it fails to exceed ``ZERO_TOL`` times the
-    previous normalized minor. Float64 moments resolve ranks reliably up to
-    roughly 8 mass points; pass exact values when higher ranks must be
-    certified. Raw determinants are returned for inspection, saturating to
-    +-inf beyond float range.
+    values (fractions.Fraction / int). Every input takes one exact path: a
+    float64 is a dyadic rational, so the moments are read as exact fractions,
+    lifted over their common denominator, and the minors come from one
+    fraction-free Bareiss pass in integer arithmetic. Each determinant is
+    then rounded once, correctly, to float64, saturating to +-inf beyond
+    float range. Only the zero test depends on the input kind. With exact
+    inputs it is exact: a minor counts when it is positive. With float64
+    inputs the moments carry their own 1e-16-relative rounding, so a minor
+    counts as numerically zero when, after normalizing the sequence by a
+    power-of-two scale near sqrt(max(1, m_2)), it fails to exceed
+    ``ZERO_TOL`` times the previous normalized minor. Float64 moments resolve
+    ranks reliably up to roughly 8 mass points; pass exact values when higher
+    ranks must be certified.
     """
     if max_d < 0:
         raise ValueError("max_d must be nonnegative")
-    exact = isinstance(ms, (list, tuple)) and _is_exact_sequence(ms)
-    if exact:
-        vals = list(ms)
-        if len(vals) < 2 * max_d + 1:
-            raise ValueError(f"need moments up to order {2 * max_d}")
-        fracs = [Fraction(v) for v in vals[: 2 * max_d + 1]]
-        den = math.lcm(*(f.denominator for f in fracs))
-        ints = [int(f * den) for f in fracs]
-        int_dets = _bareiss_minors(ints, max_d + 1)
-        dets = np.array([_int_ratio_to_float(d, 0, den ** (j + 1)) for j, d in enumerate(int_dets)])
-        return _positive_run([d > 0 for d in int_dets]), dets
-
-    vals = _moment_values(ms)
-    if vals.size < 2 * max_d + 1:
+    exact = isinstance(ms, (list, tuple)) and all(isinstance(v, (int, Fraction)) for v in ms)
+    vals = ms if exact else _moment_values(ms)
+    if len(vals) < 2 * max_d + 1:
         raise ValueError(f"need moments up to order {2 * max_d}")
-    if not np.all(np.isfinite(vals[: 2 * max_d + 1])):
+    vals = vals[: 2 * max_d + 1]
+    if not exact and not np.all(np.isfinite(vals)):
         raise ValueError("moments must be finite")
 
-    scale = max(1.0, float(vals[2])) if vals.size > 2 else 1.0
-    p = round(math.log2(math.sqrt(scale)))  # normalization c = 2**p, exact
-    normed = [math.ldexp(float(vals[k]), -p * k) for k in range(2 * max_d + 1)]
-    lshift = max(53 - math.frexp(v)[1] if v != 0.0 else 0 for v in normed)
-    ints = [int(math.ldexp(v, lshift)) for v in normed]
-    int_dets = _bareiss_minors(ints, max_d + 1)
-    # normalized det_j = int_dets[j] / 2**(lshift*(j+1)); the raw value
-    # additionally undoes the power-of-two moment normalization
-    norms = [_int_ratio_to_float(d, lshift * (j + 1)) for j, d in enumerate(int_dets)]
-    dets = np.array([_int_ratio_to_float(d, lshift * (j + 1) - p * j * (j + 1))
-                     for j, d in enumerate(int_dets)])
+    fracs = [Fraction(v) for v in vals]
+    den = math.lcm(*(f.denominator for f in fracs))
+    minors = _bareiss_minors([int(f * den) for f in fracs], max_d + 1)
+    dets = np.array([_ratio(m, den ** (j + 1)) for j, m in enumerate(minors)])
+    if exact:
+        return _positive_run([m > 0 for m in minors]), dets
+    # the sequence normalized by c = 2**p, m_k / c**k, has minors det_j / c**(j*(j+1))
+    p = round(math.log2(math.sqrt(max(1.0, float(vals[2]))))) if len(vals) > 2 else 0
+    norms = [_ratio(m, den ** (j + 1) << p * j * (j + 1)) for j, m in enumerate(minors)]
     return _positive_run([n > ZERO_TOL * prev for n, prev in zip(norms, [1.0] + norms)]), dets
 
 
 def _positive_run(positive: list[bool]) -> int:
     """How many minors count as positive before the first that does not."""
     return next((j for j, ok in enumerate(positive) if not ok), len(positive))
-
-
-def _is_exact_sequence(ms) -> bool:
-    try:
-        return all(isinstance(v, (int, Fraction)) for v in ms)
-    except TypeError:
-        return False
 
 
 def mix(parts: Sequence[tuple[MomentMatrix, float]]) -> MomentMatrix:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -333,10 +332,6 @@ class DistanceMatrix:
         for label, row in zip(self.labels, self.entries):
             writer.writerow([label] + [repr(float(v)) for v in row])
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        payload = {"labels": list(self.labels), "entries": self.entries.tolist()}
-        return json.dumps(payload, indent=2) + "\n"
 
 
 def _corpus_labels(gs: Sequence[Graph], labels: Sequence[str] | None = None) -> list[str]:

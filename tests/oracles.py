@@ -2,16 +2,20 @@
 
 Everything here is deliberately brute force: permutation search for
 isomorphism, walk enumeration and dense integer matrix powers for walk
-counts, exhaustive subset enumeration for graphlets. These stay independent
-of the library's fast paths so they can referee them.
+counts, exhaustive subset enumeration for graphlets, Gaussian elimination
+over fractions for Hankel minors. These stay independent of the library's
+fast paths so they can referee them. ``one_of`` is the weighted hypothesis
+strategy choice the property tests share.
 """
 
 from __future__ import annotations
 
 import io
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from momentdist import EdgeListError, Graph, SelfLoopError
 from momentdist.baselines import _DEGSEQ4_TO_INDEX, GRAPHLET4_TYPES
@@ -273,6 +277,39 @@ def reference_bhattacharyya_matrix(covs) -> np.ndarray:
             _, ld_2 = np.linalg.slogdet(c2 + eye)
             out[i, j] = out[j, i] = max(float(0.5 * ld_mid - 0.25 * (ld_1 + ld_2)), 0.0)
     return out
+
+
+def hankel_minors_by_elimination(vals, size: int) -> list[Fraction]:
+    """Exact leading principal minors of the ``size`` x ``size`` Hankel matrix
+    of ``vals`` (float64 values read as the dyadic rationals they are), each
+    by Gaussian elimination with row swaps over fractions."""
+    h = [[Fraction(vals[i + j]) for j in range(size)] for i in range(size)]
+    return [_fraction_det([row[:k] for row in h[:k]]) for k in range(1, size + 1)]
+
+
+def _fraction_det(a: list[list[Fraction]]) -> Fraction:
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def one_of(*strategies):
+    """``st.one_of`` in which a strategy given k times is drawn k times as often.
+
+    ``st.one_of`` keeps one copy of a repeated strategy, so there repeating it
+    adds no weight.
+    """
+    return st.sampled_from(strategies).flatmap(lambda s: s)
 
 
 def parse_edge_list_by_lines(text: str, indexing: str = "auto", header: bool = False) -> Graph:

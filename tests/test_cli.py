@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import momentdist as md
 from momentdist.cli import main
-from oracles import write_edge_list
+from oracles import one_of, write_edge_list
 
 
 def run(capsys, argv):
@@ -188,6 +188,16 @@ def test_classify_sweep_is_explicit(tmp_path, capsys):
     report = json.loads(out)
     assert len(report["sweep"]) == 4
     assert report["best"]["degree"] in (2, 3)
+
+
+def test_classify_takes_degrees_only(tmp_path, capsys):
+    # neither an option of classify nor an abbreviation of --degrees there
+    _write_synthetic_corpus(tmp_path / "corpus.json")
+    for flag in ("--degree", "--degre"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--corpus", str(tmp_path / "corpus.json"), flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 # -- bench ----------------------------------------------------------------------
@@ -517,8 +527,10 @@ def _write_rewiring_corpus(path):
 # SHA-256 of each output file, recorded with the per-degree extraction and the
 # per-k KNN loop that the shared moment table and the one-sort KNN replaced,
 # and (cluster-gk4) with the per-sample gk4 loop the one-pass classification
-# replaced; the manifests' former "threads_bound" line is removed from each.
-# Paths are relative, so the manifests are stable.
+# replaced; the manifests' former "threads_bound" line is removed from each;
+# pairwise-inputs with the bulk reader's retry through the line loop and the
+# pairwise JSON built through DistanceMatrix.to_json. Paths are relative, so
+# the manifests are stable.
 _PINNED_OUTPUTS = {
     "classify-default": (["classify"],
         "20559ab030cc5db52353cb6f9d40dc85a72f7a0e97aaf95bf6041c474b3a2dce"),
@@ -534,6 +546,9 @@ _PINNED_OUTPUTS = {
     "pairwise": (["pairwise", "--named", "K4", "C4", "paw", "P5", "S5", "C4uK1", "C6",
                   "--degree", "3", "--reg", "1e-3"],
         "de97af309a332209a3af7cedf12ed03c4d0509efabf1e993b4c66d53c2f777d4"),
+    "pairwise-inputs": (["pairwise", "--inputs", "plain.txt", "comment.txt",
+                         "--indexing", "zero", "--degree", "4"],
+        "c55a8e7e740f7cbbded4e3b5e8a8da77113ebee222bc67b989261501a6ff3881"),
     "moments": (["moments", "--named", "C4uK1", "--order", "8"],
         "f1ff009d592e61f3c635ddb6ba5408c209516d5719bff39c9aef77f2ffe035e4"),
     "moments-trace": (["moments", "--named", "C4uK1", "--order", "8", "--state", "trace"],
@@ -551,9 +566,19 @@ _TIMINGS_KEYS = {"moments": ["moments_s"], "pairwise": ["pairwise_s"], "spectrum
                  "bench": ["total_s"]}
 
 
+def _write_edge_files(tmp_path):
+    """Two rewired graphs as edge lists: plain decimal pairs, and pairs after a
+    non-ASCII comment line, which the bulk reader hands to the line loop."""
+    for name, comment, seed in (("plain.txt", "", 1), ("comment.txt", "# graphe réécrit\n", 2)):
+        g = md.generate_rewired(40, 120, 0.3, seed=seed)
+        edges = "".join(f"{u} {v}\n" for u, v in g.edge_array().tolist())
+        (tmp_path / name).write_text(comment + edges, encoding="utf-8")
+
+
 def _pinned_output(tmp_path, monkeypatch, argv, out="out.json"):
     monkeypatch.chdir(tmp_path)
     _write_rewiring_corpus(tmp_path / "corpus.json")
+    _write_edge_files(tmp_path)
     if argv[0] in ("cluster", "classify"):
         argv = argv[:1] + ["--corpus", "corpus.json", "--seed", "2"] + argv[1:]
     assert main(argv + ["--out", out]) == 0
@@ -617,15 +642,6 @@ _EDGE_FILES = ["a.txt", "b.txt", "c.txt"]
 _ERROR_PREFIXES = ("input error: ", "numeric error: ", "config error: ")
 
 
-def _one_of(*strategies):
-    """``st.one_of`` in which a strategy given k times is drawn k times as often.
-
-    ``st.one_of`` keeps one copy of a repeated strategy, so there repeating it
-    adds no weight.
-    """
-    return st.sampled_from(strategies).flatmap(lambda s: s)
-
-
 @st.composite
 def _edge_list_bytes(draw):
     """Edge-list text over digits, '-', spaces, '#', '%', newlines and 0xff.
@@ -639,7 +655,7 @@ def _edge_list_bytes(draw):
     piece = st.one_of(number, st.sampled_from([" ", "#", "%", "\xff"]))
     pair = st.builds(lambda u, step: f"{u} {(u + step) % 10}", st.integers(0, 9),
                      st.integers(1, 9))
-    line = _one_of(*[pair] * 6, st.lists(piece, max_size=4).map(" ".join))
+    line = one_of(*[pair] * 6, st.lists(piece, max_size=4).map(" ".join))
     text = "\n".join(draw(st.lists(line, max_size=8)))
     return text.encode("latin-1")
 
@@ -662,15 +678,15 @@ def _manifests():
                                    "label": st.integers(0, 1)})
     # one faulty entry: mostly a label that is neither a string nor an integer,
     # else a key missing or a path that is not a string
-    odd_entry = _one_of(*[st.fixed_dictionaries({"path": st.sampled_from(_EDGE_FILES),
-                                                 "label": st.sampled_from([None, [1]])})] * 2,
-                        st.fixed_dictionaries({}, optional={
-                            "path": st.sampled_from(_EDGE_FILES + [7]),
-                            "label": st.integers(0, 2)}))
+    odd_entry = one_of(*[st.fixed_dictionaries({"path": st.sampled_from(_EDGE_FILES),
+                                                "label": st.sampled_from([None, [1]])})] * 2,
+                       st.fixed_dictionaries({}, optional={
+                           "path": st.sampled_from(_EDGE_FILES + [7]),
+                           "label": st.integers(0, 2)}))
     # a fault shows only if the entries around it load, so a list holds at most one
     entries = st.builds(lambda good, odd, at: good[:at] + odd + good[at:],
                         st.lists(entry, min_size=1, max_size=5),
-                        _one_of(st.just([]), *[odd_entry.map(lambda e: [e])] * 2),
+                        one_of(st.just([]), *[odd_entry.map(lambda e: [e])] * 2),
                         st.integers(0, 5))
     files = st.fixed_dictionaries(
         {"files": entries},
@@ -679,7 +695,7 @@ def _manifests():
         {"settings": st.lists(_setting(), min_size=1, max_size=3)},
         optional={"seed": st.sampled_from([0, 3, 0, 3, -1, "s"])})})
     odd = st.sampled_from([[], 3, {}, {"files": 3}, {"synthetic": {"settings": 3}}])
-    return _one_of(*[files] * 3, *[synthetic] * 3, odd)
+    return one_of(*[files] * 3, *[synthetic] * 3, odd)
 
 
 def _source(draw):
@@ -690,18 +706,19 @@ def _source(draw):
     return argv + (["--header"] if draw(st.booleans()) else [])
 
 
-def _distance_options(draw):
-    return ["--degree", str(draw(st.integers(0, 5))),
-            "--metric", draw(st.sampled_from(list(md.METRICS))),
-            "--scale", draw(st.sampled_from(["none", "log1p"])),
-            "--reg", draw(st.sampled_from(["0", "0", "0", "1e-6", "1e4", "1e308", "-1", "nan",
-                                           "inf"]))]
+def _distance_options(draw, degree=True):
+    """--metric, --scale and --reg, after --degree where the command takes it."""
+    argv = ["--degree", str(draw(st.integers(0, 5)))] if degree else []
+    return argv + ["--metric", draw(st.sampled_from(list(md.METRICS))),
+                   "--scale", draw(st.sampled_from(["none", "log1p"])),
+                   "--reg", draw(st.sampled_from(["0", "0", "0", "1e-6", "1e4", "1e308", "-1",
+                                                  "nan", "inf"]))]
 
 
 def _ints(draw, flag):
     """``flag`` with one to three values from 1 to 4; one time in four, any values from 0 to 4."""
-    values = _one_of(*[st.lists(st.integers(1, 4), min_size=1, max_size=3)] * 3,
-                     st.lists(st.integers(0, 4), max_size=3))
+    values = one_of(*[st.lists(st.integers(1, 4), min_size=1, max_size=3)] * 3,
+                    st.lists(st.integers(0, 4), max_size=3))
     return [flag, *map(str, draw(values))]
 
 
@@ -716,7 +733,8 @@ def _argvs(draw):
         return [cmd, *_source(draw)]
     if cmd == "pairwise":
         names = draw(st.lists(st.sampled_from(_FUZZ_NAMES), max_size=4))
-        files = draw(st.lists(st.sampled_from(_EDGE_FILES), max_size=2))
+        files = draw(one_of(*[st.lists(st.sampled_from(_EDGE_FILES), min_size=1, max_size=2)] * 3,
+                            st.just([])))
         return [cmd, "--named", *names, "--inputs", *files, *_distance_options(draw)]
     if cmd == "bench":
         sizes = [f"{s['nv']}:{s['ne']}" for s in draw(st.lists(_setting(), min_size=1,
@@ -729,7 +747,7 @@ def _argvs(draw):
                 "--methods", *draw(st.lists(st.sampled_from(list(md.METHODS)), unique=True)),
                 "--seed", str(draw(st.sampled_from([0, 1, 0, 1, -1])))]
     argv = [cmd, "--corpus", "corpus.json", "--method", draw(st.sampled_from(list(md.METHODS))),
-            *_distance_options(draw), "--cov-k", str(draw(st.integers(0, 5))),
+            *_distance_options(draw, cmd == "cluster"), "--cov-k", str(draw(st.integers(0, 5))),
             "--eigs-k", str(draw(st.integers(0, 5))),
             "--gk4-samples", str(draw(st.integers(0, 30))),
             "--seed", str(draw(st.sampled_from([0, 1, 2, 0, 1, 2, -1])))]

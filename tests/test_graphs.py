@@ -14,6 +14,7 @@ from oracles import (
     generate_rewired_by_draws,
     has_edge,
     neighbors,
+    one_of,
     parse_edge_list_by_lines,
     random_graph,
     validate_graph,
@@ -130,6 +131,11 @@ _BAD_EDGE_LISTS = {
         (md.EdgeListError, "line 3: vertex count 100000000000000001 exceeds 3037000499, "
          "the most whose edge codes fit in int64", 3)) | {
         "one": (md.EdgeListError, "line 1: vertex id 0 under one-based indexing", 1)}),
+    # not ASCII, so only the line loop reads it
+    "non-ascii-comment": ("# café\n0 1\n1 2\n", False, {
+        "zero": md.Graph.from_edges(3, [(0, 1), (1, 2)]),
+        "one": (md.EdgeListError, "line 2: vertex id 0 under one-based indexing", 2),
+        "auto": md.Graph.from_edges(3, [(0, 1), (1, 2)])}),
     "header-above-max": ("3037000500 1\n1 2\n", True, dict.fromkeys(
         ("zero", "one", "auto"),
         (md.EdgeListError, "vertex count 3037000500 exceeds 3037000499, "
@@ -166,7 +172,7 @@ def _edge_list_texts(draw):
     if odd:
         kinds += [data.map(lambda line: line + " # remark"), token,
                   st.builds(lambda a, b, c: f"{a} {b} {c}", token, token, token)]
-    lines = draw(st.lists(st.one_of(*kinds), max_size=10))
+    lines = draw(st.lists(one_of(*kinds), max_size=10))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
 

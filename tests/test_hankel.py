@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import momentdist as md
-from oracles import dense_int_power, random_graph
+from oracles import dense_int_power, hankel_minors_by_elimination, random_graph
 
 
 def test_build_cospectral_degree_one():
@@ -79,6 +80,54 @@ def test_rank_exact_fraction_path():
     s, dets = md.hankel_rank(moments, 5)
     assert s == 3
     assert dets[2] > 0 and np.all(dets[3:] == 0.0)
+
+
+def _rank_inputs(rng):
+    """Vector-state moments of random graphs, xi-state moments of random
+    symmetric matrices and random exact fraction sequences, with degrees."""
+    for d in range(2, 7):
+        for _ in range(20):
+            g = random_graph(rng, int(rng.integers(2, 20)), rng.uniform(0.1, 0.9))
+            yield md.vector_state_moments(g, 2 * d), d
+    for _ in range(100):
+        d, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        a = rng.normal(size=(n, n))
+        xi = rng.normal(size=n)
+        yield md.xi_state_moments(a + a.T, xi / np.linalg.norm(xi), 2 * d), d
+    for _ in range(300):
+        d = int(rng.integers(1, 7))
+        yield [Fraction(int(rng.integers(-60, 60)), int(rng.integers(1, 40)))
+               for _ in range(2 * d + 1)], d
+
+
+def _float_of(x: Fraction) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def test_rank_dets_are_correctly_rounded_minors():
+    checked = 0
+    for ms, d in _rank_inputs(np.random.default_rng(14)):
+        vals = ms if isinstance(ms, list) else ms.values
+        minors = hankel_minors_by_elimination(vals, d + 1)
+        if 0 in minors[:-1]:
+            continue  # Bareiss reports every minor after an exact zero as 0
+        _, dets = md.hankel_rank(ms, d)
+        assert dets.tolist() == [_float_of(m) for m in minors]
+        checked += 1
+    assert checked > 400
+
+
+def test_rank_dets_saturate_outside_float_range():
+    big, tiny = Fraction(10**200), Fraction(1, 10**200)
+    assert md.hankel_rank([big, 0, big], 1)[1].tolist() == [1e200, math.inf]
+    assert md.hankel_rank([1, big, 1], 1)[1].tolist() == [1.0, -math.inf]
+    assert md.hankel_rank([tiny, 0, tiny], 1)[1].tolist() == [1e-200, 0.0]
+    assert md.hankel_rank([tiny, 1, tiny], 1)[1].tolist() == [1e-200, -1.0]
+    assert md.hankel_rank(np.array([1e200, 0.0, 1e200]), 1)[1].tolist() == [1e200, math.inf]
+    assert md.hankel_rank(np.array([1e-200, 0.0, 1e-200]), 1)[1].tolist() == [1e-200, 0.0]
 
 
 def test_rank_needs_enough_moments():
