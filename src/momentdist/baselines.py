@@ -42,10 +42,9 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """Per-graph feature vector with its method tag."""
+    """Per-graph feature vector."""
 
     values: np.ndarray
-    method: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -121,7 +120,7 @@ def nclm_vector(g: Graph) -> FeatureVector:
     for i in range(2, 8):
         tr = g.n * tm.values[i]
         out[i - 2] = np.log(tr) - i * logn if tr > 0 else _LOG_ZERO_TRACE
-    return FeatureVector(out, "nclm")
+    return FeatureVector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,7 @@ def top_k_eigenvalues(g: Graph, k: int = 10) -> FeatureVector:
         top = np.sort(top)[::-1]
     if top.size < k:
         top = np.concatenate([top, np.zeros(k - top.size)])
-    return FeatureVector(top, "eigs")
+    return FeatureVector(top)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,13 @@ def _label(value) -> str | int:
     return value
 
 
+def _string(value) -> str:
+    """A files entry's path: a JSON string; TypeError otherwise."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
 def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
     """Load a corpus manifest: synthetic generator settings or labeled files."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -191,7 +198,7 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
         graphs, labels = [], []
         base = os.path.dirname(os.path.abspath(path))
         for idx, entry in enumerate(files):
-            fpath = _required(entry, "path", f"files entry {idx}", str)
+            fpath = _required(entry, "path", f"files entry {idx}", _string)
             if not os.path.isabs(fpath):
                 fpath = os.path.join(base, fpath)
             graphs.append(load_edge_list(fpath, indexing=indexing))

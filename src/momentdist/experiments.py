@@ -10,6 +10,7 @@ reproduce bit-for-bit.
 from __future__ import annotations
 
 import inspect
+import numbers
 import time
 from collections import defaultdict
 from typing import Sequence
@@ -55,9 +56,9 @@ class CorpusSpecError(ValueError):
 
 
 def _required(spec: dict, key: str, where: str, kind=None):
-    """``spec[key]``, converted by ``kind`` if given.
+    """``spec[key]``, checked and converted by ``kind`` if given.
 
-    CorpusSpecError names the key and where it is missing or fails to convert.
+    CorpusSpecError names the key and where it is missing or ``kind`` rejects it.
     """
     if not isinstance(spec, dict) or key not in spec:
         raise CorpusSpecError(f"{where} has no {key!r}")
@@ -69,12 +70,26 @@ def _required(spec: dict, key: str, where: str, kind=None):
         raise CorpusSpecError(f"{where} has a bad {key!r}: {spec[key]!r}") from None
 
 
+def _integer(value) -> int:
+    """An integer (Python or numpy, not bool) as an int; TypeError for any other value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(value)
+    return int(value)
+
+
 def _nonnegative_int(value) -> int:
-    """``value`` as an int; ValueError if it is negative."""
-    n = int(value)
+    """:func:`_integer`, and ValueError if it is negative."""
+    n = _integer(value)
     if n < 0:
         raise ValueError(n)
     return n
+
+
+def _real(value) -> float:
+    """A real number (not bool) as a float; TypeError for any other value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(value)
+    return float(value)
 
 
 def _spawn_seeds(seed, count: int) -> np.ndarray:
@@ -89,19 +104,20 @@ def make_rewired_corpus(
 ) -> tuple[list[Graph], np.ndarray]:
     """Generate a labeled corpus of rewired ring-lattice graphs.
 
-    Each setting is a dict with keys ``nv``, ``ne``, ``rho``, ``count`` and an
-    optional ``label`` (defaults to the setting index). Per-graph seeds are
-    derived from the master seed.
+    Each setting is a dict with integer ``nv``, ``ne`` and ``count``, a real
+    ``rho`` and an optional integer ``label`` (defaults to the setting index);
+    bools are not integers here. Per-graph seeds are derived from the master
+    seed.
     """
     if not isinstance(settings, list):
         raise CorpusSpecError(f"settings must be a list, got {settings!r}")
     rows = []
     for idx, s in enumerate(settings):
         where = f"setting {idx}"
-        nv, ne = (_required(s, key, where, int) for key in ("nv", "ne"))
-        rho = _required(s, "rho", where, float)
+        nv, ne = (_required(s, key, where, _integer) for key in ("nv", "ne"))
+        rho = _required(s, "rho", where, _real)
         count = _required(s, "count", where, _nonnegative_int)
-        label = _required(s, "label", where, int) if "label" in s else idx
+        label = _required(s, "label", where, _integer) if "label" in s else idx
         rows.append((nv, ne, rho, count, label))
     seeds = iter(_spawn_seeds(seed, sum(row[3] for row in rows)))
     graphs: list[Graph] = []

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -202,12 +202,8 @@ class Permutation:
 # ---------------------------------------------------------------------------
 
 
-def parse_edge_list(
-    text: str | Iterable[str],
-    indexing: str = "auto",
-    header: bool = False,
-) -> Graph:
-    """Parse a plain-text edge list into a canonical Graph.
+def parse_edge_list(text: str, indexing: str = "auto", header: bool = False) -> Graph:
+    """Parse the text of a plain-text edge list into a canonical Graph.
 
     Each non-comment, non-blank line must contain two integer tokens ``u v``.
     Lines starting with ``#`` or ``%`` are comments. With ``header=True`` the
@@ -218,18 +214,16 @@ def parse_edge_list(
     ``auto``, a file whose smallest vertex id is 1 is treated as one-based;
     everything else is zero-based.
 
-    A string whose data lines are all two ASCII decimal tokens is converted
-    in bulk; any other input goes through a loop over lines. Both report the
+    Text whose data lines are all two ASCII decimal tokens is converted in
+    bulk; any other text goes through a loop over lines. Both report the
     same errors, with the same messages and line numbers.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"edge list must be a str, got {type(text).__name__}")
     if indexing not in ("zero", "one", "auto"):
         raise ConfigError(f"unknown indexing mode {indexing!r}")
-    if isinstance(text, str):
-        parsed = _decimal_rows(text, header)
-        if parsed is not None:
-            return _edge_graph(*parsed, indexing)
-        text = io.StringIO(text)
-    return _edge_graph(*_read_lines(text, header), indexing)
+    parsed = _decimal_rows(text, header)
+    return _edge_graph(*(parsed or _read_lines(text, header)), indexing)
 
 
 def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, np.ndarray, int | None] | None:
@@ -262,13 +256,13 @@ def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, np.ndarray, int 
     return rows, linenos, None
 
 
-def _read_lines(lines: Iterable[str], header: bool) -> tuple[np.ndarray, list[int], int | None]:
+def _read_lines(text: str, header: bool) -> tuple[np.ndarray, list[int], int | None]:
     """The edge rows, their line numbers and the header's ``n``, one line at a time."""
     pairs: list[tuple[int, int]] = []
     linenos: list[int] = []
     header_n: int | None = None
     saw_header = False
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
             continue
@@ -448,12 +442,30 @@ def _build_family(letter: str, a: int, b: int | None) -> Graph:
 def named_graph(name: str) -> Graph:
     """Look up a standard graph by a compact name such as ``"C4"``, ``"K2,3"``,
     ``"co-paw"``, ``"2K2"`` or ``"C4uK1"``. See :data:`NAMED_GRAPH_CATALOG`."""
+    return _named(name, {})
+
+
+def _named(name: str, memo: dict) -> Graph:
+    """:func:`named_graph` of a name or sub-name. ``memo`` holds the graph or
+    the error message of each sub-name already tried, so a union name is split
+    in polynomial time rather than retried at every ``u``."""
+    if name not in memo:
+        try:
+            memo[name] = _parse_name(name, memo)
+        except UnknownGraphNameError as exc:
+            memo[name] = str(exc)
+    if isinstance(memo[name], str):
+        raise UnknownGraphNameError(memo[name])
+    return memo[name]
+
+
+def _parse_name(name: str, memo: dict) -> Graph:
     s = name.strip().replace(" ", "").replace("_", "")
     if not s:
         raise UnknownGraphNameError("empty graph name")
     low = s.lower()
     if low.startswith("co-"):
-        return complement(named_graph(s[3:]))
+        return complement(_named(s[3:], memo))
     if low in _WORD_NAMES:
         return _WORD_NAMES[low]()
     m = _FAMILY_RE.fullmatch(s)
@@ -464,14 +476,14 @@ def named_graph(name: str) -> Graph:
         count = int(m.group(1))
         if count < 1:
             raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
-        base = named_graph(m.group(2))
+        base = _named(m.group(2), memo)
         return disjoint_union([base] * count)
     # union separator: try each 'u' position until both halves parse
     for pos, ch in enumerate(low):
         if ch == "u" and 0 < pos < len(s) - 1:
             try:
-                left = named_graph(s[:pos])
-                right = named_graph(s[pos + 1 :])
+                left = _named(s[:pos], memo)
+                right = _named(s[pos + 1 :], memo)
             except UnknownGraphNameError:
                 continue
             return disjoint_union([left, right])

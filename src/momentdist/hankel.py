@@ -69,9 +69,8 @@ def _bareiss_minors(ints: Sequence[int], size: int) -> list[int]:
     """Leading principal minors of the Hankel matrix of exact integers.
 
     Fraction-free Bareiss elimination: the pivot before eliminating column k
-    is exactly the (k+1)x(k+1) leading principal minor. A zero pivot means
-    exact rank collapse; for the PSD Hankel matrices of moment sequences all
-    later minors are zero and are reported so.
+    is exactly the (k+1)x(k+1) leading principal minor. Elimination cannot
+    pass a zero pivot, so each later minor is then computed on its own.
     """
     a = [[ints[i + j] for j in range(size)] for i in range(size)]
     dets = []
@@ -79,16 +78,32 @@ def _bareiss_minors(ints: Sequence[int], size: int) -> list[int]:
     for k in range(size):
         pivot = a[k][k]
         dets.append(pivot)
-        if k == size - 1:
-            break
         if pivot == 0:
-            dets.extend([0] * (size - len(dets)))
-            break
+            return dets + [_det([[ints[i + j] for j in range(m)] for i in range(m)])
+                           for m in range(k + 2, size + 1)]
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
         prev = pivot
     return dets
+
+
+def _det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination with row
+    swaps in place."""
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        row = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if row is None:
+            return 0
+        if row != k:
+            a[k], a[row] = a[row], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
 
 
 def _ratio(num: int, den: int) -> float:
@@ -108,8 +123,9 @@ def hankel_rank(ms, max_d: int) -> tuple[int, np.ndarray]:
     first zero (or negative) one. For a genuine moment sequence ``s`` is the
     number of mass points of its spectral distribution.
 
-    ``ms`` may be a MomentSequence, a float array, or a sequence of exact
-    values (fractions.Fraction / int). Every input takes one exact path: a
+    ``ms`` may be a MomentSequence, a float array, or exact values
+    (fractions.Fraction / int) in a list, a tuple or a 1-d object array:
+    exactness is read off the element types. Every input takes one exact path: a
     float64 is a dyadic rational, so the moments are read as exact fractions,
     lifted over their common denominator, and the minors come from one
     fraction-free Bareiss pass in integer arithmetic. Each determinant is
@@ -125,7 +141,9 @@ def hankel_rank(ms, max_d: int) -> tuple[int, np.ndarray]:
     """
     if max_d < 0:
         raise ValueError("max_d must be nonnegative")
-    exact = isinstance(ms, (list, tuple)) and all(isinstance(v, (int, Fraction)) for v in ms)
+    listed = isinstance(ms, (list, tuple)) or (
+        isinstance(ms, np.ndarray) and ms.dtype == object and ms.ndim == 1)
+    exact = listed and all(isinstance(v, (int, Fraction)) for v in ms)
     vals = ms if exact else _moment_values(ms)
     if len(vals) < 2 * max_d + 1:
         raise ValueError(f"need moments up to order {2 * max_d}")

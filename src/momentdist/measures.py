@@ -25,6 +25,11 @@ __all__ = [
 
 DENSE_MEASURE_N = 4096
 
+# eigenvalues this close, relative to the spectral radius, share one atom
+MERGE_REL_TOL = 1e-8
+# atoms with at most this much weight are dropped from the support
+WEIGHT_FLOOR = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
@@ -76,19 +81,14 @@ class DiscreteMeasure:
         return f"DiscreteMeasure({body})"
 
 
-def spectral_measure(
-    a: np.ndarray,
-    xi: np.ndarray,
-    merge_tol: float | None = None,
-    weight_floor: float = 1e-12,
-) -> DiscreteMeasure:
+def spectral_measure(a: np.ndarray, xi: np.ndarray) -> DiscreteMeasure:
     """Spectral distribution of symmetric ``a`` in the vector state of ``xi``.
 
-    Eigenvalues within ``merge_tol`` of each other are clustered into one
-    atom (default tolerance: 1e-8 relative to the spectral radius); the
-    cluster weight is the summed squared overlap of ``xi`` with the cluster's
-    orthonormal eigenvectors. Atoms with weight at or below ``weight_floor``
-    are dropped from the support.
+    Eigenvalues within ``MERGE_REL_TOL`` times the spectral radius of each
+    other are clustered into one atom; the cluster weight is the summed
+    squared overlap of ``xi`` with the cluster's orthonormal eigenvectors.
+    Atoms with weight at or below ``WEIGHT_FLOOR`` are dropped from the
+    support.
     """
     a = np.asarray(a, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
@@ -104,8 +104,7 @@ def spectral_measure(
         raise ValueError("state vector is not unit norm within 1e-10")
 
     eigs, vecs = np.linalg.eigh(a)
-    if merge_tol is None:
-        merge_tol = 1e-8 * float(np.max(np.abs(eigs)))
+    merge_tol = MERGE_REL_TOL * float(np.max(np.abs(eigs)))
     amps2 = (vecs.T @ xi) ** 2
 
     lambdas: list[float] = []
@@ -115,7 +114,7 @@ def spectral_measure(
         if i == eigs.size or eigs[i] - eigs[i - 1] > merge_tol:
             w = float(amps2[start:i].sum())
             lam = float(np.mean(eigs[start:i]))
-            if w > weight_floor:
+            if w > WEIGHT_FLOOR:
                 lambdas.append(lam)
                 omegas.append(w)
             start = i

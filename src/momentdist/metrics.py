@@ -278,9 +278,9 @@ def _hankel_stack(table: np.ndarray, degree: int, eps: float = 0.0) -> np.ndarra
     return mats + eps * np.eye(degree + 1) if eps > 0.0 else mats
 
 
-def moment_matrix_of_graph(g: Graph, degree: int, eps: float = 0.0) -> MomentMatrix:
+def moment_matrix_of_graph(g: Graph, degree: int) -> MomentMatrix:
     """Degree-d moment matrix of a graph in the uniform vector state."""
-    return MomentMatrix(degree, _hankel_stack(moment_table([g], 2 * degree), degree, eps)[0])
+    return MomentMatrix(degree, _hankel_stack(moment_table([g], 2 * degree), degree)[0])
 
 
 def graph_distance(g1: Graph, g2: Graph, cfg: DistanceConfig | None = None) -> float:

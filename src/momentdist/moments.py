@@ -26,12 +26,6 @@ __all__ = [
     "density_state_moments",
 ]
 
-STATE_UNIFORM = "uniform-vector"
-STATE_TRACE = "trace"
-STATE_CUSTOM = "custom-vector"
-STATE_DENSITY = "density"
-
-
 class EmptyGraphError(ValueError):
     """The graph has too few vertices or edges for the quantity asked of it,
     as states on the empty (0-vertex) graph."""
@@ -45,7 +39,6 @@ class NonFiniteMomentError(ValueError):
 class MomentSequence:
     """Moments m_0..m_K of a random variable in a fixed state."""
 
-    state_kind: str
     values: np.ndarray
 
     def __post_init__(self):
@@ -62,7 +55,7 @@ class MomentSequence:
     def __repr__(self):
         head = ", ".join(f"{v:g}" for v in self.values[:5])
         tail = ", ..." if self.values.size > 5 else ""
-        return f"MomentSequence({self.state_kind}, [{head}{tail}])"
+        return f"MomentSequence([{head}{tail}])"
 
 
 def _require_nonempty(g: Graph) -> None:
@@ -86,7 +79,7 @@ def vector_state_moments(g: Graph, order: int) -> MomentSequence:
     m_k = <1, A^k 1> / n, i.e. the average over vertices of the number of
     length-k walks leaving each vertex. Exactly ``order`` sparse matvecs.
     """
-    return MomentSequence(STATE_UNIFORM, _finite(_vector_chain(g, order)))
+    return MomentSequence(_finite(_vector_chain(g, order)))
 
 
 def _vector_chain(g: Graph, order: int) -> np.ndarray:
@@ -132,7 +125,7 @@ def trace_moments(g: Graph, order: int) -> MomentSequence:
             for k in range(1, order + 1):
                 w = a @ w
                 traces[k] += w[rows, cols].sum()
-    return MomentSequence(STATE_TRACE, _finite(traces / n))
+    return MomentSequence(_finite(traces / n))
 
 
 def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequence:
@@ -158,7 +151,7 @@ def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequenc
     for k in range(1, order + 1):
         w = a @ w
         vals[k] = float(xi @ w)
-    return MomentSequence(STATE_CUSTOM, vals)
+    return MomentSequence(vals)
 
 
 @dataclass(frozen=True)
@@ -168,8 +161,9 @@ class DensityParams:
     p: float
     q: float
 
-    def check(self, n: int, tol: float = 1e-12) -> None:
-        """Validate the density-matrix constraints for an n-vertex graph."""
+    def check(self, n: int) -> None:
+        """Validate the density-matrix constraints for an n-vertex graph, within 1e-12."""
+        tol = 1e-12
         if n <= 0:
             raise EmptyGraphError("density state needs at least one vertex")
         if abs(n * (self.p + self.q) - 1.0) > tol:
@@ -191,4 +185,4 @@ def density_state_moments(g: Graph, d: DensityParams, order: int) -> MomentSeque
     tm = trace_moments(g, order).values
     vm = vector_state_moments(g, order).values
     vals = g.n * (d.p * tm + d.q * vm)
-    return MomentSequence(STATE_DENSITY, vals)
+    return MomentSequence(vals)

@@ -3,7 +3,7 @@
 Everything here is deliberately brute force: permutation search for
 isomorphism, walk enumeration and dense integer matrix powers for walk
 counts, exhaustive subset enumeration for graphlets, Gaussian elimination
-over fractions for Hankel minors. These stay independent of the library's
+over fractions for Hankel minors, every split retried for union names. These stay independent of the library's
 fast paths so they can referee them. ``one_of`` is the weighted hypothesis
 strategy choice the property tests share.
 """
@@ -17,8 +17,16 @@ from itertools import combinations, permutations
 import numpy as np
 from hypothesis import strategies as st
 
-from momentdist import EdgeListError, Graph, SelfLoopError
+from momentdist import EdgeListError, Graph, SelfLoopError, UnknownGraphNameError
 from momentdist.baselines import _DEGSEQ4_TO_INDEX, GRAPHLET4_TYPES
+from momentdist.graphs import (
+    _FAMILY_RE,
+    _MULT_RE,
+    _WORD_NAMES,
+    _build_family,
+    complement,
+    disjoint_union,
+)
 from momentdist import learn
 from momentdist.learn import _stratified_folds
 
@@ -477,3 +485,35 @@ def kernel_kmeans_by_restarts(k_mat: np.ndarray, k: int, restarts: int, seed):
         if best is None or objective < best[1]:
             best = (labels, objective)
     return best
+
+
+def named_graph_by_splits(name: str) -> Graph:
+    """The named-graph parser that retries both halves of every ``u`` split
+    from scratch, in exponential time on union names; kept as the reference
+    for the memoized ``named_graph``: same graphs, same errors."""
+    s = name.strip().replace(" ", "").replace("_", "")
+    if not s:
+        raise UnknownGraphNameError("empty graph name")
+    low = s.lower()
+    if low.startswith("co-"):
+        return complement(named_graph_by_splits(s[3:]))
+    if low in _WORD_NAMES:
+        return _WORD_NAMES[low]()
+    m = _FAMILY_RE.fullmatch(s)
+    if m:
+        return _build_family(m.group(1), int(m.group(2)), int(m.group(3)) if m.group(3) else None)
+    m = _MULT_RE.fullmatch(s)
+    if m and not s[0].isalpha():
+        count = int(m.group(1))
+        if count < 1:
+            raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
+        return disjoint_union([named_graph_by_splits(m.group(2))] * count)
+    for pos, ch in enumerate(low):
+        if ch == "u" and 0 < pos < len(s) - 1:
+            try:
+                left = named_graph_by_splits(s[:pos])
+                right = named_graph_by_splits(s[pos + 1 :])
+            except UnknownGraphNameError:
+                continue
+            return disjoint_union([left, right])
+    raise UnknownGraphNameError(f"unknown graph name {name!r}")

@@ -58,17 +58,32 @@ def _public_methods(trees, cls: str) -> list:
             for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
 
 
+def _package() -> dict[str, ast.Module]:
+    """The syntax tree of each package module but ``__init__.py``, by module name."""
+    return {p.stem: ast.parse(p.read_text())
+            for p in (_ROOT / "src" / "momentdist").glob("*.py") if p.stem != "__init__"}
+
+
+def _users() -> list[ast.Module]:
+    """The syntax trees of the benchmark and of the acceptance criteria."""
+    paths = [*sorted((_ROOT / "perfbench").glob("*.py")), _ROOT / "tests" / "test_acceptance.py"]
+    return [ast.parse(p.read_text()) for p in paths]
+
+
+def _public() -> list[tuple[str, str]]:
+    """(module, name) of each public name."""
+    return [(module, name) for module in _MODULES
+            for name in importlib.import_module(f"momentdist.{module}").__all__]
+
+
 def test_public_names_reached_outside_tests():
     """Each public name, and each public method of a public class, is used by
     another part of the package, the benchmark or an acceptance criterion: by
     a command, an experiment or a criterion, not only by the unit tests.
     Imports, ``__init__.py`` and the name's own definition do not count."""
-    package = {p.stem: ast.parse(p.read_text())
-               for p in (_ROOT / "src" / "momentdist").glob("*.py") if p.stem != "__init__"}
-    users = [*sorted((_ROOT / "perfbench").glob("*.py")), _ROOT / "tests" / "test_acceptance.py"]
-    outside = set().union(*(_used_names(ast.parse(p.read_text())) for p in users))
-    public = [(module, name) for module in _MODULES
-              for name in importlib.import_module(f"momentdist.{module}").__all__]
+    package = _package()
+    outside = set().union(*(_used_names(tree) for tree in _users()))
+    public = _public()
     # (reported name, name, the definitions that do not count as a use)
     names = [(f"{module}.{name}", name, _definitions(package[module], name))
              for module, name in public]
@@ -81,3 +96,64 @@ def test_public_names_reached_outside_tests():
                                            for tree in package.values())
     ]
     assert unused == []
+
+
+def _calls(tree: ast.AST, name: str, skip: ast.AST) -> list[ast.Call]:
+    """Every call in ``tree``, outside ``skip``, of a function or method called ``name``."""
+    calls, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                calls.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return calls
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, call position) of each parameter of ``fn`` with a default; the
+    position counts the call's positional arguments (after ``self`` or ``cls``
+    for a ``method``) and is None for a keyword-only parameter."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    bound = 1 if method and not static else 0
+    params = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+    params += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return params
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` may set ``param``: by its keyword, by ``**``, or by a
+    positional argument at ``position`` or a starred one."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_defaulted_parameters_set_outside_tests():
+    """Each parameter with a default, of a public function or of a public
+    method of a public class, is passed by some call in the package, the
+    benchmark or an acceptance criterion: an option that only the unit tests
+    set is not kept. Calls match by the called name; the function's own
+    definition does not count."""
+    package = _package()
+    trees = [*package.values(), *_users()]
+    public = _public()
+    functions = [(f"{module}.{name}", node, False) for module, name in public
+                 for node in package[module].body
+                 if isinstance(node, ast.FunctionDef) and node.name == name]
+    functions += [(f"{module}.{cls}.{method}", node, True) for module, cls in public
+                  for method, node in _public_methods(package.values(), cls)]
+    unset = [
+        f"{reported}({param})" for reported, fn, method in functions
+        for param, position in _defaulted(fn, method)
+        if not any(_passes(call, param, position)
+                   for tree in trees for call in _calls(tree, fn.name, fn))
+    ]
+    assert unset == []

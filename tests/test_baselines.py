@@ -259,4 +259,4 @@ def test_graphlet_size_guards():
 
 def test_feature_vector_requires_finite():
     with pytest.raises(ValueError):
-        md.FeatureVector(np.array([1.0, np.inf]), "x")
+        md.FeatureVector(np.array([1.0, np.inf]))

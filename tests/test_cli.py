@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -378,6 +379,14 @@ def test_exit_code_input_error_manifest_missing_key(tmp_path, capsys, spec, mess
     assert captured.err == f"input error: {message}\n"
 
 
+def _one_setting(seed=None, **changes) -> bytes:
+    """A synthetic manifest of one valid setting, with ``changes`` applied."""
+    block = {"settings": [{"nv": 10, "ne": 20, "rho": 0.1, "count": 2, **changes}]}
+    if seed is not None:
+        block["seed"] = seed
+    return json.dumps({"synthetic": block}).encode()
+
+
 _CONTRACT_FILES = {
     "big-id.txt": b"0 1\n9223372036854775807 1\n",
     "wide.txt": b"0 5000\n",
@@ -399,7 +408,23 @@ _CONTRACT_FILES = {
     "empty.txt": b"# no edges\n",
     "empty-files.json": json.dumps({"files": [{"path": "empty.txt", "label": 0},
                                               {"path": "empty.txt", "label": 1}]}).encode(),
+    "path-not-string.json": json.dumps({"files": [{"path": 3, "label": 0}]}).encode(),
 }
+# manifest values of the wrong type: converting them would run another corpus
+_CONTRACT_FILES.update({
+    "nv-float.json": _one_setting(nv=20.9),
+    "nv-string.json": _one_setting(nv="20"),
+    "ne-float.json": _one_setting(ne=20.0),
+    "count-float.json": _one_setting(count=2.7),
+    "label-bool.json": _one_setting(label=True),
+    "rho-bool.json": _one_setting(rho=True),
+    "seed-float.json": _one_setting(seed=1.5),
+    "seed-string.json": _one_setting(seed="1"),
+})
+# a union name of 40 parts, the last unknown: each part is tried once, not 2**39 times
+_LONG_UNION = "K1u" * 39 + "X"
+# cases that must also end within this many seconds
+_CONTRACT_SECONDS = {"union-40-parts": 1.0}
 
 
 _OUT_OF_MEMORY = "config error: out of memory: "
@@ -468,14 +493,31 @@ def _main_with_capped_memory(argv):
      "22.4 GiB for an array with shape (3000000000,) and data type int64"),
     (["bench", "--sizes", "3000000000:3000000000"], 4, _OUT_OF_MEMORY + "Unable to allocate "
      "22.4 GiB for an array with shape (3000000000,) and data type int64"),
+    (["moments", "--named", _LONG_UNION], 2, f"input error: unknown graph name {_LONG_UNION!r}"),
+    (["cluster", "--corpus", "nv-float.json"], 2, "input error: setting 0 has a bad 'nv': 20.9"),
+    (["cluster", "--corpus", "nv-string.json"], 2, "input error: setting 0 has a bad 'nv': '20'"),
+    (["cluster", "--corpus", "ne-float.json"], 2, "input error: setting 0 has a bad 'ne': 20.0"),
+    (["cluster", "--corpus", "count-float.json"], 2,
+     "input error: setting 0 has a bad 'count': 2.7"),
+    (["cluster", "--corpus", "label-bool.json"], 2,
+     "input error: setting 0 has a bad 'label': True"),
+    (["cluster", "--corpus", "rho-bool.json"], 2, "input error: setting 0 has a bad 'rho': True"),
+    (["cluster", "--corpus", "seed-float.json"], 2,
+     "input error: synthetic block has a bad 'seed': 1.5"),
+    (["cluster", "--corpus", "seed-string.json"], 2,
+     "input error: synthetic block has a bad 'seed': '1'"),
+    (["cluster", "--corpus", "path-not-string.json"], 2,
+     "input error: files entry 0 has a bad 'path': 3"),
 ], ids=["id-int64-max", "manifest-not-utf8", "spectrum-empty", "spectrum-above-dense",
         "files-not-list", "rho-not-number", "negative-count", "manifest-not-object",
         "corpus-count-above-intp", "bench-count-above-intp",
         "negative-seed", "no-restarts", "cov-k-1", "nclm-edgeless", "reg-nan", "reg-inf",
         "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats",
         "corpus-nv-above-max", "bench-nv-above-max",
-        "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory"])
-def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
+        "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory", "union-40-parts",
+        "nv-float", "nv-string", "ne-float", "count-float", "label-bool", "rho-bool",
+        "seed-float", "seed-string", "path-not-string"])
+def test_exit_code_contract(request, tmp_path, monkeypatch, capsys, argv, code, err):
     monkeypatch.chdir(tmp_path)
     for name, data in _CONTRACT_FILES.items():
         (tmp_path / name).write_bytes(data)
@@ -484,8 +526,11 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("always")  # a warning reaches the one-line path
+            start = time.perf_counter()
             got = main(argv)
+            seconds = time.perf_counter() - start
         out, stderr = capsys.readouterr()
+        assert seconds < _CONTRACT_SECONDS.get(request.node.callspec.id, math.inf)
     assert got == code
     if err is None:
         assert out and stderr == ""

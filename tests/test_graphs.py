@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     dense_int_power,
     generate_rewired_by_draws,
     has_edge,
+    named_graph_by_splits,
     neighbors,
     one_of,
     parse_edge_list_by_lines,
@@ -383,6 +385,43 @@ def test_named_compound_forms():
 def test_named_unknown():
     with pytest.raises(md.UnknownGraphNameError):
         md.named_graph("zorp")
+
+
+_NAME_TOKENS = ["K", "C", "P", "S", "k", "c", "claw", "paw", "triangle", "X", "co-", "u", "U",
+                ",", " ", "_", "0", "1", "2", "3"]
+_NAME_PART = st.tuples(
+    st.sampled_from(["", "", "co-", "2", "0"]),
+    st.sampled_from(["K1", "K2", "k3", "C4", "C2", "P3", "S3", "S0", "K2,3", "claw", "paw",
+                     "triangle", "X", "K"]),
+).map("".join)
+_NAME_SEPARATOR = st.sampled_from(["u", "u", "U", "_u", "uu", ""])
+# free strings of tokens, and parts joined by (mostly) union separators
+_NAMES = one_of(
+    st.lists(st.sampled_from(_NAME_TOKENS), max_size=9).map("".join),
+    st.tuples(_NAME_PART, st.lists(st.tuples(_NAME_SEPARATOR, _NAME_PART), max_size=4))
+    .map(lambda t: t[0] + "".join(sep + part for sep, part in t[1])),
+)
+
+
+def _name_outcome(parse, name):
+    """The graph ``parse`` gives for ``name``, or its error's type and message."""
+    try:
+        return parse(name)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# numbers of at most two digits keep every graph small
+@given(_NAMES.filter(lambda name: not re.search(r"\d{3}", name)))
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+def test_named_graph_matches_split_retrying_oracle(name):
+    assert _name_outcome(md.named_graph, name) == _name_outcome(named_graph_by_splits, name)
+
+
+def test_named_long_unions():
+    assert md.named_graph("K1u" * 59 + "K1") == md.empty_graph(60)
+    assert md.named_graph("C3u" * 29 + "co-K2") == md.disjoint_union(
+        [md.cycle_graph(3)] * 29 + [md.empty_graph(2)])
 
 
 # -- generator ---------------------------------------------------------------

@@ -112,12 +112,34 @@ def test_rank_dets_are_correctly_rounded_minors():
     for ms, d in _rank_inputs(np.random.default_rng(14)):
         vals = ms if isinstance(ms, list) else ms.values
         minors = hankel_minors_by_elimination(vals, d + 1)
-        if 0 in minors[:-1]:
-            continue  # Bareiss reports every minor after an exact zero as 0
         _, dets = md.hankel_rank(ms, d)
         assert dets.tolist() == [_float_of(m) for m in minors]
         checked += 1
     assert checked > 400
+
+
+def test_rank_dets_after_an_exact_zero_minor():
+    # Bareiss stops at the zero pivot; off the PSD cone a later minor need not be 0
+    assert md.hankel_rank([1, 0, 0, 1, 2], 2)[1].tolist() == [1.0, 0.0, -1.0]
+    rng = np.random.default_rng(15)
+    nonzero_after_zero = 0
+    for _ in range(400):
+        d = int(rng.integers(1, 6))
+        vals = [int(v) for v in rng.integers(-1, 2, size=2 * d + 1)]
+        minors = hankel_minors_by_elimination(vals, d + 1)
+        assert md.hankel_rank(vals, d)[1].tolist() == [float(m) for m in minors], vals
+        if 0 in minors:
+            nonzero_after_zero += any(minors[minors.index(0) + 1:])
+    assert nonzero_after_zero > 50
+
+
+def test_rank_exactness_read_off_element_types():
+    vals = [Fraction(1), Fraction(0), Fraction(1, 10**30)]
+    for ms in (vals, tuple(vals), np.array(vals, dtype=object)):
+        assert md.hankel_rank(ms, 1)[0] == 2
+    # read as float64, 1e-30 is numerically zero against m_0 = 1
+    for ms in (np.array(vals, dtype=np.float64), np.array([1.0, 0.0, 1e-30], dtype=object)):
+        assert md.hankel_rank(ms, 1)[0] == 1
 
 
 def test_rank_dets_saturate_outside_float_range():

@@ -98,7 +98,8 @@ def test_moment_agreement_random():
             assert abs(mu.moment(k) - ms[k]) <= 1e-8
 
 
-def test_round_trip_from_atoms():
+def test_round_trip_from_atoms(monkeypatch):
+    monkeypatch.setattr(md.measures, "WEIGHT_FLOOR", 0.0)
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = int(rng.integers(2, 9))
@@ -117,7 +118,7 @@ def test_round_trip_from_atoms():
             u = np.eye(n)
         a = u @ np.diag(lam) @ u.T
         a = (a + a.T) / 2
-        mu = md.spectral_measure(a, xi, weight_floor=0.0)
+        mu = md.spectral_measure(a, xi)
         assert np.allclose(mu.lambdas, lam, atol=1e-8)
         assert np.allclose(mu.omegas, w, atol=1e-8)
 
@@ -149,12 +150,13 @@ def test_eigenvector_state_single_atom():
     assert mu.lambdas[0] == pytest.approx(w[3], abs=1e-9)
 
 
-def test_merge_tol_clusters_close_eigenvalues():
+def test_merge_tol_clusters_close_eigenvalues(monkeypatch):
     a = np.diag([1.0, 1.0 + 1e-12, 5.0])
     xi = np.ones(3) / np.sqrt(3)
     mu = md.spectral_measure(a, xi)
     assert mu.num_atoms == 2  # the two nearly equal eigenvalues merge
-    wide = md.spectral_measure(a, xi, merge_tol=10.0)
+    monkeypatch.setattr(md.measures, "MERGE_REL_TOL", 2.0)  # 10 at spectral radius 5
+    wide = md.spectral_measure(a, xi)
     assert wide.num_atoms == 1
 
 

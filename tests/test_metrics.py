@@ -244,7 +244,8 @@ def test_pairwise_engine_matches_per_pair_reference(metric):
     settings = [(d, eps) for d in (2, 3, 4, 5) for eps in (0.0, 1e-6)] + [(1, 1e-9)]
     for degree, eps in settings:
         cfg = md.DistanceConfig(degree=degree, metric=metric, eps=eps)
-        mats = [md.moment_matrix_of_graph(g, degree, eps).entries for g in gs]
+        mats = [md.moment_matrix_of_graph(g, degree).entries + eps * np.eye(degree + 1)
+                for g in gs]
         want, want_fallbacks = reference_pairwise(mats, metric)
         dm = md.pairwise_distance_matrix(gs, cfg)
         assert dm.entries.tobytes() == want.tobytes(), (degree, eps)
@@ -264,11 +265,11 @@ def test_moment_table_blocks_match_one_graph_extraction():
             blocks = _hankel_stack(table, degree, eps)
             for g, block in zip(gs, blocks):
                 ms = md.vector_state_moments(g, 2 * degree)
-                want = md.build_moment_matrix(ms, degree).entries
-                if eps > 0.0:
-                    want = want + eps * np.eye(degree + 1)
-                got = md.moment_matrix_of_graph(g, degree, eps).entries
-                assert block.tobytes() == got.tobytes() == want.tobytes(), (degree, eps)
+                plain = md.build_moment_matrix(ms, degree).entries
+                want = plain + eps * np.eye(degree + 1) if eps > 0.0 else plain
+                got = md.moment_matrix_of_graph(g, degree).entries
+                assert got.tobytes() == plain.tobytes(), degree
+                assert block.tobytes() == want.tobytes(), (degree, eps)
 
 
 # SHA-256 over the entries of every matrix, and the fallback counts, of the
