@@ -218,8 +218,6 @@ def parse_edge_list(text: str, indexing: str = "auto", header: bool = False) -> 
     bulk; any other text goes through a loop over lines. Both report the
     same errors, with the same messages and line numbers.
     """
-    if not isinstance(text, str):
-        raise TypeError(f"edge list must be a str, got {type(text).__name__}")
     if indexing not in ("zero", "one", "auto"):
         raise ConfigError(f"unknown indexing mode {indexing!r}")
     parsed = _decimal_rows(text, header)

@@ -68,34 +68,32 @@ def build_moment_matrix(ms, degree: int) -> MomentMatrix:
 def _bareiss_minors(ints: Sequence[int], size: int) -> list[int]:
     """Leading principal minors of the Hankel matrix of exact integers.
 
-    Fraction-free Bareiss elimination: the pivot before eliminating column k
-    is exactly the (k+1)x(k+1) leading principal minor. Elimination cannot
-    pass a zero pivot, so each later minor is then computed on its own.
+    One elimination of the full matrix gives every minor up to the first zero
+    one, and the last; each minor between them takes an elimination of its own.
     """
-    a = [[ints[i + j] for j in range(size)] for i in range(size)]
-    dets = []
-    prev = 1
-    for k in range(size):
-        pivot = a[k][k]
-        dets.append(pivot)
-        if pivot == 0:
-            return dets + [_det([[ints[i + j] for j in range(m)] for i in range(m)])
-                           for m in range(k + 2, size + 1)]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return dets
+    def hankel(m):
+        return [[ints[i + j] for j in range(m)] for i in range(m)]
+
+    lead, det = _bareiss(hankel(size))
+    if len(lead) == size:
+        return lead
+    return lead + [_bareiss(hankel(m))[1] for m in range(len(lead) + 1, size)] + [det]
 
 
-def _det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, by Bareiss elimination with row
-    swaps in place."""
-    sign, prev = 1, 1
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Bareiss elimination of a square integer matrix, in place.
+
+    Returns ``(lead, det)``: ``det`` is the determinant of ``a``, and ``lead``
+    its leading principal minors up to the first zero one, which are exactly
+    the pivots met before the first row swap.
+    """
+    sign, prev, lead = 1, 1, []
     for k in range(len(a)):
+        if 0 not in lead:
+            lead.append(a[k][k])
         row = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
         if row is None:
-            return 0
+            return lead, 0
         if row != k:
             a[k], a[row] = a[row], a[k]
             sign = -sign
@@ -103,7 +101,7 @@ def _det(a: list[list[int]]) -> int:
             for j in range(k + 1, len(a)):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * prev
+    return lead, sign * prev
 
 
 def _ratio(num: int, den: int) -> float:
