@@ -221,6 +221,32 @@ def graphlet3_distribution(g: Graph) -> np.ndarray:
     return counts / total
 
 
+# each sample takes seven int64 draws; numpy sizes no array above intp-max bytes
+_MAX_SAMPLES = np.iinfo(np.intp).max // (7 * 8)
+
+
+def _draw_quads(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """The quads of ``samples`` calls ``rng.choice(n, size=4, replace=False)``.
+
+    For 4 of n, ``choice`` runs Floyd's sampler (draws in [0, j] for j = n-4..n-1)
+    and then a Fisher-Yates shuffle (draws in [0, i] for i = 3, 2, 1), each
+    draw one bounded integer by Lemire's method. ``integers`` with a row of
+    upper bounds broadcast to (samples, 7) makes the same draws in the same
+    order, rejections included, so one call yields every sample's seven draws
+    and the quads are the loop's.
+    """
+    draws = rng.integers(0, [n - 3, n - 2, n - 1, n, 4, 3, 2], size=(samples, 7))
+    quads = draws[:, :4].copy()
+    for k in range(1, 4):  # Floyd: a value already taken is replaced by n-4+k
+        taken = (quads[:, :k] == quads[:, k:k + 1]).any(axis=1)
+        quads[taken, k] = n - 4 + k
+    rows = np.arange(samples)
+    for i in (3, 2, 1):  # Fisher-Yates: swap slot i with slot draws[:, 7-i]
+        j = draws[:, 7 - i]
+        quads[:, i], quads[rows, j] = quads[rows, j], quads[:, i].copy()
+    return quads
+
+
 def graphlet4_distribution(g: Graph, samples: int = 10000, seed=None) -> np.ndarray:
     """Sampled induced 4-subgraph distribution over the 11 isomorphism types.
 
@@ -233,9 +259,10 @@ def graphlet4_distribution(g: Graph, samples: int = 10000, seed=None) -> np.ndar
         raise EmptyGraphError("need at least 4 vertices")
     if samples < 1:
         raise ConfigError("samples must be positive")
-    rng = np.random.default_rng(seed)
-    # one rng.choice per sample: its stream fixes which quads are drawn
-    quads = np.array([rng.choice(n, size=4, replace=False) for _ in range(samples)])
+    if samples > _MAX_SAMPLES:
+        raise ConfigError(f"samples {samples} exceeds {_MAX_SAMPLES}, "
+                          "the most whose draw array numpy can size")
+    quads = _draw_quads(n, samples, np.random.default_rng(seed))
     u, v = quads[:, _QUAD_PAIRS[0]], quads[:, _QUAD_PAIRS[1]]
     # edge_array rows are u < v in CSR order, so their u*n+v codes are sorted;
     # the n*n sentinel (no pair's code) keeps every search position in range

@@ -154,14 +154,20 @@ def brute_graphlet4_distribution(g: Graph) -> np.ndarray:
     return counts / counts.sum()
 
 
+def choice_quads(n: int, samples: int, seed) -> np.ndarray:
+    """One ``rng.choice(n, size=4, replace=False)`` per sample, stacked: the
+    stream that ``baselines._draw_quads`` reproduces in one bulk draw."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.choice(n, size=4, replace=False) for _ in range(samples)])
+
+
 def graphlet4_distribution_by_samples(g: Graph, samples: int, seed) -> np.ndarray:
     """Sampled induced 4-subgraph distribution, one quad and six edge lookups at
-    a time: the reference for the one-pass ``graphlet4_distribution``, drawing
-    the same quads from the same per-sample ``rng.choice`` calls."""
-    rng = np.random.default_rng(seed)
+    a time: the reference for the one-pass ``graphlet4_distribution``, with the
+    quads of per-sample ``rng.choice`` calls."""
     counts = np.zeros(len(GRAPHLET4_TYPES), dtype=np.int64)
-    for _ in range(samples):
-        counts[_graphlet4_type(g, rng.choice(g.n, size=4, replace=False))] += 1
+    for quad in choice_quads(g.n, samples, seed):
+        counts[_graphlet4_type(g, quad)] += 1
     return counts / samples
 
 

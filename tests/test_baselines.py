@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import momentdist as md
-from momentdist.baselines import _bhattacharyya
+from momentdist.baselines import _bhattacharyya, _draw_quads
 from momentdist.experiments import _spawn_seeds
 from oracles import (
     brute_graphlet3_counts,
     brute_graphlet4_distribution,
+    choice_quads,
     graphlet4_distribution_by_samples,
     random_graph,
     reference_bhattacharyya_matrix,
@@ -230,6 +231,23 @@ def test_gk4_matches_per_sample_reference(samples):
             got = md.graphlet4_distribution(g, samples=samples, seed=seed)
             want = graphlet4_distribution_by_samples(g, samples, seed)
             assert got.tobytes() == want.tobytes()
+
+
+# vertex counts no Graph can hold: where Lemire's method rejects 25-50% of its
+# 32-bit draws (2**31+5, 3*2**30+1) and across the switch to 64-bit draws
+_QUAD_N_WIDE = [2**31 + 5, 3 * 2**30 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62 + 3]
+
+
+@pytest.mark.parametrize("n, seeds", [
+    *((n, 30) for n in (4, 5, 6, 7, 8, 10, 13, 50, 200, 201, 1000, 20000, 10**5, 2**31)),
+    *((n, 20) for n in _QUAD_N_WIDE),
+])
+def test_draw_quads_matches_choice_loop(n, seeds):
+    for seed in range(seeds):
+        got = _draw_quads(n, 50, np.random.default_rng(seed))
+        want = choice_quads(n, 50, seed)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # SHA-256 of the gk4 feature bytes (700 samples) of rewired graphs, recorded

@@ -427,6 +427,13 @@ _LONG_UNION = "K1u" * 39 + "X"
 
 _OUT_OF_MEMORY = "config error: out of memory: "
 _ADDRESS_SPACE_CAP = 3 * 2**30
+_GK4 = ["cluster", "--corpus", "small.json", "--method", "gk4", "--gk4-samples"]
+_MAX_GK4_SAMPLES = (2**63 - 1) // (7 * 8)
+
+
+def _gk4_refused(samples):
+    return (f"config error: samples {samples} exceeds {_MAX_GK4_SAMPLES}, "
+            "the most whose draw array numpy can size")
 
 
 def _main_with_capped_memory(argv):
@@ -492,6 +499,14 @@ def _main_with_capped_memory(argv):
     (["bench", "--sizes", "3000000000:3000000000"], 4, _OUT_OF_MEMORY + "Unable to allocate "
      "22.4 GiB for an array with shape (3000000000,) and data type int64"),
     (["moments", "--named", _LONG_UNION], 2, f"input error: unknown graph name {_LONG_UNION!r}"),
+    # one gk4 draw array holds seven int64 draws per sample: above the most
+    # numpy can size the count is refused, below it numpy's allocation fails
+    (_GK4 + [str(10**20)], 4, _gk4_refused(10**20)),
+    (_GK4 + [str(2**63 - 1)], 4, _gk4_refused(2**63 - 1)),
+    (_GK4 + [str(10**12)], 4, _OUT_OF_MEMORY + "Unable to allocate 50.9 TiB for an array "
+     "with shape (1000000000000, 7) and data type int64"),
+    (_GK4 + [str(_MAX_GK4_SAMPLES)], 4, _OUT_OF_MEMORY + "Unable to allocate 8.00 EiB for an "
+     f"array with shape ({_MAX_GK4_SAMPLES}, 7) and data type int64"),
     (["cluster", "--corpus", "nv-float.json"], 2, "input error: setting 0 has a bad 'nv': 20.9"),
     (["cluster", "--corpus", "nv-string.json"], 2, "input error: setting 0 has a bad 'nv': '20'"),
     (["cluster", "--corpus", "ne-float.json"], 2, "input error: setting 0 has a bad 'ne': 20.0"),
@@ -513,13 +528,15 @@ def _main_with_capped_memory(argv):
         "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats",
         "corpus-nv-above-max", "bench-nv-above-max",
         "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory", "union-40-parts",
+        "gk4-samples-above-intp", "gk4-samples-int64-max", "gk4-samples-out-of-memory",
+        "gk4-samples-at-max",
         "nv-float", "nv-string", "ne-float", "count-float", "label-bool", "rho-bool",
         "seed-float", "seed-string", "path-not-string"])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
     monkeypatch.chdir(tmp_path)
     for name, data in _CONTRACT_FILES.items():
         (tmp_path / name).write_bytes(data)
-    if err is not None and err.startswith(_OUT_OF_MEMORY):
+    if err is not None and (err.startswith(_OUT_OF_MEMORY) or "--gk4-samples" in argv):
         got, out, stderr = _main_with_capped_memory(argv)
     else:
         with warnings.catch_warnings():
