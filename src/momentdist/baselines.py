@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .graphs import ConfigError, Graph
-from .moments import EmptyGraphError, trace_moments
+from .moments import EmptyGraphError, _closed_walks, trace_moments
 
 __all__ = [
     "FeatureVector",
@@ -203,14 +203,13 @@ def graphlet3_distribution(g: Graph) -> np.ndarray:
     """Exact induced 3-subgraph distribution (empty, one-edge, wedge, triangle).
 
     Counted in integer arithmetic from triangle and path-of-length-2 counts,
-    then normalized by C(n, 3). The sum of A * A^2 (entrywise) counts every
-    triangle six times.
+    then normalized by C(n, 3). tr(A^3), the closed 3-walks, counts every
+    triangle six times; it costs one sparse product per block of 256 columns.
     """
     n = g.n
     if n < 3:
         raise EmptyGraphError("need at least 3 vertices")
-    a = g.to_csr()
-    t = int(a.multiply(a @ a).sum()) // 6
+    t = int(_closed_walks(g.to_csr(), 3)[3]) // 6
     degs = g.degrees.astype(object)
     p2 = int(np.sum(degs * (degs - 1) // 2))
     wedges = p2 - 3 * t

@@ -297,7 +297,8 @@ def bench_moment_scaling(
     For each size, ``count`` graphs are generated up front; then each repeat
     times every size in turn, so a slow spell of the host hits all sizes
     alike, and medians over ``repeats`` are reported. The moment phase is the
-    2*degree matvec chain per graph; the pairwise phase compares all pairs.
+    walk-sum chain of ``degree`` matvecs per graph; the pairwise phase compares
+    all pairs.
     Additional methods time their full distance-matrix construction.
     """
     if count < 1:

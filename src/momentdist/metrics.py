@@ -262,8 +262,8 @@ def affine_invariant_dist(a, b) -> float:
 def moment_table(gs: Sequence[Graph], order: int) -> np.ndarray:
     """Uniform-vector moments m_0..m_order of a corpus, one row per graph.
 
-    One chain of ``order`` sparse matvecs per graph, on the calling thread.
-    Overflow stays in the table as inf.
+    One walk-sum chain of ceil(order/2) sparse matvecs per graph, on the
+    calling thread. Overflow stays in the table as a non-finite value.
     """
     return np.stack([_vector_chain(g, order) for g in gs])
 

@@ -1,10 +1,12 @@
 """Moment sequences of a graph's adjacency matrix under various states.
 
 The workhorse is the uniform vector state: the k-th moment is the average
-over vertices of the number of length-k walks starting there, computed with
-k sparse matvecs in O(k * |E|) time and O(|V| + |E|) space. The normalized
-trace state, general vector states, and permutationally invariant
-density-matrix states are also provided.
+over vertices of the number of length-k walks starting there. A is
+symmetric, so m_{i+j} = <A^i w, A^j w> and every state reads its moments
+m_0..m_k off one walk-sum routine as inner products of ceil(k/2) sparse
+matvecs, in O(k * |E|) time and O(|V| + |E|) space for a vector state. The
+normalized trace state, general vector states, and permutationally
+invariant density-matrix states are also provided.
 """
 
 from __future__ import annotations
@@ -73,65 +75,81 @@ def _finite(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _walk_sums(a, w: np.ndarray, order: int) -> np.ndarray:
+    """<w, A^k w> summed over the columns of ``w``, for k = 0..order.
+
+    With w_j = A^j w, m_2j = <w_j, w_j> and m_2j+1 = <w_j, w_j+1>, so
+    ceil(order/2) products with the symmetric ``a`` reach every order.
+    Overflow is left in the sums as inf or NaN (inf times 0).
+    """
+    sums = np.empty(order + 1, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums[0] = np.vdot(w, w)
+        for j in range(1, (order + 1) // 2 + 1):
+            nxt = a @ w
+            sums[2 * j - 1] = np.vdot(w, nxt)
+            if 2 * j <= order:
+                sums[2 * j] = np.vdot(nxt, nxt)
+            w = nxt
+    return sums
+
+
+def _closed_walks(a, order: int) -> np.ndarray:
+    """tr(A^k) for k = 0..order of a symmetric 0/1 CSR matrix ``a``.
+
+    tr(A^0) = n and tr(A) = 0 (no self-loops); for k >= 2, tr(A^k) is the
+    walk sum <c, A^(k-2) c> over A's own columns c, taken in blocks of 256.
+    A is symmetric, so a block of columns is a densified CSR row slice, and
+    the work space stays n * 256 doubles per array.
+    """
+    n = a.shape[0]
+    traces = np.zeros(order + 1, dtype=np.float64)
+    traces[0] = n
+    if order >= 2:
+        block = 256
+        for start in range(0, n, block):
+            # the block goes in unnamed, so it is freed once its first product exists
+            traces[2:] += _walk_sums(a, a[start : start + block].T.toarray(order="C"), order - 2)
+    return traces
+
+
 def vector_state_moments(g: Graph, order: int) -> MomentSequence:
     """Moments under the uniform vector state (normalized all-ones vector).
 
     m_k = <1, A^k 1> / n, i.e. the average over vertices of the number of
-    length-k walks leaving each vertex. Exactly ``order`` sparse matvecs.
+    length-k walks leaving each vertex. ceil(order/2) sparse matvecs.
     """
     return MomentSequence(_finite(_vector_chain(g, order)))
 
 
 def _vector_chain(g: Graph, order: int) -> np.ndarray:
-    """The moments of :func:`vector_state_moments` unchecked: overflow leaves inf."""
+    """The moments of :func:`vector_state_moments` unchecked: overflow leaves inf or NaN."""
     _require_nonempty(g)
     if order < 0:
         raise ConfigError("order must be nonnegative")
-    a = g.to_csr()
-    w = np.ones(g.n, dtype=np.float64)
-    vals = np.empty(order + 1, dtype=np.float64)
-    vals[0] = 1.0
-    with np.errstate(over="ignore"):  # overflow is reported as a non-finite moment
-        for k in range(1, order + 1):
-            w = a @ w
-            vals[k] = w.sum() / g.n
-    return vals
+    return _walk_sums(g.to_csr(), np.ones(g.n, dtype=np.float64), order) / g.n
 
 
 def trace_moments(g: Graph, order: int) -> MomentSequence:
     """Moments under the normalized trace state, m_k = tr(A^k) / n.
 
     This equals the average number of closed walks of length k. Blocks of
-    identity columns go through one k-step sparse matvec chain and the
-    diagonal entries of A^k are summed, at a cost of O(n * order * |E|).
-    Every intermediate is an integer walk count, so the moments are exact
+    256 of A's columns go through one walk-sum chain of ceil((order-2)/2)
+    sparse products each, so the cost is about n * order * |E| / 2. Every
+    intermediate is an integer walk count, so the moments are exact
     closed-walk counts over n while those counts stay below 2**53, and
     cospectral graphs agree bit for bit.
     """
     _require_nonempty(g)
     if order < 0:
         raise ConfigError("order must be nonnegative")
-    n = g.n
-    a = g.to_csr()
-    traces = np.zeros(order + 1, dtype=np.float64)
-    traces[0] = n
-    block = 256  # identity columns per chain: n * block doubles of work space
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n))
-        cols = np.arange(rows.size)
-        w = np.zeros((n, rows.size), dtype=np.float64)
-        w[rows, cols] = 1.0
-        with np.errstate(over="ignore"):  # overflow is reported as a non-finite moment
-            for k in range(1, order + 1):
-                w = a @ w
-                traces[k] += w[rows, cols].sum()
-    return MomentSequence(_finite(traces / n))
+    return MomentSequence(_finite(_closed_walks(g.to_csr(), order) / g.n))
 
 
 def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequence:
     """Moments of a dense symmetric matrix in the vector state of ``xi``.
 
-    m_k = xi^T A^k xi, computed by an iterated matvec chain.
+    m_k = xi^T A^k xi, as inner products of ceil(order/2) matvecs; m_0 is 1.
     """
     a = np.asarray(a, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
@@ -145,12 +163,8 @@ def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequenc
         raise ValueError("state vector is not unit norm within 1e-10")
     if order < 0:
         raise ConfigError("order must be nonnegative")
-    vals = np.empty(order + 1, dtype=np.float64)
+    vals = _walk_sums(a, xi, order)
     vals[0] = 1.0
-    w = xi
-    for k in range(1, order + 1):
-        w = a @ w
-        vals[k] = float(xi @ w)
     return MomentSequence(vals)
 
 

@@ -124,6 +124,43 @@ def dense_int_power(g: Graph, k: int) -> np.ndarray:
     return p
 
 
+def step_chain_moments(g: Graph, order: int, state: str) -> np.ndarray:
+    """Moments m_0..m_order in the uniform ``"vector"`` or normalized ``"trace"``
+    state, one sparse matvec per order: the vector chain sums A^k 1 and the
+    trace chain sums the diagonal of A^k over blocks of 256 identity columns.
+    The reference for the walk-sum routine of ``moments``, which reaches the
+    same integer walk counts from half the products."""
+    a = g.to_csr()
+    vals = np.zeros(order + 1, dtype=np.float64)
+    vals[0] = g.n
+    if state == "vector":
+        w = np.ones(g.n, dtype=np.float64)
+        for k in range(1, order + 1):
+            w = a @ w
+            vals[k] = w.sum()
+        return vals / g.n
+    for start in range(0, g.n, 256):
+        rows = np.arange(start, min(start + 256, g.n))
+        cols = np.arange(rows.size)
+        w = np.zeros((g.n, rows.size), dtype=np.float64)
+        w[rows, cols] = 1.0
+        for k in range(1, order + 1):
+            w = a @ w
+            vals[k] += w[rows, cols].sum()
+    return vals / g.n
+
+
+def exact_walk_sums(g: Graph, order: int) -> list[int]:
+    """<1, A^k 1> for k = 0..order as Python integers, one neighbor-list pass per step."""
+    rows = [neighbors(g, i).tolist() for i in range(g.n)]
+    w = [1] * g.n
+    sums = [g.n]
+    for _ in range(order):
+        w = [sum(w[j] for j in row) for row in rows]
+        sums.append(sum(w))
+    return sums
+
+
 def brute_graphlet3_counts(g: Graph) -> np.ndarray:
     """Exhaustive induced 3-subset counts (empty, one-edge, wedge, triangle)."""
     counts = np.zeros(4, dtype=np.int64)

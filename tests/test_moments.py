@@ -1,8 +1,14 @@
+from fractions import Fraction
+
+import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse
 
 import momentdist as md
-from oracles import random_graph, walk_count
+from momentdist.moments import _closed_walks
+from oracles import exact_walk_sums, random_graph, step_chain_moments, walk_count
+from test_acceptance import DESK_SETTINGS, TABLE4V_NAMES
 
 
 # -- uniform vector state ------------------------------------------------------
@@ -86,15 +92,34 @@ def test_overflowing_moments_rejected(moments):
         moments(md.complete_graph(4), -1)
 
 
-def _closed_walk_moments(g, order):
-    # integer closed-walk counts over n from int64 dense matrix powers
-    a = g.to_dense().astype(np.int64)
+@pytest.mark.parametrize("name, vector_order, trace_order",
+                         [("K60,60", 173, 174), ("K60uK1", 174, 175)])
+def test_first_overflowing_order_pinned(name, vector_order, trace_order):
+    # the first order whose walk count passes float64's maximum is named, also
+    # where later inner products read 0 * inf = NaN: the closed walks of a
+    # bipartite graph alternate sides, so past order 349 of K60,60 an
+    # overflowed entry meets a zero
+    g = md.named_graph(name)
+    for moments, order in ((md.vector_state_moments, vector_order),
+                           (md.trace_moments, trace_order)):
+        with pytest.raises(md.NonFiniteMomentError, match=f"order {order} "):
+            moments(g, 400)
+    assert np.isnan(_closed_walks(g.to_csr(), 400)).any() == (name == "K60,60")
+
+
+def _int_closed_walks(g, order):
+    # integer closed-walk counts tr(A^k) from int64 matrix powers
+    a = scipy.sparse.csr_matrix(g.to_dense().astype(np.int64))
     power = np.eye(g.n, dtype=np.int64)
-    moments = [1.0]
+    traces = [g.n]
     for _ in range(order):
-        power = power @ a
-        moments.append(int(np.trace(power)) / g.n)
-    return moments
+        power = a @ power
+        traces.append(int(np.trace(power)))
+    return traces
+
+
+def _closed_walk_moments(g, order):
+    return [t / g.n for t in _int_closed_walks(g, order)]
 
 
 def test_trace_moments_dense_paths_agree():
@@ -127,6 +152,101 @@ def test_spectra_from_matching_trace_moments():
         ea = np.sort(np.linalg.eigvalsh(a.to_dense()))
         eb = np.sort(np.linalg.eigvalsh(b.to_dense()))
         assert np.allclose(ea, eb, atol=1e-8)
+
+
+# -- walk sums against the per-step chains and exact counts -------------------------
+
+
+@pytest.fixture(scope="module")
+def desk_corpora():
+    return [md.make_rewired_corpus(DESK_SETTINGS, seed=seed)[0] for seed in range(5)]
+
+
+def test_walk_sums_match_step_chains_on_desk_corpus(desk_corpora):
+    # every walk count stays below 2**53 here, so the bytes agree
+    for gs in desk_corpora:
+        for g in gs:
+            assert (md.vector_state_moments(g, 8).values.tobytes()
+                    == step_chain_moments(g, 8, "vector").tobytes())
+            assert (md.trace_moments(g, 7).values.tobytes()
+                    == step_chain_moments(g, 7, "trace").tobytes())
+
+
+@pytest.mark.parametrize("name", TABLE4V_NAMES)
+def test_walk_sums_match_step_chains_on_four_vertex_graphs(name):
+    g = md.named_graph(name)
+    for order in range(13):
+        assert (md.vector_state_moments(g, order).values.tobytes()
+                == step_chain_moments(g, order, "vector").tobytes())
+        assert (md.trace_moments(g, order).values.tobytes()
+                == step_chain_moments(g, order, "trace").tobytes())
+
+
+def test_walk_sums_past_2_53_stay_within_roundoff(desk_corpora):
+    # at order 14 the desk corpus's walk sums pass 2**53, so float64 rounds them
+    tol = Fraction(1e-15)
+    for gs in desk_corpora[:3]:
+        for g in gs:
+            got = md.vector_state_moments(g, 14).values
+            for k, count in enumerate(exact_walk_sums(g, 14)):
+                want = Fraction(count, g.n)
+                assert abs(Fraction(got[k]) - want) <= tol * want, (k, got[k])
+
+
+def _boundary_graphs():
+    # one to three blocks of 256 columns, then isolated vertices in a second block
+    for n in (255, 256, 257, 513):
+        yield f"rewired{n}", md.generate_rewired(n, 3 * n, 0.5, seed=n)
+    yield "rewired250u7K1", md.disjoint_union([md.generate_rewired(250, 750, 0.5, seed=1),
+                                               md.empty_graph(7)])
+    yield "K3u2K1", md.named_graph("K3u2K1")
+    yield "edgeless300", md.empty_graph(300)
+    yield "edgeless3", md.empty_graph(3)
+
+
+_BOUNDARY_GRAPHS = dict(_boundary_graphs())
+
+
+@pytest.mark.parametrize("label", list(_BOUNDARY_GRAPHS))
+def test_closed_walks_across_block_boundaries(label):
+    g = _BOUNDARY_GRAPHS[label]
+    traces = _int_closed_walks(g, 7)
+    assert md.trace_moments(g, 7).values.tolist() == [t / g.n for t in traces]
+    triangles = traces[3] // 6
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(g.n))
+    nx_graph.add_edges_from(g.edge_array().tolist())
+    assert sum(nx.triangles(nx_graph).values()) == 3 * triangles
+    assert md.graphlet3_distribution(g)[3] == triangles / (g.n * (g.n - 1) * (g.n - 2) // 6)
+
+
+@pytest.fixture
+def csr_products(monkeypatch):
+    """A list that gets one entry per product with a scipy CSR matrix."""
+    products = []
+    matmul = scipy.sparse.csr_matrix.__matmul__
+
+    def counting(self, other):
+        products.append(None)
+        return matmul(self, other)
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", counting)
+    return products
+
+
+def test_walk_sums_use_half_the_products(csr_products):
+    g = md.generate_rewired(513, 1539, 0.5, seed=2)
+    for d in range(8):
+        csr_products.clear()
+        md.vector_state_moments(g, 2 * d)
+        assert len(csr_products) == d
+    blocks = 3  # of 256 columns: 256, 256 and 1
+    csr_products.clear()
+    md.trace_moments(g, 7)
+    assert len(csr_products) == 3 * blocks
+    csr_products.clear()
+    md.graphlet3_distribution(g)
+    assert len(csr_products) == blocks
 
 
 # -- general vector states -------------------------------------------------------
