@@ -129,13 +129,14 @@ def make_rewired_corpus(
     return graphs, np.asarray(labels)
 
 
-# baseline method -> (corpus -> one feature per graph, (x, ys) -> distances).
+# baseline method -> (corpus -> one feature per graph, (xs, ys) -> distances
+# between aligned stacks of features).
 # The keyword parameters of the feature function are the method's parameters.
 # Feature functions are called by their module-level names, so replacing a
 # name here reaches every call.
 _BASELINES = {
     "cov": (lambda gs, k=4: [cov_descriptor(g, k=k) for g in gs],
-            lambda c, cs: _bhattacharyya(c, cs, None)),
+            lambda c1s, c2s: _bhattacharyya(c1s, c2s, None)),
     "nclm": (lambda gs: [nclm_vector(g).values for g in gs], _euclidean),
     "eigs": (lambda gs, k=10: [top_k_eigenvalues(g, k=k).values for g in gs], _euclidean),
     "gk3": (lambda gs: [graphlet3_distribution(g) for g in gs], _euclidean),
@@ -169,14 +170,16 @@ def method_distance_matrix(
     ``moment`` takes DistanceConfig fields (degree, metric, eps, scaling);
     ``cov`` and ``eigs`` take k; ``gk4`` takes samples/seed. Baselines compare
     their per-graph features with the Euclidean distance, ``cov`` with the
-    Bhattacharyya distance.
+    Bhattacharyya distance; every method runs on the one pairwise engine of
+    ``metrics``, whose distance functions take aligned stacks of pairs.
     """
     features, kernel = _method_row(method, params)
     if kernel is None:
         return pairwise_distance_matrix(gs, DistanceConfig(**params))
     labels = _corpus_labels(gs)
-    # baselines never fall back: each row's fallback count is 0
-    out, _ = _pairwise(lambda x, ys: (kernel(x, ys), 0), np.stack(features(gs, **params)))
+    feats = np.stack(features(gs, **params))
+    # baselines never fall back: each chunk's fallback count is 0
+    out, _ = _pairwise(lambda i, j: (kernel(feats[i], feats[j]), 0), len(feats))
     return DistanceMatrix(labels, out, {"method": method, **params})
 
 

@@ -157,8 +157,9 @@ def knn_classify(d, labels: Sequence, ks: Sequence[int] = (1,), folds: int = 10,
 
     Each held-out item is labeled by majority vote among its k nearest
     training items (all of them when k exceeds the training set); vote ties
-    are broken by the single nearest neighbor's label. One stable sort of each
-    fold's test-by-train distances, with running vote counts along it, serves
+    are broken by the single nearest neighbor's label. One stable sort of the
+    whole matrix, with same-fold entries set to +inf, ranks every item's
+    training items first; running vote counts along it serve every fold and
     every k of ``ks``. Returns the per-fold accuracies, one row per k.
     """
     dm = _entries(d)
@@ -175,18 +176,22 @@ def knn_classify(d, labels: Sequence, ks: Sequence[int] = (1,), folds: int = 10,
     if any(k < 1 for k in ks):
         raise ConfigError("k must be positive")
     _, codes = np.unique(labels, return_inverse=True)
-    fold_sets = _stratified_folds(codes, folds, np.random.default_rng(seed))
+    fold_of = np.empty(n, dtype=np.int64)
+    for f, test in enumerate(_stratified_folds(codes, folds, np.random.default_rng(seed))):
+        fold_of[test] = f
+    fold_size = np.bincount(fold_of, minlength=folds)
+    train_size = n - fold_size[fold_of]
 
+    same_fold = fold_of[:, None] == fold_of[None, :]
+    order = np.argsort(np.where(same_fold, np.inf, dm), axis=1, kind="stable")
+    ranked = codes[order[:, : min(max(ks, default=1), train_size.max())]]
+    # votes[i, j, c]: class-c items among the j+1 nearest of item i; columns
+    # past item i's training set count same-fold items and are never read
+    votes = np.cumsum(ranked[:, :, None] == np.arange(codes.max() + 1), axis=1)
     accuracies = np.empty((len(ks), folds), dtype=np.float64)
-    for f, test in enumerate(fold_sets):
-        train = np.setdiff1d(np.arange(n), test, assume_unique=True)
-        order = np.argsort(dm[np.ix_(test, train)], axis=1, kind="stable")
-        ranked = codes[train][order[:, : min(max(ks, default=1), train.size)]]
-        # votes[i, j, c]: class-c items among the j+1 nearest of test item i
-        votes = np.cumsum(ranked[:, :, None] == np.arange(codes.max() + 1), axis=1)
-        for row, k in enumerate(ks):
-            v = votes[:, min(k, train.size) - 1]
-            top = v == v.max(axis=1, keepdims=True)
-            pred = np.where(top.sum(axis=1) == 1, top.argmax(axis=1), ranked[:, 0])
-            accuracies[row, f] = np.count_nonzero(pred == codes[test]) / test.size
+    for row, k in enumerate(ks):
+        v = votes[np.arange(n), np.minimum(k, train_size) - 1]
+        top = v == v.max(axis=1, keepdims=True)
+        pred = np.where(top.sum(axis=1) == 1, top.argmax(axis=1), ranked[:, 0])
+        accuracies[row] = np.bincount(fold_of[pred == codes], minlength=folds) / fold_size
     return accuracies

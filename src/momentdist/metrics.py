@@ -9,8 +9,9 @@ Frobenius distance for the affected pair and flags that in the result
 metadata.
 
 Every metric is written once, as a per-matrix embedding plus a batched pair
-kernel; one engine runs the kernel a row at a time to fill all-pairs
-matrices. The one-pair geodesic calls the same kernel.
+kernel over aligned stacks of pairs; one engine walks the upper-triangle
+pairs a bounded number at a time to fill all-pairs matrices. The one-pair
+geodesic calls the same kernel.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ class DistanceConfig:
 # ---------------------------------------------------------------------------
 
 
-def _euclidean(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Euclidean distance from ``x`` to each of ``ys`` over all entries."""
-    diff = (ys - x).reshape(len(ys), x.size)
+def _euclidean(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Euclidean distance between each entry of ``xs`` and the aligned one of ``ys``."""
+    diff = (ys - xs).reshape(len(ys), math.prod(ys.shape[1:]))
     return np.sqrt(np.vecdot(diff, diff))
 
 
@@ -114,7 +115,7 @@ def _logm(w: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _geodesic(inv_sqrt: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine-invariant distances from a, given as a^{-1/2}, to each of ``bs``.
+    """Affine-invariant distances from each a, given as a^{-1/2}, to the aligned b of ``bs``.
 
     Also returns the smallest eigenvalue of each whitened product
     a^{-1/2} b a^{-1/2}; where it is <= 0 the distance is undefined (left 0).
@@ -127,8 +128,8 @@ def _geodesic(inv_sqrt: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return d, w0
 
 
-def _flat(x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, None]:
-    return _euclidean(x, ys), None
+def _flat(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, None]:
+    return _euclidean(xs, ys), None
 
 
 # Each embedding maps a stack of matrices to (pd, left, right): a graph's
@@ -174,55 +175,68 @@ METRICS = {
 }
 
 
-def _pairwise(kernel, *stacks: np.ndarray) -> tuple[np.ndarray, int]:
-    """Symmetric all-pairs matrix from a batched pair kernel, with its fallback count.
+# upper-triangle pairs per kernel call: bounds the stacked operands (about
+# 1 MB each at degree 7) for any corpus size
+_PAIR_CHUNK = 2048
 
-    Each stack holds one embedding per graph along its first axis. For each
-    graph i, ``kernel`` gets graph i's entry of every stack followed by the
-    stacks' rows i+1..n-1, and returns the distances to those graphs and how
-    many of them fell back. Negative distances are clipped to 0; a non-finite
-    distance raises NonFiniteDistanceError, and overflow or NaN arithmetic
-    along the way warns nothing.
+
+def _pairwise(kernel, n: int) -> tuple[np.ndarray, int]:
+    """Symmetric n x n all-pairs matrix from a batched pair kernel, with its fallback count.
+
+    The pairs i < j are taken in row-major order, ``_PAIR_CHUNK`` at a time:
+    ``kernel`` gets the chunk's aligned index arrays i and j and returns their
+    distances and how many of them fell back. Negative distances are clipped
+    to 0 before they fill both triangles. A non-finite distance raises
+    NonFiniteDistanceError naming the first such pair, and overflow or NaN
+    arithmetic along the way warns nothing.
     """
-    n = len(stacks[0])
     out = np.zeros((n, n), dtype=np.float64)
     fallbacks = 0
+    # index of each row's first pair, which each chunk's (i, j) are read off:
+    # all of np.triu_indices would take as much memory as ``out``
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1):
-            d, fell = kernel(*(s[i] for s in stacks), *(s[i + 1:] for s in stacks))
-            out[i, i + 1:] = out[i + 1:, i] = np.maximum(d, 0.0)
+        for lo in range(0, starts[-1], _PAIR_CHUNK):
+            p = np.arange(lo, min(lo + _PAIR_CHUNK, starts[-1]))
+            i = np.searchsorted(starts, p, side="right") - 1
+            j = p - starts[i] + i + 1
+            d, fell = kernel(i, j)
+            d = np.maximum(d, 0.0)
+            bad = ~np.isfinite(d)
+            if bad.any():
+                first = np.argmax(bad)
+                raise NonFiniteDistanceError(
+                    f"distance between graphs {i[first]} and {j[first]} is {d[first]}")
+            out[i, j] = out[j, i] = d
             fallbacks += fell
-    if not np.isfinite(out).all():
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        raise NonFiniteDistanceError(f"distance between graphs {i} and {j} is {out[i, j]}")
     return out, fallbacks
 
 
 def _moment_distances(mats: np.ndarray, cfg: DistanceConfig) -> tuple[np.ndarray, int]:
     """All-pairs distances between stacked moment matrices, and the fallback count."""
     embed, kernel = METRICS[cfg.metric]
+    # overflow or NaN in the embedding surfaces as a non-finite distance
+    with np.errstate(over="ignore", invalid="ignore"):
+        pd, left, right = embed(mats)
+    # math.log1p, not np.log1p: the two differ in the last bit on some inputs
+    log1p = np.vectorize(math.log1p, otypes=[np.float64])
 
-    def row(a, pd_a, left_a, _right_a, bs, pd_bs, _left_bs, right_bs):
-        d = np.zeros(len(bs))
+    def pairs(i, j):
+        a, b = mats[i], mats[j]
+        d = np.zeros(len(i))
         # identification axiom, exact; also spares the geodesic from
         # amplifying roundoff on ill-conditioned but identical inputs
-        differ = ~np.all(bs == a, axis=(1, 2))
-        use = differ & pd_bs & pd_a
+        differ = ~np.all(a == b, axis=(1, 2))
+        use = differ & pd[i] & pd[j]
         fell = differ & ~use
         if use.any():
-            d[use], w0 = kernel(left_a, right_bs[use])
+            d[use], w0 = kernel(left[i[use]], right[j[use]])
             if w0 is not None:  # the whitened product lost positivity
                 fell[use] = w0 <= 0
-        d[fell] = _euclidean(a, bs[fell])
-        return d, int(fell.sum())
+        d[fell] = _euclidean(a[fell], b[fell])
+        return (log1p(d) if cfg.scaling == "log1p" else d), int(fell.sum())
 
-    # the embedding too: overflow or NaN surfaces as a non-finite distance
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, fallbacks = _pairwise(row, mats, *embed(mats))
-    if cfg.scaling == "log1p":
-        # math.log1p, not np.log1p: the two differ in the last bit on some inputs
-        out = np.vectorize(math.log1p, otypes=[np.float64])(out)
-    return out, fallbacks
+    return _pairwise(pairs, len(mats))
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,29 @@ Everything here is deliberately brute force: permutation search for
 isomorphism, walk enumeration and dense integer matrix powers for walk
 counts, exhaustive subset enumeration for graphlets, Gaussian elimination
 over fractions for Hankel minors, every split retried for union names. These stay independent of the library's
-fast paths so they can referee them. ``one_of`` is the weighted hypothesis
-strategy choice the property tests share.
+fast paths so they can referee them. The loops that batched paths replaced
+(one row of pairs, one KNN query, one walk step, one sample at a time) are
+kept here too, as byte-exact references for the batching. ``one_of`` is the
+weighted hypothesis strategy choice the property tests share.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from momentdist import EdgeListError, Graph, SelfLoopError, UnknownGraphNameError
+from momentdist import (
+    EdgeListError,
+    Graph,
+    NonFiniteDistanceError,
+    SelfLoopError,
+    UnknownGraphNameError,
+)
 from momentdist.baselines import _DEGSEQ4_TO_INDEX, GRAPHLET4_TYPES
 from momentdist.graphs import (
     _FAMILY_RE,
@@ -29,6 +38,7 @@ from momentdist.graphs import (
 )
 from momentdist import learn
 from momentdist.learn import _stratified_folds
+from momentdist.metrics import METRICS, _euclidean
 
 
 def neighbors(g: Graph, i: int) -> np.ndarray:
@@ -300,6 +310,55 @@ def reference_pairwise(mats, metric: str) -> tuple[np.ndarray, int]:
                 val = _frobenius(a, b)
                 fallbacks += 1
             out[i, j] = out[j, i] = max(val, 0.0)
+    return out, fallbacks
+
+
+def pairwise_by_rows(kernel, *stacks) -> tuple[np.ndarray, int]:
+    """All-pairs matrix and fallback count from one kernel call per row.
+
+    The row loop that the chunked engine ``metrics._pairwise`` replaced, kept
+    as its reference: ``kernel`` gets graph i's entry of every stack followed
+    by the stacks' rows i+1..n-1. Distances are clipped at 0 and fill both
+    triangles; the first non-finite entry in row-major order raises
+    NonFiniteDistanceError.
+    """
+    n = len(stacks[0])
+    out = np.zeros((n, n), dtype=np.float64)
+    fallbacks = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            d, fell = kernel(*(s[i] for s in stacks), *(s[i + 1:] for s in stacks))
+            out[i, i + 1:] = out[i + 1:, i] = np.maximum(d, 0.0)
+            fallbacks += fell
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise NonFiniteDistanceError(f"distance between graphs {i} and {j} is {out[i, j]}")
+    return out, fallbacks
+
+
+def moment_distances_by_rows(mats: np.ndarray, metric: str, scaling: str = "none"):
+    """All-pairs moment-matrix distances and fallback count, one row of pairs
+    per kernel call through :func:`pairwise_by_rows`: the identity test, the
+    PD mask, the metric's kernel and the Frobenius fallback of graph i against
+    graphs i+1..n-1, then ``log1p`` over all n² entries if asked."""
+    embed, kernel = METRICS[metric]
+
+    def row(a, pd_a, left_a, _right_a, bs, pd_bs, _left_bs, right_bs):
+        d = np.zeros(len(bs))
+        differ = ~np.all(bs == a, axis=(1, 2))
+        use = differ & pd_bs & pd_a
+        fell = differ & ~use
+        if use.any():
+            d[use], w0 = kernel(left_a, right_bs[use])
+            if w0 is not None:
+                fell[use] = w0 <= 0
+        d[fell] = _euclidean(a, bs[fell])
+        return d, int(fell.sum())
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, fallbacks = pairwise_by_rows(row, mats, *embed(mats))
+    if scaling == "log1p":
+        out = np.vectorize(math.log1p, otypes=[np.float64])(out)
     return out, fallbacks
 
 

@@ -52,7 +52,7 @@ def test_cov_permutation_invariant_spectrum():
 
 
 def _bhattacharyya_pair(c1, c2, jitter=None):
-    return float(_bhattacharyya(c1, c2[None], jitter)[0])
+    return float(_bhattacharyya(c1[None], c2[None], jitter)[0])
 
 
 def test_bhattacharyya_identity_zero():

@@ -1,13 +1,16 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import momentdist as md
+from momentdist import metrics
+from momentdist.experiments import _BASELINES
 from momentdist.metrics import METRICS, _hankel_stack, _moment_distances, _pairwise
-from oracles import random_graph, reference_pairwise
+from oracles import moment_distances_by_rows, pairwise_by_rows, random_graph, reference_pairwise
 
 
 def _random_pd(rng, k):
@@ -256,6 +259,52 @@ def test_pairwise_engine_matches_per_pair_reference(metric):
         assert any(0 < f < pairs for f in fallback_counts)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64, metrics._PAIR_CHUNK])
+@pytest.mark.parametrize("metric", list(METRICS))
+def test_chunked_engine_matches_row_loop(monkeypatch, metric, chunk):
+    # 13 graphs make 78 pairs: chunks of 7 and 64 pairs end mid-row
+    monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
+    table = md.moment_table(engine_corpus(), 14)
+    for degree in range(1, 8):
+        for eps in (0.0, 1e4):
+            for scaling in ("none", "log1p"):
+                mats = _hankel_stack(table, degree, eps)
+                cfg = md.DistanceConfig(degree=degree, metric=metric, eps=eps, scaling=scaling)
+                got, got_fallbacks = _moment_distances(mats, cfg)
+                want, want_fallbacks = moment_distances_by_rows(mats, metric, scaling)
+                assert got.tobytes() == want.tobytes(), (degree, eps, scaling)
+                assert got_fallbacks == want_fallbacks, (degree, eps, scaling)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("method", list(_BASELINES))
+def test_chunked_engine_matches_row_loop_on_baselines(monkeypatch, method, chunk):
+    monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    gs = [random_graph(rng, 12, 0.35) for _ in range(11)]
+    gs += [gs[3], gs[3]]
+    params = {"eigs": {"k": 6}, "gk4": {"samples": 200, "seed": 5}}.get(method, {})
+    features, kernel = _BASELINES[method]
+    want, _ = pairwise_by_rows(lambda x, ys: (kernel(x[None], ys), 0),
+                               np.stack(features(gs, **params)))
+    assert md.method_distance_matrix(gs, method, **params).entries.tobytes() == want.tobytes()
+
+
+def test_pairwise_working_set_stays_chunked():
+    # one unchunked all-pairs stack of degree-7 moment matrices: N(N-1)/2 * 8 * 8 doubles
+    rng = np.random.default_rng(9)
+    gs = [random_graph(rng, 8, 0.4) for _ in range(300)]
+    table = md.moment_table(gs, 14)
+    unchunked = 300 * 299 // 2 * 8 * 8 * 8
+    tracemalloc.start()
+    try:
+        md.pairwise_distance_matrix(gs, md.DistanceConfig(degree=7, eps=1e4), table=table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < unchunked, (peak, unchunked)
+
+
 def test_moment_table_blocks_match_one_graph_extraction():
     gs = engine_corpus()
     table = md.moment_table(gs, 14)
@@ -315,11 +364,29 @@ def test_pairwise_rejects_overflowing_distance():
 
 
 def test_engine_rejects_nan_distance():
-    def kernel(x, ys):
-        return np.where(np.arange(len(ys)) == 1, np.nan, 1.0), 0
+    def kernel(i, j):
+        return np.where((i == 0) & (j == 2), np.nan, 1.0), 0
 
     with pytest.raises(md.NonFiniteDistanceError, match="graphs 0 and 2 is nan"):
-        _pairwise(kernel, np.zeros((4, 2)))
+        _pairwise(kernel, 4)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 5, metrics._PAIR_CHUNK])
+def test_engine_names_first_non_finite_pair_in_row_major_order(monkeypatch, chunk):
+    # of the 15 pairs of 6 graphs, (1, 5) is the 9th in row-major order and
+    # (2, 3) the 10th; with 4 pairs a chunk both fall in the third chunk, with
+    # 5 pairs a chunk in the second
+    bad = {(2, 3): np.nan, (1, 5): np.inf, (3, 4): np.nan, (4, 5): -np.nan}
+    monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
+
+    def kernel(i, j):
+        return np.array([bad.get(pair, 1.0) for pair in zip(i.tolist(), j.tolist())]), 0
+
+    with pytest.raises(md.NonFiniteDistanceError, match="graphs 1 and 5 is inf"):
+        _pairwise(kernel, 6)
+    del bad[1, 5]
+    with pytest.raises(md.NonFiniteDistanceError, match="graphs 2 and 3 is nan"):
+        _pairwise(kernel, 6)
 
 
 # -- serialization ------------------------------------------------------------------
