@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .graphs import ConfigError, Graph
 from .moments import EmptyGraphError, _closed_walks, trace_moments
@@ -140,6 +139,8 @@ def top_k_eigenvalues(g: Graph, k: int = 10) -> FeatureVector:
         eigs = np.linalg.eigvalsh(g.to_dense()) if g.n else np.zeros(0)
         top = eigs[::-1][:k]
     else:
+        import scipy.sparse.linalg as spla  # local: a slow import only large graphs need
+
         try:
             top = spla.eigsh(g.to_csr(), k=k, which="LA", tol=1e-8, return_eigenvectors=False)
         except spla.ArpackNoConvergence as exc:

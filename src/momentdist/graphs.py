@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import shortest_path
 
 __all__ = [
     "Graph",
@@ -247,7 +246,7 @@ def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, np.ndarray, int 
                        prepend=0)
     if starts.size == 0 or np.any((per_line != 0) & (per_line != 2)) or lengths.max() > 18:
         return None
-    rows = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+    rows = np.fromstring(text, dtype=np.int64, count=starts.size, sep=" ").reshape(-1, 2)
     linenos = np.flatnonzero(per_line) + 1
     if header:
         return rows[1:], linenos[1:], int(rows[0, 0])
@@ -563,5 +562,7 @@ def diameter(g: Graph) -> int | float:
     """Longest shortest-path length; ``math.inf`` if disconnected."""
     if g.n <= 1:
         return 0
+    from scipy.sparse.csgraph import shortest_path  # local: a slow import no command needs
+
     longest = shortest_path(g.to_csr(), unweighted=True).max()
     return math.inf if np.isinf(longest) else int(longest)

@@ -11,7 +11,6 @@ import warnings
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .metrics import ConfigError, DistanceMatrix
 
@@ -117,6 +116,8 @@ def kernel_kmeans(k_mat: np.ndarray, k: int, restarts: int = 20, seed=None) -> n
 
 def clustering_accuracy(assignment: Sequence[int], labels: Sequence[int]) -> float:
     """Best agreement over all bijections between cluster ids and class ids."""
+    from scipy.optimize import linear_sum_assignment  # local: a slow import only this needs
+
     assignment = np.asarray(assignment)
     labels = np.asarray(labels)
     if assignment.shape != labels.shape:

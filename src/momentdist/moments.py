@@ -98,9 +98,8 @@ def _closed_walks(a, order: int) -> np.ndarray:
     """tr(A^k) for k = 0..order of a symmetric 0/1 CSR matrix ``a``.
 
     tr(A^0) = n and tr(A) = 0 (no self-loops); for k >= 2, tr(A^k) is the
-    walk sum <c, A^(k-2) c> over A's own columns c, taken in blocks of 256.
-    A is symmetric, so a block of columns is a densified CSR row slice, and
-    the work space stays n * 256 doubles per array.
+    walk sum <c, A^(k-2) c> over A's own columns c, taken in blocks of 256,
+    so the work space stays n * 256 doubles per array.
     """
     n = a.shape[0]
     traces = np.zeros(order + 1, dtype=np.float64)
@@ -109,8 +108,21 @@ def _closed_walks(a, order: int) -> np.ndarray:
         block = 256
         for start in range(0, n, block):
             # the block goes in unnamed, so it is freed once its first product exists
-            traces[2:] += _walk_sums(a, a[start : start + block].T.toarray(order="C"), order - 2)
+            traces[2:] += _walk_sums(a, _column_block(a, start, min(start + block, n)), order - 2)
     return traces
+
+
+def _column_block(a, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of the symmetric 0/1 CSR ``a``, dense and C-ordered.
+
+    A is symmetric, so column j holds ones at the column indices of row j:
+    one scatter from ``indptr`` and ``indices`` fills the block.
+    """
+    block = np.zeros((a.shape[0], stop - start), dtype=np.float64)
+    lo, hi = a.indptr[start], a.indptr[stop]
+    cols = np.repeat(np.arange(stop - start), np.diff(a.indptr[start : stop + 1]))
+    block[a.indices[lo:hi], cols] = 1.0
+    return block
 
 
 def vector_state_moments(g: Graph, order: int) -> MomentSequence:

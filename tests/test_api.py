@@ -1,7 +1,12 @@
 import ast
 import importlib
+import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -157,3 +162,46 @@ def test_defaulted_parameters_set_outside_tests():
                    for tree in trees for call in _calls(tree, fn.name, fn))
     ]
     assert unset == []
+
+
+# Run in a fresh interpreter, since pytest's own process may already hold the
+# modules. Prints, after each command, its exit code and which of the scipy
+# subpackages that only some functions need are loaded.
+_DEFERRED_IMPORTS_PROBE = textwrap.dedent("""
+    import json, sys
+    from momentdist.cli import main
+
+    DEFERRED = ("scipy.optimize", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+    corpus, out = sys.argv[1:]
+    for argv in (["moments", "--named", "K4"],
+                 ["moments", "--named", "K4", "--state", "trace"],
+                 ["pairwise", "--named", "K4", "C4", "P4"],
+                 ["spectrum", "--named", "C4uK1"],
+                 ["classify", "--corpus", corpus, "--folds", "3"],
+                 ["cluster", "--corpus", corpus]):
+        code = main([*argv, "--out", out])
+        print(json.dumps([argv[0], code, [m for m in DEFERRED if m in sys.modules]]))
+""")
+
+
+def test_commands_import_scipy_subpackages_only_where_called(tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"synthetic": {"seed": 1, "settings": [
+        {"nv": 20, "ne": 40, "rho": 0.1, "count": 4},
+        {"nv": 20, "ne": 80, "rho": 0.1, "count": 4},
+    ]}}))
+    path = [str(_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEFERRED_IMPORTS_PROBE, str(corpus), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(cmd, code) for cmd, code, _ in runs] == [
+        ("moments", 0), ("moments", 0), ("pairwise", 0), ("spectrum", 0), ("classify", 0),
+        ("cluster", 0)]
+    assert [loaded for cmd, _, loaded in runs if cmd != "cluster"] == [[]] * 5
+    # cluster's accuracy call loads scipy.optimize (whose own package import
+    # brings scipy.sparse.linalg along); nothing loads csgraph
+    loaded = runs[-1][2]
+    assert "scipy.optimize" in loaded and "scipy.sparse.csgraph" not in loaded

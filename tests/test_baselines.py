@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import momentdist as md
 from momentdist.baselines import _bhattacharyya, _draw_quads
+from momentdist.cli import main
 from momentdist.experiments import _spawn_seeds
 from oracles import (
     brute_graphlet3_counts,
@@ -16,6 +18,7 @@ from oracles import (
     reference_bhattacharyya_matrix,
     reference_euclidean_matrix,
 )
+from test_cli import _write_synthetic_corpus
 
 
 # -- covariance descriptor -------------------------------------------------------
@@ -167,6 +170,36 @@ def test_eigs_sparse_path_matches_dense(monkeypatch):
     monkeypatch.setattr(md.baselines, "DENSE_EIG_N", 100)
     sparse = md.top_k_eigenvalues(g, k=6).values
     assert np.allclose(dense, sparse, atol=1e-6)
+
+
+def _no_convergence(a, k, **_):
+    """An ``eigsh`` whose Lanczos run stops with 2 of its k eigenvalues converged."""
+    raise scipy.sparse.linalg.ArpackNoConvergence(
+        "ARPACK error -1: No convergence", np.array([3.0, 2.0]), np.zeros((a.shape[0], 2)))
+
+
+def test_eigs_lanczos_failure_is_eigensolver_error(monkeypatch):
+    monkeypatch.setattr(md.baselines, "DENSE_EIG_N", 10)
+    # the module attribute, which top_k_eigenvalues' local import reads at call time
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _no_convergence)
+    g = md.generate_rewired(30, 60, 0.1, seed=1)
+    with pytest.raises(md.EigensolverError) as info:
+        md.top_k_eigenvalues(g, k=6)
+    assert str(info.value) == "Lanczos did not converge: 2/6 eigenvalues after the iteration limit"
+    assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
+
+
+def test_eigs_lanczos_failure_exits_numeric(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(md.baselines, "DENSE_EIG_N", 10)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _no_convergence)
+    corpus = tmp_path / "corpus.json"
+    _write_synthetic_corpus(corpus)
+    code = main(["cluster", "--corpus", str(corpus), "--method", "eigs"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric error: Lanczos did not converge: 2/10 eigenvalues after the iteration limit\n")
 
 
 # -- graphlets -------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse
 
 import momentdist as md
-from momentdist.moments import _closed_walks
+from momentdist.moments import _closed_walks, _column_block
 from oracles import exact_walk_sums, random_graph, step_chain_moments, walk_count
 from test_acceptance import DESK_SETTINGS, TABLE4V_NAMES
 
@@ -218,6 +218,18 @@ def test_closed_walks_across_block_boundaries(label):
     nx_graph.add_edges_from(g.edge_array().tolist())
     assert sum(nx.triangles(nx_graph).values()) == 3 * triangles
     assert md.graphlet3_distribution(g)[3] == triangles / (g.n * (g.n - 1) * (g.n - 2) // 6)
+
+
+@pytest.mark.parametrize("label", list(_BOUNDARY_GRAPHS))
+def test_column_blocks_match_densified_row_slices(label):
+    # the reference: scipy's slice of A's rows, transposed and densified
+    a = _BOUNDARY_GRAPHS[label].to_csr()
+    n = a.shape[0]
+    for start in range(0, n, 256):
+        want = a[start : start + 256].T.toarray(order="C")
+        got = _column_block(a, start, min(start + 256, n))
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture
