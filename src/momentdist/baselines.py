@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ConfigError, Graph
+from .graphs import ConfigError, Graph, _check_size
 from .moments import EmptyGraphError, _closed_walks, trace_moments
 
 __all__ = [
@@ -69,6 +69,7 @@ def cov_descriptor(g: Graph, k: int = 4) -> np.ndarray:
         raise ConfigError("k must be at least 2")
     if g.n == 0:
         raise EmptyGraphError("covariance descriptor of the empty graph is undefined")
+    _check_size("k", k, 8 * g.n, "walk-vector array")
     a = g.to_csr()
     w = np.full(g.n, 1.0 / np.sqrt(g.n))
     cols = np.empty((g.n, k), dtype=np.float64)
@@ -135,6 +136,7 @@ def top_k_eigenvalues(g: Graph, k: int = 10) -> FeatureVector:
     """
     if k < 1:
         raise ConfigError("k must be positive")
+    _check_size("k", k, 8, "eigenvalue array")
     if g.n <= DENSE_EIG_N:
         eigs = np.linalg.eigvalsh(g.to_dense()) if g.n else np.zeros(0)
         top = eigs[::-1][:k]
@@ -221,10 +223,6 @@ def graphlet3_distribution(g: Graph) -> np.ndarray:
     return counts / total
 
 
-# each sample takes seven int64 draws; numpy sizes no array above intp-max bytes
-_MAX_SAMPLES = np.iinfo(np.intp).max // (7 * 8)
-
-
 def _draw_quads(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """The quads of ``samples`` calls ``rng.choice(n, size=4, replace=False)``.
 
@@ -259,9 +257,7 @@ def graphlet4_distribution(g: Graph, samples: int = 10000, seed=None) -> np.ndar
         raise EmptyGraphError("need at least 4 vertices")
     if samples < 1:
         raise ConfigError("samples must be positive")
-    if samples > _MAX_SAMPLES:
-        raise ConfigError(f"samples {samples} exceeds {_MAX_SAMPLES}, "
-                          "the most whose draw array numpy can size")
+    _check_size("samples", samples, 7 * 8, "draw array")  # seven int64 draws per sample
     quads = _draw_quads(n, samples, np.random.default_rng(seed))
     u, v = quads[:, _QUAD_PAIRS[0]], quads[:, _QUAD_PAIRS[1]]
     # edge_array rows are u < v in CSR order, so their u*n+v codes are sorted;

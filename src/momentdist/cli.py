@@ -38,6 +38,7 @@ from .experiments import (
 )
 from .graphs import (
     NAMED_GRAPH_CATALOG,
+    ConfigError,
     EdgeListError,
     Graph,
     UnknownGraphNameError,
@@ -47,7 +48,6 @@ from .graphs import (
 from .measures import graph_spectral_measure
 from .metrics import (
     METRICS,
-    ConfigError,
     DistanceConfig,
     NonFiniteDistanceError,
     SingularMatrixError,

@@ -25,10 +25,9 @@ from .baselines import (
     nclm_vector,
     top_k_eigenvalues,
 )
-from .graphs import Graph, generate_rewired
+from .graphs import ConfigError, Graph, _check_size, generate_rewired
 from .learn import clustering_accuracy, kernel_from_distances, kernel_kmeans, knn_classify
 from .metrics import (
-    ConfigError,
     DistanceConfig,
     DistanceMatrix,
     _corpus_labels,
@@ -93,8 +92,7 @@ def _real(value) -> float:
 
 
 def _spawn_seeds(seed, count: int) -> np.ndarray:
-    if count > np.iinfo(np.intp).max:
-        raise ConfigError(f"graph count {count} exceeds {np.iinfo(np.intp).max}")
+    _check_size("graph count", count, 8, "seed array")  # one uint64 seed per graph
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
 
 

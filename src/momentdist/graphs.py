@@ -46,10 +46,25 @@ __all__ = [
 
 # the most vertices for which every edge code u*n+v fits in int64
 MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
+# numpy sizes no array of more bytes than this
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 class ConfigError(ValueError):
     """Invalid configuration or parameter value."""
+
+
+def _check_size(name: str, value: int, unit_bytes: int, array: str, base_bytes: int = 0) -> None:
+    """ConfigError if numpy cannot size ``array``, of ``base_bytes + value * unit_bytes`` bytes.
+
+    numpy refuses a larger array than ``_MAX_ARRAY_BYTES`` with a ValueError
+    or an OverflowError before it allocates anything; this names the option
+    ``name`` instead. A smaller array that does not fit in memory still
+    raises MemoryError.
+    """
+    limit = (_MAX_ARRAY_BYTES - base_bytes) // unit_bytes
+    if value > limit:
+        raise ConfigError(f"{name} {value} exceeds {limit}, the most whose {array} numpy can size")
 
 
 class EdgeListError(ValueError):

@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import ConfigError, DistanceMatrix
+from .graphs import ConfigError, _check_size
+from .metrics import DistanceMatrix
 
 __all__ = [
     "kernel_from_distances",
@@ -104,6 +105,7 @@ def kernel_kmeans(k_mat: np.ndarray, k: int, restarts: int = 20, seed=None) -> n
         raise ConfigError(f"k must be in 1..{n}")
     if restarts < 1:
         raise ConfigError("restarts must be positive")
+    _check_size("restarts", restarts, 8 * n, "initial-label array")
 
     rng = np.random.default_rng(seed)
     inits = np.empty((restarts, n), dtype=np.int64)
@@ -191,7 +193,8 @@ def knn_classify(d, labels: Sequence, ks: Sequence[int] = (1,), folds: int = 10,
     votes = np.cumsum(ranked[:, :, None] == np.arange(codes.max() + 1), axis=1)
     accuracies = np.empty((len(ks), folds), dtype=np.float64)
     for row, k in enumerate(ks):
-        v = votes[np.arange(n), np.minimum(k, train_size) - 1]
+        # k past n, which numpy's int64 may not hold, votes as n does
+        v = votes[np.arange(n), np.minimum(min(k, n), train_size) - 1]
         top = v == v.max(axis=1, keepdims=True)
         pred = np.where(top.sum(axis=1) == 1, top.argmax(axis=1), ranked[:, 0])
         accuracies[row] = np.bincount(fold_of[pred == codes], minlength=folds) / fold_size

@@ -29,7 +29,6 @@ from .hankel import MomentMatrix, _hankel_blocks
 from .moments import _finite, _vector_chain
 
 __all__ = [
-    "ConfigError",
     "SingularMatrixError",
     "NonFiniteDistanceError",
     "DistanceConfig",

@@ -11,11 +11,12 @@ invariant density-matrix states are also provided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ConfigError, Graph
+from .graphs import ConfigError, Graph, _check_size
 
 __all__ = [
     "MomentSequence",
@@ -65,12 +66,20 @@ def _require_nonempty(g: Graph) -> None:
         raise EmptyGraphError("moments of the empty graph are undefined")
 
 
+def _check_order(order: int) -> None:
+    """ConfigError unless ``order`` is nonnegative and numpy can size m_0..m_order."""
+    if order < 0:
+        raise ConfigError("order must be nonnegative")
+    _check_size("order", order, 8, "moment array", base_bytes=8)
+
+
 def _finite(vals: np.ndarray) -> np.ndarray:
     """``vals``, or NonFiniteMomentError naming the first bad row's first non-finite order."""
-    bad = np.argwhere(~np.isfinite(np.atleast_2d(vals)))
-    if bad.size:
+    bad = ~np.isfinite(np.atleast_2d(vals))
+    if bad.any():
+        first_row = bad[np.argmax(bad.any(axis=1))]
         raise NonFiniteMomentError(
-            f"moment of order {bad[0, 1]} is not finite in float64; lower the order"
+            f"moment of order {np.argmax(first_row)} is not finite in float64; lower the order"
         )
     return vals
 
@@ -80,12 +89,19 @@ def _walk_sums(a, w: np.ndarray, order: int) -> np.ndarray:
 
     With w_j = A^j w, m_2j = <w_j, w_j> and m_2j+1 = <w_j, w_j+1>, so
     ceil(order/2) products with the symmetric ``a`` reach every order.
-    Overflow is left in the sums as inf or NaN (inf times 0).
+    Overflow is left in the sums as inf or NaN (inf times 0). The chain
+    stops after the first even order whose sum is not finite, and the sums
+    after it are NaN. |m_2j+1| <= (m_2j + m_2j+2) / 2 term by term, so an
+    odd sum overflows only with the even one after it: the first non-finite
+    order, and every sum before it, are the full chain's.
     """
     sums = np.empty(order + 1, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         sums[0] = np.vdot(w, w)
         for j in range(1, (order + 1) // 2 + 1):
+            if not math.isfinite(sums[2 * j - 2]):
+                sums[2 * j - 1 :] = np.nan
+                break
             nxt = a @ w
             sums[2 * j - 1] = np.vdot(w, nxt)
             if 2 * j <= order:
@@ -137,8 +153,7 @@ def vector_state_moments(g: Graph, order: int) -> MomentSequence:
 def _vector_chain(g: Graph, order: int) -> np.ndarray:
     """The moments of :func:`vector_state_moments` unchecked: overflow leaves inf or NaN."""
     _require_nonempty(g)
-    if order < 0:
-        raise ConfigError("order must be nonnegative")
+    _check_order(order)
     return _walk_sums(g.to_csr(), np.ones(g.n, dtype=np.float64), order) / g.n
 
 
@@ -153,8 +168,7 @@ def trace_moments(g: Graph, order: int) -> MomentSequence:
     cospectral graphs agree bit for bit.
     """
     _require_nonempty(g)
-    if order < 0:
-        raise ConfigError("order must be nonnegative")
+    _check_order(order)
     return MomentSequence(_finite(_closed_walks(g.to_csr(), order) / g.n))
 
 
@@ -173,8 +187,7 @@ def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequenc
         raise ValueError("matrix is not symmetric within 1e-10")
     if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
         raise ValueError("state vector is not unit norm within 1e-10")
-    if order < 0:
-        raise ConfigError("order must be nonnegative")
+    _check_order(order)
     vals = _walk_sums(a, xi, order)
     vals[0] = 1.0
     return MomentSequence(vals)

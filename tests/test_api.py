@@ -45,15 +45,18 @@ def _used_names(tree: ast.AST, skip=frozenset()) -> set[str]:
     return names
 
 
+def _defines(node: ast.stmt, name: str) -> bool:
+    """Whether the statement ``node`` defines ``name``: by def, class or assignment, not by import."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
 def _definitions(tree: ast.Module, name: str) -> frozenset:
     """The top-level statements that define ``name`` or list the public names."""
-    def defines(node):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            return node.name == name
-        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-        return any(isinstance(t, ast.Name) and t.id in (name, "__all__") for t in targets)
-
-    return frozenset(node for node in tree.body if defines(node))
+    return frozenset(node for node in tree.body
+                     if _defines(node, name) or _defines(node, "__all__"))
 
 
 def _public_methods(trees, cls: str) -> list:
@@ -79,6 +82,26 @@ def _public() -> list[tuple[str, str]]:
     """(module, name) of each public name."""
     return [(module, name) for module in _MODULES
             for name in importlib.import_module(f"momentdist.{module}").__all__]
+
+
+def test_public_names_defined_in_own_module():
+    """Each ``__all__`` entry is defined at the top level of its own module,
+    so no public name is declared by two modules."""
+    package = _package()
+    foreign = [f"{module}.{name}" for module, name in _public()
+               if not any(_defines(node, name) for node in package[module].body)]
+    assert foreign == []
+
+
+def test_package_init_binds_only_star_imports():
+    """``__init__.py`` holds its docstring, ``__version__`` and one star import
+    per module, so the modules' ``__all__`` lists are the only public list."""
+    tree = ast.parse((_ROOT / "src" / "momentdist" / "__init__.py").read_text())
+    stray = [ast.unparse(node) for node in tree.body[1:]  # after the docstring
+             if not _defines(node, "__version__")
+             and not (isinstance(node, ast.ImportFrom) and node.level == 1
+                      and [alias.name for alias in node.names] == ["*"])]
+    assert stray == []
 
 
 def test_public_names_reached_outside_tests():

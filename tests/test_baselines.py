@@ -311,3 +311,20 @@ def test_graphlet_size_guards():
 def test_feature_vector_requires_finite():
     with pytest.raises(ValueError):
         md.FeatureVector(np.array([1.0, np.inf]))
+
+
+# -- argument checks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: md.cov_descriptor(md.empty_graph(0)), md.EmptyGraphError,
+     "covariance descriptor of the empty graph is undefined"),
+    (lambda: md.top_k_eigenvalues(md.complete_graph(4), k=0), md.ConfigError,
+     "k must be positive"),
+    (lambda: md.graphlet4_distribution(md.complete_graph(4), samples=0), md.ConfigError,
+     "samples must be positive"),
+], ids=["cov-empty-graph", "eigs-k-0", "gk4-no-samples"])
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message

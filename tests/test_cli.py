@@ -201,6 +201,20 @@ def test_classify_takes_degrees_only(tmp_path, capsys):
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
+def test_classify_knn_k_past_int64_votes_with_whole_training_set(tmp_path, capsys):
+    # 12 of 20 graphs, 3 of each fold's 5, are of the first class, so a vote
+    # of the whole training set gives every fold 0.6, however large k is
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"synthetic": {"seed": 1, "settings": [
+        {"nv": 20, "ne": 40, "rho": 0.2, "count": 12},
+        {"nv": 20, "ne": 40, "rho": 0.9, "count": 8}]}}))
+    for k in (20, 2**63 - 1, 2**63, 10**20):
+        code, out = run(capsys, ["classify", "--corpus", str(corpus), "--degrees", "2",
+                                 "--folds", "4", "--knn-k", str(k)])
+        assert code == 0
+        assert json.loads(out)["per_fold"] == [0.6] * 4
+
+
 # -- bench ----------------------------------------------------------------------
 
 
@@ -399,12 +413,18 @@ _CONTRACT_FILES = {
     "huge-count.json": json.dumps({"synthetic": {"settings": [
         {"nv": 10, "ne": 20, "rho": 0.1, "count": 10**20}]}}).encode(),
     "list.json": b"[]",
+    "no-block.json": b"{}",
+    "bad-indexing.json": json.dumps({"indexing": "x",
+                                     "files": [{"path": "wide.txt", "label": 0}]}).encode(),
     "huge-nv.json": json.dumps({"synthetic": {"settings": [
         {"nv": 4000000000, "ne": 4000000000, "rho": 0.1, "count": 2}]}}).encode(),
     "huge-lattice.json": json.dumps({"synthetic": {"settings": [
         {"nv": 3000000000, "ne": 3000000000, "rho": 0.1, "count": 2}]}}).encode(),
     "small.json": json.dumps({"synthetic": {"seed": 1, "settings": [
         {"nv": 10, "ne": 20, "rho": 0.1, "count": 2}]}}).encode(),
+    "twenty.json": json.dumps({"synthetic": {"seed": 1, "settings": [
+        {"nv": 20, "ne": 40, "rho": 0.1, "count": 10},
+        {"nv": 20, "ne": 80, "rho": 0.1, "count": 10}]}}).encode(),
     "empty.txt": b"# no edges\n",
     "empty-files.json": json.dumps({"files": [{"path": "empty.txt", "label": 0},
                                               {"path": "empty.txt", "label": 1}]}).encode(),
@@ -434,6 +454,12 @@ _MAX_GK4_SAMPLES = (2**63 - 1) // (7 * 8)
 def _gk4_refused(samples):
     return (f"config error: samples {samples} exceeds {_MAX_GK4_SAMPLES}, "
             "the most whose draw array numpy can size")
+
+
+# an integer option too large for numpy to size the array it sets
+_HUGE = 10**20
+_ORDER_REFUSED = "exceeds 1152921504606846974, the most whose moment array numpy can size"
+_COUNT_REFUSED = "exceeds 1152921504606846975, the most whose seed array numpy can size"
 
 
 def _main_with_capped_memory(argv):
@@ -467,9 +493,11 @@ def _main_with_capped_memory(argv):
      "input error: setting 0 has a bad 'count': -1"),
     (["cluster", "--corpus", "list.json"], 2, "input error: corpus manifest is not a JSON object"),
     (["cluster", "--corpus", "huge-count.json"], 4,
-     "config error: graph count 100000000000000000000 exceeds 9223372036854775807"),
+     f"config error: graph count 100000000000000000000 {_COUNT_REFUSED}"),
     (["bench", "--sizes", "10:20", "--count", "100000000000000000000"], 4,
-     "config error: graph count 100000000000000000000 exceeds 9223372036854775807"),
+     f"config error: graph count 100000000000000000000 {_COUNT_REFUSED}"),
+    (["bench", "--sizes", "10:20", "--count", str(2**62)], 4,
+     f"config error: graph count {2**62} {_COUNT_REFUSED}"),
     (["cluster", "--corpus", "small.json", "--seed", "-1"], 4,
      "config error: seed must be nonnegative, got -1"),
     (["cluster", "--corpus", "small.json", "--restarts", "0"], 4,
@@ -521,9 +549,36 @@ def _main_with_capped_memory(argv):
      "input error: synthetic block has a bad 'seed': '1'"),
     (["cluster", "--corpus", "path-not-string.json"], 2,
      "input error: files entry 0 has a bad 'path': 3"),
+    (["cluster", "--corpus", "twenty.json", "--restarts", str(_HUGE)], 4,
+     f"config error: restarts {_HUGE} exceeds 57646075230342348, the most whose initial-label "
+     "array numpy can size"),
+    (["cluster", "--corpus", "twenty.json", "--method", "cov", "--cov-k", str(_HUGE)], 4,
+     f"config error: k {_HUGE} exceeds 57646075230342348, the most whose walk-vector array "
+     "numpy can size"),
+    (["cluster", "--corpus", "twenty.json", "--method", "eigs", "--eigs-k", str(_HUGE)], 4,
+     f"config error: k {_HUGE} exceeds 1152921504606846975, the most whose eigenvalue array "
+     "numpy can size"),
+    (["pairwise", "--named", "K4", "C4", "--degree", str(_HUGE)], 4,
+     f"config error: order {2 * _HUGE} {_ORDER_REFUSED}"),
+    (["cluster", "--corpus", "twenty.json", "--degree", str(_HUGE)], 4,
+     f"config error: order {2 * _HUGE} {_ORDER_REFUSED}"),
+    (["classify", "--corpus", "twenty.json", "--degrees", str(_HUGE)], 4,
+     f"config error: order {2 * _HUGE} {_ORDER_REFUSED}"),
+    (["bench", "--sizes", "10:20", "--count", "1", "--degree", str(_HUGE)], 4,
+     f"config error: order {2 * _HUGE} {_ORDER_REFUSED}"),
+    (["moments", "--named", "K4", "--order", str(_HUGE)], 4,
+     f"config error: order {_HUGE} {_ORDER_REFUSED}"),
+    (["moments", "--named", "K4", "--state", "trace", "--order", str(_HUGE)], 4,
+     f"config error: order {_HUGE} {_ORDER_REFUSED}"),
+    # a k above the training set votes with all of it, however large
+    (["classify", "--corpus", "twenty.json", "--knn-k", str(2**63)], 0, None),
+    (["pairwise"], 4, "config error: no graphs given; use --named and/or --inputs"),
+    (["cluster", "--corpus", "no-block.json"], 4,
+     "config error: corpus manifest must contain a 'synthetic' or 'files' block"),
+    (["cluster", "--corpus", "bad-indexing.json"], 4, "config error: unknown indexing mode 'x'"),
 ], ids=["id-int64-max", "manifest-not-utf8", "spectrum-empty", "spectrum-above-dense",
         "files-not-list", "rho-not-number", "negative-count", "manifest-not-object",
-        "corpus-count-above-intp", "bench-count-above-intp",
+        "corpus-count-above-intp", "bench-count-above-intp", "bench-count-above-seed-array",
         "negative-seed", "no-restarts", "cov-k-1", "nclm-edgeless", "reg-nan", "reg-inf",
         "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats",
         "corpus-nv-above-max", "bench-nv-above-max",
@@ -531,7 +586,11 @@ def _main_with_capped_memory(argv):
         "gk4-samples-above-intp", "gk4-samples-int64-max", "gk4-samples-out-of-memory",
         "gk4-samples-at-max",
         "nv-float", "nv-string", "ne-float", "count-float", "label-bool", "rho-bool",
-        "seed-float", "seed-string", "path-not-string"])
+        "seed-float", "seed-string", "path-not-string",
+        "restarts-huge", "cov-k-huge", "eigs-k-huge", "pairwise-degree-huge",
+        "cluster-degree-huge", "classify-degrees-huge", "bench-degree-huge", "order-huge",
+        "trace-order-huge", "knn-k-above-int64", "pairwise-no-graphs", "manifest-no-block",
+        "manifest-bad-indexing"])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
     monkeypatch.chdir(tmp_path)
     for name, data in _CONTRACT_FILES.items():
@@ -703,6 +762,8 @@ _FUZZ_NAMES = ["K0", "K1", "K2", "K4", "C4", "C6", "P3", "S5", "claw", "paw", "d
                "2K2", "4K1", "co-paw", "C4uK1", "K2,3", "K3,3"]
 _EDGE_FILES = ["a.txt", "b.txt", "c.txt"]
 _ERROR_PREFIXES = ("input error: ", "numeric error: ", "config error: ")
+# integers too large for numpy to size an array by, so no draw allocates memory
+_HUGE_INTS = st.sampled_from([2**62, 2**63, 10**20])
 
 
 @st.composite
@@ -769,9 +830,14 @@ def _source(draw):
     return argv + (["--header"] if draw(st.booleans()) else [])
 
 
+def _int(draw, values):
+    """An integer option's value: from ``values`` three times in four, else a huge one."""
+    return str(draw(one_of(*[values] * 3, _HUGE_INTS)))
+
+
 def _distance_options(draw, degree=True):
     """--metric, --scale and --reg, after --degree where the command takes it."""
-    argv = ["--degree", str(draw(st.integers(0, 5)))] if degree else []
+    argv = ["--degree", _int(draw, st.integers(0, 5))] if degree else []
     return argv + ["--metric", draw(st.sampled_from(list(md.METRICS))),
                    "--scale", draw(st.sampled_from(["none", "log1p"])),
                    "--reg", draw(st.sampled_from(["0", "0", "0", "1e-6", "1e4", "1e308", "-1",
@@ -779,10 +845,12 @@ def _distance_options(draw, degree=True):
 
 
 def _ints(draw, flag):
-    """``flag`` with one to three values from 1 to 4; one time in four, any values from 0 to 4."""
+    """``flag`` with one to three values from 1 to 4; one time in four, any values from 0 to 4.
+    One time in four, a huge value follows."""
     values = one_of(*[st.lists(st.integers(1, 4), min_size=1, max_size=3)] * 3,
                     st.lists(st.integers(0, 4), max_size=3))
-    return [flag, *map(str, draw(values))]
+    huge = one_of(*[st.just([])] * 3, _HUGE_INTS.map(lambda v: [v]))
+    return [flag, *map(str, draw(values) + draw(huge))]
 
 
 @st.composite
@@ -790,7 +858,7 @@ def _argvs(draw):
     cmd = draw(st.sampled_from(["moments", "pairwise", "spectrum", "cluster", "classify",
                                 "bench"]))
     if cmd == "moments":
-        return [cmd, *_source(draw), "--order", str(draw(st.integers(-1, 12))),
+        return [cmd, *_source(draw), "--order", _int(draw, st.integers(-1, 12)),
                 "--state", draw(st.sampled_from(["vector", "trace"]))]
     if cmd == "spectrum":
         return [cmd, *_source(draw)]
@@ -803,21 +871,23 @@ def _argvs(draw):
         sizes = [f"{s['nv']}:{s['ne']}" for s in draw(st.lists(_setting(), min_size=1,
                                                                  max_size=2))]
         return [cmd, "--sizes", *sizes,
-                "--count", str(draw(st.sampled_from([1, 2, 1, 2, 0]))),
+                "--count", _int(draw, st.sampled_from([1, 2, 1, 2, 0])),
+                # a huge repeat count is valid: an endless loop
                 "--repeats", str(draw(st.sampled_from([1, 2, 1, 2, 0]))),
-                "--degree", str(draw(st.integers(0, 5))),
+                "--degree", _int(draw, st.integers(0, 5)),
                 "--rho", draw(st.sampled_from(["0", "0.2", "1", "0", "0.2", "1", "1.5", "nan"])),
                 "--methods", *draw(st.lists(st.sampled_from(list(md.METHODS)), unique=True)),
-                "--seed", str(draw(st.sampled_from([0, 1, 0, 1, -1])))]
+                "--seed", _int(draw, st.sampled_from([0, 1, 0, 1, -1]))]
     argv = [cmd, "--corpus", "corpus.json", "--method", draw(st.sampled_from(list(md.METHODS))),
-            *_distance_options(draw, cmd == "cluster"), "--cov-k", str(draw(st.integers(0, 5))),
-            "--eigs-k", str(draw(st.integers(0, 5))),
-            "--gk4-samples", str(draw(st.integers(0, 30))),
-            "--seed", str(draw(st.sampled_from([0, 1, 2, 0, 1, 2, -1])))]
+            *_distance_options(draw, cmd == "cluster"),
+            "--cov-k", _int(draw, st.integers(0, 5)),
+            "--eigs-k", _int(draw, st.integers(0, 5)),
+            "--gk4-samples", _int(draw, st.integers(0, 30)),
+            "--seed", _int(draw, st.sampled_from([0, 1, 2, 0, 1, 2, -1]))]
     if cmd == "cluster":
-        return argv + ["--restarts", str(draw(st.sampled_from([1, 3, 1, 3, 0])))]
+        return argv + ["--restarts", _int(draw, st.sampled_from([1, 3, 1, 3, 0]))]
     return argv + _ints(draw, "--knn-k") + _ints(draw, "--degrees") + [
-        "--folds", str(draw(st.sampled_from([2, 3, 2, 3, 0, 1])))]
+        "--folds", _int(draw, st.sampled_from([2, 3, 2, 3, 0, 1]))]
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True,

@@ -30,3 +30,13 @@ def test_unknown_method_parameter_rejected(method, params, unknown):
 def test_every_method_needs_two_graphs(method):
     with pytest.raises(md.ConfigError, match="^need at least two graphs$"):
         md.method_distance_matrix(_corpus(1), method)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: md.make_rewired_corpus({"nv": 1}), md.CorpusSpecError,
+     "settings must be a list, got {'nv': 1}"),
+], ids=["settings-not-list"])
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message

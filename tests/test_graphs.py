@@ -624,3 +624,18 @@ def test_walk_count_matches_dense_powers():
             for i in range(g.n):
                 for j in range(g.n):
                     assert walk_count(g, i, j, k) == p[i, j]
+
+
+# -- argument checks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: md.Graph.from_edges(3, [(0, 1, 2)]), ValueError, "edges must be pairs"),
+    (lambda: md.Graph.from_edges(2, [(0, 2)]), ValueError, "edge endpoint out of range for n=2"),
+    (lambda: md.named_graph("C4,5"), md.UnknownGraphNameError, "family C takes one parameter"),
+    (lambda: md.generate_rewired(0, 10, 0.1, 1), md.ConfigError, "nv and ne must be positive"),
+], ids=["triples", "endpoint-out-of-range", "cycle-two-parameters", "no-vertices"])
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message

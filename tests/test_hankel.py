@@ -212,3 +212,18 @@ def test_substructure_invariance():
         a = md.moment_matrix_of_graph(g, 4).entries
         b = md.moment_matrix_of_graph(doubled, 4).entries
         assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, np.abs(a)))
+
+
+# -- argument checks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: md.MomentMatrix(2, np.zeros((2, 2))), "entries shape does not match degree"),
+    (lambda: md.build_moment_matrix([1.0, 0.0, 1.0], -1), "degree must be nonnegative"),
+    (lambda: md.hankel_rank([1.0], -1), "max_d must be nonnegative"),
+    (lambda: md.hankel_rank([1.0, np.inf, 1.0], 1), "moments must be finite"),
+], ids=["entries-shape", "negative-degree", "negative-max-d", "infinite-moment"])
+def test_bad_arguments_raise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message

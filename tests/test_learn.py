@@ -329,3 +329,22 @@ def test_knn_one_pass_matches_per_query_reference(problem):
         for row, k in zip(got, ks):
             want = knn_fold_accuracies_by_query(d, labels, k, folds, seed)
             assert row.tobytes() == want.tobytes(), k
+
+
+# -- argument checks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: md.kernel_kmeans(np.array([[1.0, 0.5], [0.4, 1.0]]), 1), ValueError,
+     "kernel matrix must be symmetric"),
+    (lambda: md.clustering_accuracy([0, 1], [0]), ValueError,
+     "assignment and labels must have equal length"),
+    (lambda: md.clustering_accuracy([], []), ValueError, "empty assignment"),
+    # two folds of four items, so the folds check passes and k is the first fault
+    (lambda: md.knn_classify(np.zeros((4, 4)), [0, 0, 1, 1], ks=[0], folds=2), md.ConfigError,
+     "k must be positive"),
+], ids=["asymmetric-kernel", "length-mismatch", "empty-assignment", "knn-k-0"])
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message

@@ -178,3 +178,32 @@ def test_csv_export():
     lines = text.strip().splitlines()
     assert lines[0] == "lambda,omega"
     assert len(lines) == 1 + mu.num_atoms
+
+
+# -- argument checks -------------------------------------------------------------
+
+
+_UNIT3 = np.ones(3) / np.sqrt(3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: md.DiscreteMeasure([0.0, 1.0], [1.0]),
+     "lambdas and omegas must be 1-d arrays of equal length"),
+    (lambda: md.DiscreteMeasure([0.0, 1.0], [1.5, -0.5]), "atom weights must be nonnegative"),
+    (lambda: md.DiscreteMeasure([0.0, 1.0], [0.5, 0.25]), "weights must sum to 1, got 0.75"),
+    (lambda: md.DiscreteMeasure([1.0, 0.0], [0.5, 0.5]),
+     "atom locations must be strictly increasing"),
+    (lambda: md.spectral_measure(np.zeros(3), _UNIT3), "matrix must be square"),
+    (lambda: md.spectral_measure(np.zeros((2, 2)), _UNIT3),
+     "state vector length must match matrix size"),
+    (lambda: md.spectral_measure(np.zeros((0, 0)), np.zeros(0)), "matrix must be nonempty"),
+    # NaN passes the symmetry test, and eigh returns NaN eigenvectors: every
+    # atom's weight is NaN, so none clears the floor
+    (lambda: md.spectral_measure(np.full((2, 2), np.nan), np.array([1.0, 0.0])),
+     "all spectral weight fell below the weight floor"),
+], ids=["lengths", "negative-weight", "weight-sum", "unsorted-atoms", "not-square",
+        "state-length", "empty-matrix", "nan-matrix"])
+def test_bad_arguments_raise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message

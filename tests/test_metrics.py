@@ -413,3 +413,25 @@ def test_distance_matrix_validation():
         md.DistanceMatrix(["a", "b"], np.array([[1.0, 0.0], [0.0, 0.0]]))  # diag
     with pytest.raises(ValueError):
         md.DistanceMatrix(["a", "b"], np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
+
+
+# -- argument checks -------------------------------------------------------------
+
+
+def _ridged_degree1(name):
+    return md.moment_matrix_of_graph(md.named_graph(name), 1).entries + 1e-9 * np.eye(2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # each ridged matrix passes the per-matrix PD test; their whitened product does not
+    (lambda: md.affine_invariant_dist(_ridged_degree1("K4"), _ridged_degree1("4K1")),
+     md.SingularMatrixError, "whitened product lost positivity (smallest eigenvalue -1.490e-08)"),
+    (lambda: md.DistanceMatrix(["a"], np.zeros((2, 2))), ValueError,
+     "entries shape does not match labels"),
+    (lambda: md.pairwise_distance_matrix([md.complete_graph(2)] * 2, labels=["a"]),
+     md.ConfigError, "labels length must match graphs"),
+], ids=["whitened-not-pd", "entries-shape", "labels-length"])
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message

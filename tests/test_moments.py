@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse
 
 import momentdist as md
-from momentdist.moments import _closed_walks, _column_block
+from momentdist.moments import _column_block
 from oracles import exact_walk_sums, random_graph, step_chain_moments, walk_count
 from test_acceptance import DESK_SETTINGS, TABLE4V_NAMES
 
@@ -94,17 +94,20 @@ def test_overflowing_moments_rejected(moments):
 
 @pytest.mark.parametrize("name, vector_order, trace_order",
                          [("K60,60", 173, 174), ("K60uK1", 174, 175)])
-def test_first_overflowing_order_pinned(name, vector_order, trace_order):
+def test_first_overflowing_order_pinned(csr_products, name, vector_order, trace_order):
     # the first order whose walk count passes float64's maximum is named, also
-    # where later inner products read 0 * inf = NaN: the closed walks of a
-    # bipartite graph alternate sides, so past order 349 of K60,60 an
-    # overflowed entry meets a zero
+    # where a full chain's later inner products would read 0 * inf = NaN: the
+    # closed walks of a bipartite graph alternate sides, so past order 349 of
+    # K60,60 an overflowed entry meets a zero
     g = md.named_graph(name)
     for moments, order in ((md.vector_state_moments, vector_order),
                            (md.trace_moments, trace_order)):
         with pytest.raises(md.NonFiniteMomentError, match=f"order {order} "):
             moments(g, 400)
-    assert np.isnan(_closed_walks(g.to_csr(), 400)).any() == (name == "K60,60")
+    # each chain stops at its first overflow, not at order 400: ceil(k/2)
+    # products reach a walk sum of order k, and trace order k is one block's
+    # walk sum of order k - 2
+    assert len(csr_products) == (vector_order + 1) // 2 + (trace_order - 1) // 2
 
 
 def _int_closed_walks(g, order):
@@ -381,3 +384,22 @@ def test_moment_sequence_hankel_psd():
         mm = md.build_moment_matrix(ms, 4)
         bound = -1e-8 * np.linalg.norm(mm.entries)
         assert np.linalg.eigvalsh(mm.entries)[0] >= bound
+
+
+# -- argument checks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: md.xi_state_moments(np.zeros(3), np.ones(3) / np.sqrt(3), 2), ValueError,
+     "matrix must be square"),
+    (lambda: md.xi_state_moments(np.zeros((2, 2)), np.array([1.0]), 2), ValueError,
+     "state vector length must match matrix size"),
+    (lambda: md.xi_state_moments(np.zeros((1, 1)), np.array([1.0]), -1), md.ConfigError,
+     "order must be nonnegative"),
+    (lambda: md.DensityParams(0.5, 0.5).check(0), md.EmptyGraphError,
+     "density state needs at least one vertex"),
+], ids=["xi-not-square", "xi-state-length", "xi-negative-order", "density-no-vertex"])
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message
