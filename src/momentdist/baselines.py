@@ -81,17 +81,16 @@ def cov_descriptor(g: Graph, k: int = 4) -> np.ndarray:
     return (cols.T @ cols) / g.n
 
 
-def _bhattacharyya(c1s: np.ndarray, c2s: np.ndarray, jitter: float | None) -> np.ndarray:
+def _bhattacharyya(c1s: np.ndarray, c2s: np.ndarray) -> np.ndarray:
     """Zero-mean-Gaussian Bhattacharyya distance of each ``c1s`` matrix to the aligned ``c2s`` one.
 
     D = 0.5 * ln det((S1+S2)/2) - 0.25 * ln(det S1 * det S2), each matrix
-    ridged by jitter*I. A ``jitter`` of None is 1e-8 of the pair's mean
-    per-dimension trace, so rank-deficient descriptors stay usable.
+    ridged by jitter*I, where jitter is 1e-8 of the pair's mean per-dimension
+    trace (1e-12 if that is 0), so rank-deficient descriptors stay usable.
     """
     k = c1s.shape[-1]
-    if jitter is None:
-        base = (np.trace(c1s, axis1=1, axis2=2) + np.trace(c2s, axis1=1, axis2=2)) / (2 * k)
-        jitter = np.where(base > 0, 1e-8 * base, 1e-12)
+    base = (np.trace(c1s, axis1=1, axis2=2) + np.trace(c2s, axis1=1, axis2=2)) / (2 * k)
+    jitter = np.where(base > 0, 1e-8 * base, 1e-12)
     eye = np.multiply.outer(jitter, np.eye(k))
     _, ld_mid = np.linalg.slogdet((c1s + c2s) / 2 + eye)
     _, ld_1 = np.linalg.slogdet(c1s + eye)

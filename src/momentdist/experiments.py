@@ -133,8 +133,7 @@ def make_rewired_corpus(
 # Feature functions are called by their module-level names, so replacing a
 # name here reaches every call.
 _BASELINES = {
-    "cov": (lambda gs, k=4: [cov_descriptor(g, k=k) for g in gs],
-            lambda c1s, c2s: _bhattacharyya(c1s, c2s, None)),
+    "cov": (lambda gs, k=4: [cov_descriptor(g, k=k) for g in gs], _bhattacharyya),
     "nclm": (lambda gs: [nclm_vector(g).values for g in gs], _euclidean),
     "eigs": (lambda gs, k=10: [top_k_eigenvalues(g, k=k).values for g in gs], _euclidean),
     "gk3": (lambda gs: [graphlet3_distribution(g) for g in gs], _euclidean),

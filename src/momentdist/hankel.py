@@ -36,6 +36,8 @@ class MomentMatrix:
         object.__setattr__(self, "entries", e)
         if e.shape != (self.degree + 1, self.degree + 1):
             raise ValueError("entries shape does not match degree")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("moment matrix entries must be finite")
         e.flags.writeable = False
 
     def __repr__(self):
@@ -180,10 +182,10 @@ def mix(parts: Sequence[tuple[MomentMatrix, float]]) -> MomentMatrix:
     for mm, w in parts:
         if mm.degree != degree:
             raise ValueError("all parts must share the same degree")
-        if w <= 0:
+        if not w > 0:  # NaN fails this test and the sum test below
             raise ValueError(f"weights must be positive, got {w}")
         acc += w * mm.entries
         total += w
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"weights must sum to 1 within 1e-12, got {total}")
     return MomentMatrix(degree, acc)

@@ -11,6 +11,7 @@ import warnings
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import ConfigError, _check_size
 from .metrics import DistanceMatrix
@@ -118,7 +119,7 @@ def kernel_kmeans(k_mat: np.ndarray, k: int, restarts: int = 20, seed=None) -> n
 
 def clustering_accuracy(assignment: Sequence[int], labels: Sequence[int]) -> float:
     """Best agreement over all bijections between cluster ids and class ids."""
-    from scipy.optimize import linear_sum_assignment  # local: a slow import only this needs
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching  # local: a slow import
 
     assignment = np.asarray(assignment)
     labels = np.asarray(labels)
@@ -132,26 +133,30 @@ def clustering_accuracy(assignment: Sequence[int], labels: Sequence[int]) -> flo
     k = max(a_codes.max(), l_codes.max()) + 1
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (a_codes, l_codes), 1)
-    rows, cols = linear_sum_assignment(-confusion)
+    # every weight is at least 1, so the matching is full, and its least
+    # total weight is the greatest total agreement
+    rows, cols = min_weight_full_bipartite_matching(
+        sp.csr_matrix(confusion.max() + 1 - confusion))
     return float(confusion[rows, cols].sum()) / n
 
 
-def _stratified_folds(labels: np.ndarray, folds: int, rng) -> list[np.ndarray]:
+def _stratified_folds(labels: np.ndarray, folds: int, rng) -> np.ndarray:
+    """Each item's fold: the shuffled members of each class (of all items together,
+    when a class has fewer than ``folds``) are dealt to the folds round-robin."""
     classes, counts = np.unique(labels, return_counts=True)
+    fold_of = np.empty(labels.size, dtype=np.int64)
     if counts.min() < folds:
         warnings.warn(
             f"class with {counts.min()} members is smaller than folds={folds}; "
             "falling back to unstratified folds",
             stacklevel=3,
         )
-        order = rng.permutation(labels.size)
-        return [order[f::folds] for f in range(folds)]
-    buckets: list[list[int]] = [[] for _ in range(folds)]
+        fold_of[rng.permutation(labels.size)] = np.arange(labels.size) % folds
+        return fold_of
     for cls in classes:
         members = rng.permutation(np.flatnonzero(labels == cls))
-        for pos, idx in enumerate(members):
-            buckets[pos % folds].append(int(idx))
-    return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
+        fold_of[members] = np.arange(members.size) % folds
+    return fold_of
 
 
 def knn_classify(d, labels: Sequence, ks: Sequence[int] = (1,), folds: int = 10,
@@ -179,9 +184,7 @@ def knn_classify(d, labels: Sequence, ks: Sequence[int] = (1,), folds: int = 10,
     if any(k < 1 for k in ks):
         raise ConfigError("k must be positive")
     _, codes = np.unique(labels, return_inverse=True)
-    fold_of = np.empty(n, dtype=np.int64)
-    for f, test in enumerate(_stratified_folds(codes, folds, np.random.default_rng(seed))):
-        fold_of[test] = f
+    fold_of = _stratified_folds(codes, folds, np.random.default_rng(seed))
     fold_size = np.bincount(fold_of, minlength=folds)
     train_size = n - fold_size[fold_of]
 

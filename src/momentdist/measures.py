@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ConfigError, Graph
-from .moments import EmptyGraphError
+from .moments import EmptyGraphError, _vector_state
 
 __all__ = [
     "DiscreteMeasure",
@@ -45,6 +45,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "omegas", om)
         if lam.shape != om.shape or lam.ndim != 1:
             raise ValueError("lambdas and omegas must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(om))):
+            raise ValueError("atom locations and weights must be finite")
         if np.any(om < 0):
             raise ValueError("atom weights must be nonnegative")
         if om.size and abs(om.sum() - 1.0) > 1e-10:
@@ -90,19 +92,7 @@ def spectral_measure(a: np.ndarray, xi: np.ndarray) -> DiscreteMeasure:
     Atoms with weight at or below ``WEIGHT_FLOOR`` are dropped from the
     support.
     """
-    a = np.asarray(a, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if xi.shape != (a.shape[0],):
-        raise ValueError("state vector length must match matrix size")
-    if a.size == 0:
-        raise ValueError("matrix must be nonempty")
-    if np.max(np.abs(a - a.T)) > 1e-10:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
-        raise ValueError("state vector is not unit norm within 1e-10")
-
+    a, xi = _vector_state(a, xi)
     eigs, vecs = np.linalg.eigh(a)
     merge_tol = MERGE_REL_TOL * float(np.max(np.abs(eigs)))
     amps2 = (vecs.T @ xi) ** 2
@@ -119,10 +109,7 @@ def spectral_measure(a: np.ndarray, xi: np.ndarray) -> DiscreteMeasure:
                 omegas.append(w)
             start = i
     om = np.asarray(omegas)
-    total = om.sum()
-    if total <= 0:
-        raise ValueError("all spectral weight fell below the weight floor")
-    return DiscreteMeasure(np.asarray(lambdas), om / total)
+    return DiscreteMeasure(np.asarray(lambdas), om / om.sum())
 
 
 def graph_spectral_measure(g: Graph) -> DiscreteMeasure:

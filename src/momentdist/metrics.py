@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ConfigError, Graph
-from .hankel import MomentMatrix, _hankel_blocks
-from .moments import _finite, _vector_chain
+from .graphs import ConfigError, Graph, _check_size
+from .hankel import MomentMatrix, _hankel_blocks, build_moment_matrix
+from .moments import _check_order, _finite, _vector_chain, vector_state_moments
 
 __all__ = [
     "SingularMatrixError",
@@ -276,9 +276,16 @@ def moment_table(gs: Sequence[Graph], order: int) -> np.ndarray:
     """Uniform-vector moments m_0..m_order of a corpus, one row per graph.
 
     One walk-sum chain of ceil(order/2) sparse matvecs per graph, on the
-    calling thread. Overflow stays in the table as a non-finite value.
+    calling thread, written into its row of the one preallocated table.
+    Overflow stays in the table as a non-finite value.
     """
-    return np.stack([_vector_chain(g, order) for g in gs])
+    _check_order(order)
+    rows = max(len(gs), 1)
+    _check_size("order", order, 8 * rows, "moment table", base_bytes=8 * rows)
+    table = np.empty((len(gs), order + 1), dtype=np.float64)
+    for row, g in zip(table, gs):
+        row[:] = _vector_chain(g, order)
+    return table
 
 
 def _hankel_stack(table: np.ndarray, degree: int, eps: float = 0.0) -> np.ndarray:
@@ -293,18 +300,16 @@ def _hankel_stack(table: np.ndarray, degree: int, eps: float = 0.0) -> np.ndarra
 
 def moment_matrix_of_graph(g: Graph, degree: int) -> MomentMatrix:
     """Degree-d moment matrix of a graph in the uniform vector state."""
-    return MomentMatrix(degree, _hankel_stack(moment_table([g], 2 * degree), degree)[0])
+    return build_moment_matrix(vector_state_moments(g, 2 * degree), degree)
 
 
 def graph_distance(g1: Graph, g2: Graph, cfg: DistanceConfig | None = None) -> float:
     """Distance between two graphs via their moment matrices.
 
-    Whether the pair fell back to Frobenius is the ``fallback_pairs`` entry
-    of :func:`pairwise_distance_matrix`'s metadata.
+    The ``[0, 1]`` entry of :func:`pairwise_distance_matrix`, whose metadata
+    also says whether the pair fell back to Frobenius.
     """
-    cfg = cfg or DistanceConfig()
-    mats = _hankel_stack(moment_table([g1, g2], 2 * cfg.degree), cfg.degree, cfg.eps)
-    return float(_moment_distances(mats, cfg)[0][0, 1])
+    return float(pairwise_distance_matrix([g1, g2], cfg).entries[0, 1])
 
 
 # ---------------------------------------------------------------------------

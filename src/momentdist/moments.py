@@ -172,25 +172,38 @@ def trace_moments(g: Graph, order: int) -> MomentSequence:
     return MomentSequence(_finite(_closed_walks(g.to_csr(), order) / g.n))
 
 
+def _vector_state(a, xi) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``xi`` as float64, or ValueError unless they are a finite symmetric
+    matrix and a unit vector of its size; finite first, as NaN passes the tolerances."""
+    a = np.asarray(a, dtype=np.float64)
+    xi = np.asarray(xi, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("state vector entries must be finite")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if xi.shape != (a.shape[0],):
+        raise ValueError("state vector length must match matrix size")
+    if a.size == 0:
+        raise ValueError("matrix must be nonempty")
+    if np.max(np.abs(a - a.T)) > 1e-10:
+        raise ValueError("matrix is not symmetric within 1e-10")
+    if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
+        raise ValueError("state vector is not unit norm within 1e-10")
+    return a, xi
+
+
 def xi_state_moments(a: np.ndarray, xi: np.ndarray, order: int) -> MomentSequence:
     """Moments of a dense symmetric matrix in the vector state of ``xi``.
 
     m_k = xi^T A^k xi, as inner products of ceil(order/2) matvecs; m_0 is 1.
     """
-    a = np.asarray(a, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if xi.shape != (a.shape[0],):
-        raise ValueError("state vector length must match matrix size")
-    if a.size and np.max(np.abs(a - a.T)) > 1e-10:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
-        raise ValueError("state vector is not unit norm within 1e-10")
+    a, xi = _vector_state(a, xi)
     _check_order(order)
     vals = _walk_sums(a, xi, order)
     vals[0] = 1.0
-    return MomentSequence(vals)
+    return MomentSequence(_finite(vals))
 
 
 @dataclass(frozen=True)
@@ -205,11 +218,12 @@ class DensityParams:
         tol = 1e-12
         if n <= 0:
             raise EmptyGraphError("density state needs at least one vertex")
-        if abs(n * (self.p + self.q) - 1.0) > tol:
+        # each test is written so that NaN fails it
+        if not abs(n * (self.p + self.q) - 1.0) <= tol:
             raise ValueError(f"n*(p+q) must equal 1, got {n * (self.p + self.q)}")
-        if self.p < -tol:
+        if not self.p >= -tol:
             raise ValueError(f"p must be nonnegative, got {self.p}")
-        if self.p + self.q * n < -tol:
+        if not self.p + self.q * n >= -tol:
             raise ValueError(f"p + q*n must be nonnegative, got {self.p + self.q * n}")
 
 

@@ -514,9 +514,10 @@ def knn_fold_accuracies_by_query(d: np.ndarray, labels, k: int, folds: int, seed
     the k nearest training items vote and a tie goes to the nearest one's label.
     """
     _, codes = np.unique(labels, return_inverse=True)
-    fold_sets = _stratified_folds(codes, folds, np.random.default_rng(seed))
+    fold_of = _stratified_folds(codes, folds, np.random.default_rng(seed))
     accuracies = np.empty(folds, dtype=np.float64)
-    for f, test in enumerate(fold_sets):
+    for f in range(folds):
+        test = np.flatnonzero(fold_of == f)
         train = np.setdiff1d(np.arange(len(codes)), test, assume_unique=True)
         correct = 0
         for i in test:

@@ -224,7 +224,7 @@ def test_commands_import_scipy_subpackages_only_where_called(tmp_path):
         ("moments", 0), ("moments", 0), ("pairwise", 0), ("spectrum", 0), ("classify", 0),
         ("cluster", 0)]
     assert [loaded for cmd, _, loaded in runs if cmd != "cluster"] == [[]] * 5
-    # cluster's accuracy call loads scipy.optimize (whose own package import
-    # brings scipy.sparse.linalg along); nothing loads csgraph
+    # cluster's accuracy call loads csgraph for its bipartite matching (whose
+    # own package import brings scipy.sparse.linalg along), not scipy.optimize
     loaded = runs[-1][2]
-    assert "scipy.optimize" in loaded and "scipy.sparse.csgraph" not in loaded
+    assert "scipy.sparse.csgraph" in loaded and "scipy.optimize" not in loaded

@@ -54,8 +54,8 @@ def test_cov_permutation_invariant_spectrum():
 # -- Bhattacharyya kernel ---------------------------------------------------------
 
 
-def _bhattacharyya_pair(c1, c2, jitter=None):
-    return float(_bhattacharyya(c1[None], c2[None], jitter)[0])
+def _bhattacharyya_pair(c1, c2):
+    return float(_bhattacharyya(c1[None], c2[None])[0])
 
 
 def test_bhattacharyya_identity_zero():
@@ -65,8 +65,9 @@ def test_bhattacharyya_identity_zero():
 
 def test_bhattacharyya_diagonal_closed_form():
     c1, c2 = np.diag([1.0, 1.0]), np.diag([4.0, 4.0])
-    expected = 0.5 * math.log(6.25 / 4.0)
-    assert _bhattacharyya_pair(c1, c2, jitter=0.0) == pytest.approx(expected, rel=1e-12)
+    r = 1e-8 * 2.5  # the ridge: 1e-8 of the pair's mean per-dimension trace
+    expected = 0.5 * math.log((2.5 + r) ** 2 / ((1.0 + r) * (4.0 + r)))
+    assert _bhattacharyya_pair(c1, c2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bhattacharyya_symmetric():

@@ -222,7 +222,12 @@ def test_substructure_invariance():
     (lambda: md.build_moment_matrix([1.0, 0.0, 1.0], -1), "degree must be nonnegative"),
     (lambda: md.hankel_rank([1.0], -1), "max_d must be nonnegative"),
     (lambda: md.hankel_rank([1.0, np.inf, 1.0], 1), "moments must be finite"),
-], ids=["entries-shape", "negative-degree", "negative-max-d", "infinite-moment"])
+    (lambda: md.build_moment_matrix(np.array([1.0, np.nan, 1.0]), 1),
+     "moment matrix entries must be finite"),
+    (lambda: md.mix([(md.build_moment_matrix([1.0, 0.0, 1.0], 1), np.nan)]),
+     "weights must be positive, got nan"),
+], ids=["entries-shape", "negative-degree", "negative-max-d", "infinite-moment",
+        "nan-moment", "nan-mix-weight"])
 def test_bad_arguments_raise(call, message):
     with pytest.raises(ValueError) as exc:
         call()

@@ -197,12 +197,15 @@ _UNIT3 = np.ones(3) / np.sqrt(3)
     (lambda: md.spectral_measure(np.zeros((2, 2)), _UNIT3),
      "state vector length must match matrix size"),
     (lambda: md.spectral_measure(np.zeros((0, 0)), np.zeros(0)), "matrix must be nonempty"),
-    # NaN passes the symmetry test, and eigh returns NaN eigenvectors: every
-    # atom's weight is NaN, so none clears the floor
+    (lambda: md.DiscreteMeasure([np.nan], [1.0]), "atom locations and weights must be finite"),
+    (lambda: md.DiscreteMeasure([0.0], [np.nan]), "atom locations and weights must be finite"),
     (lambda: md.spectral_measure(np.full((2, 2), np.nan), np.array([1.0, 0.0])),
-     "all spectral weight fell below the weight floor"),
+     "matrix entries must be finite"),
+    (lambda: md.spectral_measure(np.eye(2), np.array([np.nan, 0.0])),
+     "state vector entries must be finite"),
 ], ids=["lengths", "negative-weight", "weight-sum", "unsorted-atoms", "not-square",
-        "state-length", "empty-matrix", "nan-matrix"])
+        "state-length", "empty-matrix", "nan-location", "nan-weight", "nan-matrix",
+        "nan-state"])
 def test_bad_arguments_raise(call, message):
     with pytest.raises(ValueError) as exc:
         call()

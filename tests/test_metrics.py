@@ -430,7 +430,11 @@ def _ridged_degree1(name):
      "entries shape does not match labels"),
     (lambda: md.pairwise_distance_matrix([md.complete_graph(2)] * 2, labels=["a"]),
      md.ConfigError, "labels length must match graphs"),
-], ids=["whitened-not-pd", "entries-shape", "labels-length"])
+    # numpy can size one row of moments up to this order, but not three
+    (lambda: md.moment_table([md.complete_graph(2)] * 3, 10**18), md.ConfigError,
+     "order 1000000000000000000 exceeds 384307168202282324, the most whose moment table "
+     "numpy can size"),
+], ids=["whitened-not-pd", "entries-shape", "labels-length", "table-order-huge"])
 def test_bad_arguments_raise(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -396,9 +396,20 @@ def test_moment_sequence_hankel_psd():
      "state vector length must match matrix size"),
     (lambda: md.xi_state_moments(np.zeros((1, 1)), np.array([1.0]), -1), md.ConfigError,
      "order must be nonnegative"),
+    (lambda: md.xi_state_moments(np.full((2, 2), np.nan), np.array([1.0, 0.0]), 2),
+     ValueError, "matrix entries must be finite"),
+    (lambda: md.xi_state_moments(np.eye(2), np.array([np.nan, 0.0]), 2), ValueError,
+     "state vector entries must be finite"),
+    (lambda: md.xi_state_moments(np.array([[0.0, 1e200], [1e200, 0.0]]), np.array([1.0, 0.0]),
+                                 4),
+     md.NonFiniteMomentError, "moment of order 2 is not finite in float64; lower the order"),
     (lambda: md.DensityParams(0.5, 0.5).check(0), md.EmptyGraphError,
      "density state needs at least one vertex"),
-], ids=["xi-not-square", "xi-state-length", "xi-negative-order", "density-no-vertex"])
+    (lambda: md.density_state_moments(md.complete_graph(4), md.DensityParams(np.nan, np.nan),
+                                      3),
+     ValueError, "n*(p+q) must equal 1, got nan"),
+], ids=["xi-not-square", "xi-state-length", "xi-negative-order", "xi-nan-matrix",
+        "xi-nan-state", "xi-overflow", "density-no-vertex", "density-nan"])
 def test_bad_arguments_raise(call, error, message):
     with pytest.raises(error) as exc:
         call()
