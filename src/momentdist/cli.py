@@ -85,9 +85,17 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
+def _named(name: str) -> Graph:
+    """:func:`named_graph`, where a name nested past the recursion limit is an input error."""
+    try:
+        return named_graph(name)
+    except RecursionError as exc:
+        raise UnknownGraphNameError(f"graph name nests too deeply: {exc}") from None
+
+
 def _load_graph(args) -> tuple[Graph, str, dict]:
     if args.named is not None:
-        return named_graph(args.named), args.named, {}
+        return _named(args.named), args.named, {}
     g = load_edge_list(args.input, indexing=args.indexing, header=args.header)
     return g, args.input, {args.input: _sha256_file(args.input)}
 
@@ -132,7 +140,7 @@ def _graphs_from_args(args) -> tuple[list[Graph], list[str], dict]:
     labels: list[str] = []
     digests: dict = {}
     for name in args.named or []:
-        graphs.append(named_graph(name))
+        graphs.append(_named(name))
         labels.append(name)
     for path in args.inputs or []:
         graphs.append(load_edge_list(path, indexing=args.indexing, header=args.header))
@@ -180,6 +188,8 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
         except UnicodeDecodeError as exc:
             raise CorpusSpecError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
                                   f"{exc.start}") from None
+        except RecursionError as exc:
+            raise CorpusSpecError(f"corpus manifest nests too deeply: {exc}") from None
     digests = {path: _sha256_file(path)}
     if not isinstance(spec, dict):
         raise CorpusSpecError("corpus manifest is not a JSON object")

@@ -453,31 +453,17 @@ def _build_family(letter: str, a: int, b: int | None) -> Graph:
 
 def named_graph(name: str) -> Graph:
     """Look up a standard graph by a compact name such as ``"C4"``, ``"K2,3"``,
-    ``"co-paw"``, ``"2K2"`` or ``"C4uK1"``. See :data:`NAMED_GRAPH_CATALOG`."""
-    return _named(name, {})
+    ``"co-paw"``, ``"2K2"`` or ``"C4uK1"``. See :data:`NAMED_GRAPH_CATALOG`.
 
-
-def _named(name: str, memo: dict) -> Graph:
-    """:func:`named_graph` of a name or sub-name. ``memo`` holds the graph or
-    the error message of each sub-name already tried, so a union name is split
-    in polynomial time rather than retried at every ``u``."""
-    if name not in memo:
-        try:
-            memo[name] = _parse_name(name, memo)
-        except UnknownGraphNameError as exc:
-            memo[name] = str(exc)
-    if isinstance(memo[name], str):
-        raise UnknownGraphNameError(memo[name])
-    return memo[name]
-
-
-def _parse_name(name: str, memo: dict) -> Graph:
+    No part name contains a ``u``, so a union splits only at its first ``u``
+    after the first character. A ``co-`` or multiplier prefix applies to the
+    rest of the name: ``2K1uC4`` is two copies of ``K1uC4``."""
     s = name.strip().replace(" ", "").replace("_", "")
     if not s:
         raise UnknownGraphNameError("empty graph name")
     low = s.lower()
     if low.startswith("co-"):
-        return complement(_named(s[3:], memo))
+        return complement(named_graph(s[3:]))
     if low in _WORD_NAMES:
         return _WORD_NAMES[low]()
     m = _FAMILY_RE.fullmatch(s)
@@ -488,17 +474,13 @@ def _parse_name(name: str, memo: dict) -> Graph:
         count = int(m.group(1))
         if count < 1:
             raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
-        base = _named(m.group(2), memo)
-        return disjoint_union([base] * count)
-    # union separator: try each 'u' position until both halves parse
-    for pos, ch in enumerate(low):
-        if ch == "u" and 0 < pos < len(s) - 1:
-            try:
-                left = _named(s[:pos], memo)
-                right = _named(s[pos + 1 :], memo)
-            except UnknownGraphNameError:
-                continue
-            return disjoint_union([left, right])
+        return disjoint_union([named_graph(m.group(2))] * count)
+    pos = low.find("u", 1)
+    if 0 < pos < len(s) - 1:
+        try:
+            return disjoint_union([named_graph(s[:pos]), named_graph(s[pos + 1 :])])
+        except UnknownGraphNameError:
+            pass
     raise UnknownGraphNameError(f"unknown graph name {name!r}")
 
 

@@ -182,7 +182,7 @@ def mix(parts: Sequence[tuple[MomentMatrix, float]]) -> MomentMatrix:
     for mm, w in parts:
         if mm.degree != degree:
             raise ValueError("all parts must share the same degree")
-        if not w > 0:  # NaN fails this test and the sum test below
+        if not 0 < w < np.inf:  # NaN and inf fail this test; inf * 0 below would be NaN
             raise ValueError(f"weights must be positive, got {w}")
         acc += w * mm.entries
         total += w

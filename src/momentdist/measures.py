@@ -94,6 +94,8 @@ def spectral_measure(a: np.ndarray, xi: np.ndarray) -> DiscreteMeasure:
     """
     a, xi = _vector_state(a, xi)
     eigs, vecs = np.linalg.eigh(a)
+    if not np.all(np.isfinite(eigs)):
+        raise ValueError("matrix eigenvalues must be finite")
     merge_tol = MERGE_REL_TOL * float(np.max(np.abs(eigs)))
     amps2 = (vecs.T @ xi) ** 2
 

@@ -187,7 +187,9 @@ def _vector_state(a, xi) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("state vector length must match matrix size")
     if a.size == 0:
         raise ValueError("matrix must be nonempty")
-    if np.max(np.abs(a - a.T)) > 1e-10:
+    with np.errstate(over="ignore"):  # an overflowing difference is inf and fails the test
+        asymmetry = np.max(np.abs(a - a.T))
+    if asymmetry > 1e-10:
         raise ValueError("matrix is not symmetric within 1e-10")
     if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
         raise ValueError("state vector is not unit norm within 1e-10")

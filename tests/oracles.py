@@ -593,7 +593,7 @@ def kernel_kmeans_by_restarts(k_mat: np.ndarray, k: int, restarts: int, seed):
 def named_graph_by_splits(name: str) -> Graph:
     """The named-graph parser that retries both halves of every ``u`` split
     from scratch, in exponential time on union names; kept as the reference
-    for the memoized ``named_graph``: same graphs, same errors."""
+    for the one-split ``named_graph``: same graphs, same errors."""
     s = name.strip().replace(" ", "").replace("_", "")
     if not s:
         raise UnknownGraphNameError("empty graph name")

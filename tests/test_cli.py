@@ -443,6 +443,13 @@ _CONTRACT_FILES.update({
 })
 # a union name of 40 parts, the last unknown: each part is tried once, not 2**39 times
 _LONG_UNION = "K1u" * 39 + "X"
+# json's decoder and the union parser recurse once per level
+_CONTRACT_FILES.update({
+    "deep.json": b"[" * 100_000,
+    "deep-settings.json": b'{"synthetic": {"seed": 1, "settings": ' + b"[" * 100_000,
+})
+_DEEP_JSON = ("input error: corpus manifest nests too deeply: maximum recursion depth "
+              "exceeded while decoding a JSON array from a unicode string")
 
 
 _OUT_OF_MEMORY = "config error: out of memory: "
@@ -527,6 +534,12 @@ def _main_with_capped_memory(argv):
     (["bench", "--sizes", "3000000000:3000000000"], 4, _OUT_OF_MEMORY + "Unable to allocate "
      "22.4 GiB for an array with shape (3000000000,) and data type int64"),
     (["moments", "--named", _LONG_UNION], 2, f"input error: unknown graph name {_LONG_UNION!r}"),
+    (["moments", "--named", "K1u" * 599 + "K1"], 0, None),
+    (["moments", "--named", "K1u" * 4999 + "K1"], 2,
+     "input error: graph name nests too deeply: maximum recursion depth exceeded while "
+     "calling a Python object"),
+    (["cluster", "--corpus", "deep.json"], 2, _DEEP_JSON),
+    (["classify", "--corpus", "deep-settings.json"], 2, _DEEP_JSON),
     # one gk4 draw array holds seven int64 draws per sample: above the most
     # numpy can size the count is refused, below it numpy's allocation fails
     (_GK4 + [str(10**20)], 4, _gk4_refused(10**20)),
@@ -583,6 +596,7 @@ def _main_with_capped_memory(argv):
         "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats",
         "corpus-nv-above-max", "bench-nv-above-max",
         "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory", "union-40-parts",
+        "union-600-parts", "union-5000-parts", "manifest-deep", "settings-deep",
         "gk4-samples-above-intp", "gk4-samples-int64-max", "gk4-samples-out-of-memory",
         "gk4-samples-at-max",
         "nv-float", "nv-string", "ne-float", "count-float", "label-bool", "rho-bool",

@@ -226,8 +226,10 @@ def test_substructure_invariance():
      "moment matrix entries must be finite"),
     (lambda: md.mix([(md.build_moment_matrix([1.0, 0.0, 1.0], 1), np.nan)]),
      "weights must be positive, got nan"),
+    (lambda: md.mix([(md.build_moment_matrix([1.0, 0.0, 1.0], 1), np.inf)]),
+     "weights must be positive, got inf"),
 ], ids=["entries-shape", "negative-degree", "negative-max-d", "infinite-moment",
-        "nan-moment", "nan-mix-weight"])
+        "nan-moment", "nan-mix-weight", "inf-mix-weight"])
 def test_bad_arguments_raise(call, message):
     with pytest.raises(ValueError) as exc:
         call()

@@ -203,9 +203,11 @@ _UNIT3 = np.ones(3) / np.sqrt(3)
      "matrix entries must be finite"),
     (lambda: md.spectral_measure(np.eye(2), np.array([np.nan, 0.0])),
      "state vector entries must be finite"),
+    (lambda: md.spectral_measure(np.full((2, 2), 1e308), np.array([1.0, 0.0])),
+     "matrix eigenvalues must be finite"),
 ], ids=["lengths", "negative-weight", "weight-sum", "unsorted-atoms", "not-square",
         "state-length", "empty-matrix", "nan-location", "nan-weight", "nan-matrix",
-        "nan-state"])
+        "nan-state", "overflowing-eigenvalues"])
 def test_bad_arguments_raise(call, message):
     with pytest.raises(ValueError) as exc:
         call()

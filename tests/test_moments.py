@@ -403,13 +403,17 @@ def test_moment_sequence_hankel_psd():
     (lambda: md.xi_state_moments(np.array([[0.0, 1e200], [1e200, 0.0]]), np.array([1.0, 0.0]),
                                  4),
      md.NonFiniteMomentError, "moment of order 2 is not finite in float64; lower the order"),
+    (lambda: md.xi_state_moments(np.array([[0.0, 1e308], [-1e308, 0.0]]),
+                                 np.array([1.0, 0.0]), 2),
+     ValueError, "matrix is not symmetric within 1e-10"),
     (lambda: md.DensityParams(0.5, 0.5).check(0), md.EmptyGraphError,
      "density state needs at least one vertex"),
     (lambda: md.density_state_moments(md.complete_graph(4), md.DensityParams(np.nan, np.nan),
                                       3),
      ValueError, "n*(p+q) must equal 1, got nan"),
 ], ids=["xi-not-square", "xi-state-length", "xi-negative-order", "xi-nan-matrix",
-        "xi-nan-state", "xi-overflow", "density-no-vertex", "density-nan"])
+        "xi-nan-state", "xi-overflow", "xi-asymmetry-overflows", "density-no-vertex",
+        "density-nan"])
 def test_bad_arguments_raise(call, error, message):
     with pytest.raises(error) as exc:
         call()
