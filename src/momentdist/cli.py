@@ -50,7 +50,6 @@ from .metrics import (
     METRICS,
     DistanceConfig,
     NonFiniteDistanceError,
-    SingularMatrixError,
     pairwise_distance_matrix,
 )
 from .moments import EmptyGraphError, NonFiniteMomentError, trace_moments, vector_state_moments
@@ -63,7 +62,6 @@ EXIT_CONFIG = 4
 _INPUT_ERRORS = (EdgeListError, UnknownGraphNameError, CorpusSpecError, OSError,
                  json.JSONDecodeError)
 _NUMERIC_ERRORS = (
-    SingularMatrixError,
     EigensolverError,
     EmptyGraphError,
     NonFiniteMomentError,
@@ -214,6 +212,8 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
             graphs.append(load_edge_list(fpath, indexing=indexing))
             labels.append(_required(entry, "label", f"files entry {idx}", _label))
             digests[fpath] = _sha256_file(fpath)
+        if any(isinstance(label, str) for label in labels):
+            labels = [str(label) for label in labels]  # as numpy reads int64 and str, any int
         return graphs, np.asarray(labels), digests
     raise ConfigError("corpus manifest must contain a 'synthetic' or 'files' block")
 

@@ -32,12 +32,10 @@ from .metrics import (
     DistanceMatrix,
     _corpus_labels,
     _euclidean,
-    _hankel_stack,
-    _moment_distances,
     _pairwise,
-    moment_table,
     pairwise_distance_matrix,
 )
+from .moments import moment_table
 
 __all__ = [
     "CorpusSpecError",
@@ -294,15 +292,15 @@ def bench_moment_scaling(
 ) -> list[dict]:
     """Time moment extraction and pairwise comparison per (nv, ne) size.
 
-    For each size, ``count`` graphs are generated up front; then each repeat
-    times every size in turn, so a slow spell of the host hits all sizes
-    alike, and medians over ``repeats`` are reported. The moment phase is the
-    walk-sum chain of ``degree`` matvecs per graph; the pairwise phase compares
-    all pairs.
+    For each size, ``count`` (at least two) graphs are generated up front;
+    then each repeat times every size in turn, so a slow spell of the host
+    hits all sizes alike, and medians over ``repeats`` are reported. The
+    moment phase is :func:`moment_table`; the pairwise phase is
+    :func:`pairwise_distance_matrix` on that table, under Frobenius.
     Additional methods time their full distance-matrix construction.
     """
-    if count < 1:
-        raise ConfigError("count must be positive")
+    if count < 2:
+        raise ConfigError("count must be at least 2")
     if repeats < 1:
         raise ConfigError("repeats must be positive")
     graph_seeds = iter(_spawn_seeds(seed, len(sizes) * count))
@@ -314,9 +312,9 @@ def bench_moment_scaling(
         for gs, size_times in zip(corpora, times):
             if "moment" in methods:
                 t0 = time.perf_counter()
-                mats = _hankel_stack(moment_table(gs, 2 * degree), degree)
+                table = moment_table(gs, 2 * degree)
                 t1 = time.perf_counter()
-                _moment_distances(mats, cfg)
+                pairwise_distance_matrix(gs, cfg, table=table)
                 t2 = time.perf_counter()
                 size_times["moment_extract_s"].append(t1 - t0)
                 size_times["moment_pairwise_s"].append(t2 - t1)

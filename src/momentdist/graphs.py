@@ -441,6 +441,11 @@ _FAMILIES = {"C": cycle_graph, "P": path_graph, "S": star_graph}
 
 def _build_family(letter: str, a: int, b: int | None) -> Graph:
     letter = letter.upper()
+    n = a if b is None else a + b
+    if n > MAX_VERTICES:  # refused before any edge list is built
+        name = f"{letter}{a}" if b is None else f"{letter}{a},{b}"
+        raise UnknownGraphNameError(f"{name}: vertex count {n} exceeds {MAX_VERTICES}, the most "
+                                    "whose edge codes fit in int64")
     if letter == "K":
         return complete_graph(a) if b is None else complete_bipartite_graph(a, b)
     if b is not None:

@@ -16,9 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import MomentSequence
+from .graphs import Graph
+from .moments import MomentSequence, vector_state_moments
 
-__all__ = ["MomentMatrix", "build_moment_matrix", "hankel_rank", "mix"]
+__all__ = ["MomentMatrix", "build_moment_matrix", "moment_matrix_of_graph", "hankel_rank", "mix"]
 
 # a float64 minor is numerically zero below this multiple of the previous one
 ZERO_TOL = 1e-12
@@ -65,6 +66,11 @@ def build_moment_matrix(ms, degree: int) -> MomentMatrix:
             f"need moments up to order {2 * degree}, have only {vals.size - 1}"
         )
     return MomentMatrix(degree, _hankel_blocks(vals, degree))
+
+
+def moment_matrix_of_graph(g: Graph, degree: int) -> MomentMatrix:
+    """Degree-d moment matrix of a graph in the uniform vector state."""
+    return build_moment_matrix(vector_state_moments(g, 2 * degree), degree)
 
 
 def _bareiss_minors(ints: Sequence[int], size: int) -> list[int]:

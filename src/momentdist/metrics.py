@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ConfigError, Graph, _check_size
-from .hankel import MomentMatrix, _hankel_blocks, build_moment_matrix
-from .moments import _check_order, _finite, _vector_chain, vector_state_moments
+from .graphs import ConfigError, Graph
+from .hankel import _hankel_blocks
+from .moments import _finite, moment_table
 
 __all__ = [
     "SingularMatrixError",
@@ -35,8 +35,6 @@ __all__ = [
     "DistanceMatrix",
     "METRICS",
     "affine_invariant_dist",
-    "moment_table",
-    "moment_matrix_of_graph",
     "graph_distance",
     "pairwise_distance_matrix",
 ]
@@ -268,51 +266,6 @@ def affine_invariant_dist(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Graph distance
-# ---------------------------------------------------------------------------
-
-
-def moment_table(gs: Sequence[Graph], order: int) -> np.ndarray:
-    """Uniform-vector moments m_0..m_order of a corpus, one row per graph.
-
-    One walk-sum chain of ceil(order/2) sparse matvecs per graph, on the
-    calling thread, written into its row of the one preallocated table.
-    Overflow stays in the table as a non-finite value.
-    """
-    _check_order(order)
-    rows = max(len(gs), 1)
-    _check_size("order", order, 8 * rows, "moment table", base_bytes=8 * rows)
-    table = np.empty((len(gs), order + 1), dtype=np.float64)
-    for row, g in zip(table, gs):
-        row[:] = _vector_chain(g, order)
-    return table
-
-
-def _hankel_stack(table: np.ndarray, degree: int, eps: float = 0.0) -> np.ndarray:
-    """Degree-d moment matrix of every table row (its leading Hankel block) plus eps*I.
-
-    NonFiniteMomentError if a row has a non-finite moment of order <= 2d.
-    """
-    _finite(table[:, : 2 * degree + 1])
-    mats = _hankel_blocks(table, degree)
-    return mats + eps * np.eye(degree + 1) if eps > 0.0 else mats
-
-
-def moment_matrix_of_graph(g: Graph, degree: int) -> MomentMatrix:
-    """Degree-d moment matrix of a graph in the uniform vector state."""
-    return build_moment_matrix(vector_state_moments(g, 2 * degree), degree)
-
-
-def graph_distance(g1: Graph, g2: Graph, cfg: DistanceConfig | None = None) -> float:
-    """Distance between two graphs via their moment matrices.
-
-    The ``[0, 1]`` entry of :func:`pairwise_distance_matrix`, whose metadata
-    also says whether the pair fell back to Frobenius.
-    """
-    return float(pairwise_distance_matrix([g1, g2], cfg).entries[0, 1])
-
-
-# ---------------------------------------------------------------------------
 # Pairwise distance matrices
 # ---------------------------------------------------------------------------
 
@@ -371,17 +324,20 @@ def pairwise_distance_matrix(
 ) -> DistanceMatrix:
     """All-pairs graph distances over a corpus.
 
-    The moment matrices are the leading blocks of ``table``, a
-    :func:`moment_table` of ``gs`` of order at least 2*degree; without one,
-    the table is extracted here. Then every pair is compared. The number of
-    pairs that hit the PD-singularity fallback is recorded in the metadata.
-    ``threads`` is ignored; it is kept for existing callers.
+    The moment matrices are the leading Hankel blocks of ``table``, a
+    :func:`moment_table` of ``gs`` of order at least 2*degree (extracted
+    here if not given), plus eps*I; a non-finite moment among them raises
+    NonFiniteMomentError. The number of pairs that hit the PD-singularity
+    fallback is recorded in the metadata. ``threads`` is ignored; it is
+    kept for existing callers.
     """
     cfg = cfg or DistanceConfig()
     labels = _corpus_labels(gs, labels)
     if table is None:
         table = moment_table(gs, 2 * cfg.degree)
-    out, fallbacks = _moment_distances(_hankel_stack(table, cfg.degree, cfg.eps), cfg)
+    _finite(table[:, : 2 * cfg.degree + 1])
+    mats = _hankel_blocks(table, cfg.degree) + cfg.eps * np.eye(cfg.degree + 1)
+    out, fallbacks = _moment_distances(mats, cfg)
     meta = {
         "metric": cfg.metric,
         "degree": cfg.degree,
@@ -390,3 +346,12 @@ def pairwise_distance_matrix(
         "fallback_pairs": fallbacks,
     }
     return DistanceMatrix(labels, out, meta)
+
+
+def graph_distance(g1: Graph, g2: Graph, cfg: DistanceConfig | None = None) -> float:
+    """Distance between two graphs via their moment matrices.
+
+    The ``[0, 1]`` entry of :func:`pairwise_distance_matrix`, whose metadata
+    also says whether the pair fell back to Frobenius.
+    """
+    return float(pairwise_distance_matrix([g1, g2], cfg).entries[0, 1])

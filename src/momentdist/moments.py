@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "EmptyGraphError",
     "NonFiniteMomentError",
     "vector_state_moments",
+    "moment_table",
     "trace_moments",
     "xi_state_moments",
     "density_state_moments",
@@ -155,6 +157,22 @@ def _vector_chain(g: Graph, order: int) -> np.ndarray:
     _require_nonempty(g)
     _check_order(order)
     return _walk_sums(g.to_csr(), np.ones(g.n, dtype=np.float64), order) / g.n
+
+
+def moment_table(gs: Sequence[Graph], order: int) -> np.ndarray:
+    """Uniform-vector moments m_0..m_order of a corpus, one row per graph.
+
+    One walk-sum chain of ceil(order/2) sparse matvecs per graph, on the
+    calling thread, written into its row of the one preallocated table.
+    Overflow stays in the table as a non-finite value.
+    """
+    _check_order(order)
+    rows = max(len(gs), 1)
+    _check_size("order", order, 8 * rows, "moment table", base_bytes=8 * rows)
+    table = np.empty((len(gs), order + 1), dtype=np.float64)
+    for row, g in zip(table, gs):
+        row[:] = _vector_chain(g, order)
+    return table
 
 
 def trace_moments(g: Graph, order: int) -> MomentSequence:

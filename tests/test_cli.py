@@ -218,17 +218,8 @@ def test_classify_knn_k_past_int64_votes_with_whole_training_set(tmp_path, capsy
 # -- bench ----------------------------------------------------------------------
 
 
-def test_bench_single_graph_no_pairs(capsys):
-    code, out = run(capsys, ["bench", "--sizes", "64:128", "--count", "1",
-                             "--repeats", "1", "--seed", "0"])
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert rows[0]["nv"] == 64 and rows[0]["ne"] == 128
-    assert rows[0]["moment_pairwise_s"] <= 0.01
-
-
 def test_bench_bad_size_is_config_error(capsys):
-    code, _ = run(capsys, ["bench", "--sizes", "64x128", "--count", "1"])
+    code, _ = run(capsys, ["bench", "--sizes", "64x128", "--count", "2"])
     assert code == 4
 
 
@@ -291,7 +282,7 @@ def test_exit_code_config_error_single_graph(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["moments", "--named", "K4", "--order", "-1"],
-    ["bench", "--sizes", "10:1000", "--count", "1", "--repeats", "1"],
+    ["bench", "--sizes", "10:1000", "--count", "2", "--repeats", "1"],
 ], ids=["negative-order", "infeasible-size"])
 def test_exit_code_config_error_bad_parameter(capsys, argv):
     code = main(argv)
@@ -429,6 +420,9 @@ _CONTRACT_FILES = {
     "empty-files.json": json.dumps({"files": [{"path": "empty.txt", "label": 0},
                                               {"path": "empty.txt", "label": 1}]}).encode(),
     "path-not-string.json": json.dumps({"files": [{"path": 3, "label": 0}]}).encode(),
+    # numpy reads mixed int64 and string labels as strings; an int beyond int64 alike
+    "mixed-labels.json": json.dumps({"files": [{"path": "wide.txt", "label": -2**70},
+                                               {"path": "wide.txt", "label": "x"}]}).encode(),
 }
 # manifest values of the wrong type: converting them would run another corpus
 _CONTRACT_FILES.update({
@@ -519,7 +513,10 @@ def _main_with_capped_memory(argv):
      "config error: eps must be finite and nonnegative, got inf"),
     # the ridge overflows each trace; the pairs fall back without a warning
     (["pairwise", "--named", "K4", "C4", "--reg", "1e308"], 0, None),
-    (["bench", "--sizes", "10:20", "--count", "0"], 4, "config error: count must be positive"),
+    (["bench", "--sizes", "10:20", "--count", "0"], 4, "config error: count must be at least 2"),
+    # the one public pairwise entry needs two graphs, as every baseline does
+    (["bench", "--sizes", "64:128", "--count", "1", "--repeats", "1", "--seed", "0"], 4,
+     "config error: count must be at least 2"),
     (["bench", "--sizes", "10:20", "--repeats", "0"], 4,
      "config error: repeats must be positive"),
     # refused before the generator allocates its 4e9-edge lattice
@@ -538,6 +535,13 @@ def _main_with_capped_memory(argv):
     (["moments", "--named", "K1u" * 4999 + "K1"], 2,
      "input error: graph name nests too deeply: maximum recursion depth exceeded while "
      "calling a Python object"),
+    # refused before the family's edge list is built
+    (["moments", "--named", "K9999999999"], 2, "input error: K9999999999: vertex count "
+     "9999999999 exceeds 3037000499, the most whose edge codes fit in int64"),
+    (["moments", "--named", "C9999999999"], 2, "input error: C9999999999: vertex count "
+     "9999999999 exceeds 3037000499, the most whose edge codes fit in int64"),
+    (["moments", "--named", "K2,9999999999"], 2, "input error: K2,9999999999: vertex count "
+     "10000000001 exceeds 3037000499, the most whose edge codes fit in int64"),
     (["cluster", "--corpus", "deep.json"], 2, _DEEP_JSON),
     (["classify", "--corpus", "deep-settings.json"], 2, _DEEP_JSON),
     # one gk4 draw array holds seven int64 draws per sample: above the most
@@ -577,7 +581,7 @@ def _main_with_capped_memory(argv):
      f"config error: order {2 * _HUGE} {_ORDER_REFUSED}"),
     (["classify", "--corpus", "twenty.json", "--degrees", str(_HUGE)], 4,
      f"config error: order {2 * _HUGE} {_ORDER_REFUSED}"),
-    (["bench", "--sizes", "10:20", "--count", "1", "--degree", str(_HUGE)], 4,
+    (["bench", "--sizes", "10:20", "--count", "2", "--degree", str(_HUGE)], 4,
      f"config error: order {2 * _HUGE} {_ORDER_REFUSED}"),
     (["moments", "--named", "K4", "--order", str(_HUGE)], 4,
      f"config error: order {_HUGE} {_ORDER_REFUSED}"),
@@ -585,6 +589,7 @@ def _main_with_capped_memory(argv):
      f"config error: order {_HUGE} {_ORDER_REFUSED}"),
     # a k above the training set votes with all of it, however large
     (["classify", "--corpus", "twenty.json", "--knn-k", str(2**63)], 0, None),
+    (["cluster", "--corpus", "mixed-labels.json"], 0, None),
     (["pairwise"], 4, "config error: no graphs given; use --named and/or --inputs"),
     (["cluster", "--corpus", "no-block.json"], 4,
      "config error: corpus manifest must contain a 'synthetic' or 'files' block"),
@@ -593,18 +598,19 @@ def _main_with_capped_memory(argv):
         "files-not-list", "rho-not-number", "negative-count", "manifest-not-object",
         "corpus-count-above-intp", "bench-count-above-intp", "bench-count-above-seed-array",
         "negative-seed", "no-restarts", "cov-k-1", "nclm-edgeless", "reg-nan", "reg-inf",
-        "reg-overflows-trace", "bench-no-graphs", "bench-no-repeats",
+        "reg-overflows-trace", "bench-no-graphs", "bench-single-graph", "bench-no-repeats",
         "corpus-nv-above-max", "bench-nv-above-max",
         "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory", "union-40-parts",
-        "union-600-parts", "union-5000-parts", "manifest-deep", "settings-deep",
+        "union-600-parts", "union-5000-parts", "complete-above-max", "cycle-above-max",
+        "bipartite-above-max", "manifest-deep", "settings-deep",
         "gk4-samples-above-intp", "gk4-samples-int64-max", "gk4-samples-out-of-memory",
         "gk4-samples-at-max",
         "nv-float", "nv-string", "ne-float", "count-float", "label-bool", "rho-bool",
         "seed-float", "seed-string", "path-not-string",
         "restarts-huge", "cov-k-huge", "eigs-k-huge", "pairwise-degree-huge",
         "cluster-degree-huge", "classify-degrees-huge", "bench-degree-huge", "order-huge",
-        "trace-order-huge", "knn-k-above-int64", "pairwise-no-graphs", "manifest-no-block",
-        "manifest-bad-indexing"])
+        "trace-order-huge", "knn-k-above-int64", "mixed-labels", "pairwise-no-graphs",
+        "manifest-no-block", "manifest-bad-indexing"])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
     monkeypatch.chdir(tmp_path)
     for name, data in _CONTRACT_FILES.items():

@@ -40,3 +40,17 @@ def test_bad_arguments_raise(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert exc.type is error and str(exc.value) == message
+
+
+def test_bench_times_the_public_pairwise_entry(monkeypatch):
+    calls = []
+    real = md.experiments.pairwise_distance_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("table") is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(md.experiments, "pairwise_distance_matrix", counted)
+    md.bench_moment_scaling([(20, 40), (20, 60)], count=2, repeats=2, seed=0)
+    # one call per size and repeat, each on the table the moment phase timed
+    assert calls == [True] * 4

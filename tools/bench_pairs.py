@@ -6,10 +6,11 @@ pairs, and write one BENCH file with every run and a per-metric summary.
 Run it from anywhere inside a git checkout. The parent side is ``git archive``
 of ``--parent``; the change side is a copy of the checkout's tracked and
 untracked (not ignored) files, so uncommitted edits are measured too. Every
-run gets a fresh copy of its side, as the benchmark does, so no run reuses
-another's ``__pycache__``. The tool refuses to run unless ``perfbench/`` and
-``BENCHMARK.json`` are byte-identical on both sides: otherwise the two sides
-would measure different things.
+run is ``python -B`` in its side's one directory: bytecode is compiled but
+never written, so every run starts as a run in a fresh checkout does. The
+tool refuses to run unless ``perfbench/`` and ``BENCHMARK.json`` are
+byte-identical on both sides: otherwise the two sides would measure
+different things.
 
 Pair i runs ``python3 perfbench/run.py --workload W --seed i --seconds S
 --trace 0`` on both sides, for every workload in ``BENCHMARK.json``, with S
@@ -84,15 +85,12 @@ def _spread(times: list[float]) -> dict:
 
 
 def run_once(side_dir: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in a fresh copy of ``side_dir``: its final JSON line and its
-    record line (None if missing)."""
-    with tempfile.TemporaryDirectory(prefix="run_") as tmp:
-        run_dir = Path(tmp) / "side"
-        shutil.copytree(side_dir, run_dir)
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
-            cwd=run_dir, capture_output=True, text=True)
+    """One perfbench run in ``side_dir``, writing no bytecode there: its final JSON
+    line and its record line (None if missing)."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=side_dir, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     record = next((json.loads(ln[len("record "):]) for ln in lines if ln.startswith("record ")),
                   None)
@@ -224,9 +222,9 @@ def main(argv: list[str] | None = None) -> int:
         "host": (f"{record.get('nproc')} CPUs, Python {record.get('python')}, "
                  f"numpy {record.get('numpy')}, scipy {record.get('scipy')}"),
         "order": (f"seeds 1-{args.pairs}, one pair per seed and workload ({', '.join(workloads)}),"
-                  " each run a fresh process in a fresh copy of its side (no __pycache__ "
-                  "carried over); the parent runs first in odd pairs, the change first in "
-                  "even ones"),
+                  " each run a fresh `python -B` process in its side's one directory, which "
+                  "holds no __pycache__ and gets none; the parent runs first in odd pairs, the "
+                  "change first in even ones"),
         "summary_note": SUMMARY_NOTE,
         "summary": summarize(runs, bench["end_to_end"]),
         "runs_note": RUNS_NOTE,
