@@ -159,35 +159,22 @@ def top_k_eigenvalues(g: Graph, k: int = 10) -> FeatureVector:
 # Graphlet distributions
 # ---------------------------------------------------------------------------
 
-# 4-vertex isomorphism types keyed by sorted induced degree sequence,
-# in the order of the 4-vertex named-graph catalog.
-GRAPHLET4_TYPES = (
-    "4K1",
-    "K4",
-    "co-diamond",
-    "diamond",
-    "co-paw",
-    "paw",
-    "2K2",
-    "C4",
-    "claw",
-    "co-claw",
-    "P4",
-)
-
-_DEGSEQ4_TO_INDEX = {
-    (0, 0, 0, 0): 0,   # 4K1
-    (3, 3, 3, 3): 1,   # K4
-    (0, 0, 1, 1): 2,   # co-diamond = K2 u 2K1
-    (2, 2, 3, 3): 3,   # diamond
-    (0, 1, 1, 2): 4,   # co-paw = P3 u K1
-    (1, 2, 2, 3): 5,   # paw
-    (1, 1, 1, 1): 6,   # 2K2
-    (2, 2, 2, 2): 7,   # C4
-    (1, 1, 1, 3): 8,   # claw
-    (0, 2, 2, 2): 9,   # co-claw = K3 u K1
-    (1, 1, 2, 2): 10,  # P4
+# 4-vertex isomorphism types in the order of the 4-vertex named-graph catalog,
+# each with its sorted induced degree sequence (which identifies it)
+_GRAPHLET4_DEGSEQS = {
+    "4K1": (0, 0, 0, 0),
+    "K4": (3, 3, 3, 3),
+    "co-diamond": (0, 0, 1, 1),  # K2 u 2K1
+    "diamond": (2, 2, 3, 3),
+    "co-paw": (0, 1, 1, 2),  # P3 u K1
+    "paw": (1, 2, 2, 3),
+    "2K2": (1, 1, 1, 1),
+    "C4": (2, 2, 2, 2),
+    "claw": (1, 1, 1, 3),
+    "co-claw": (0, 2, 2, 2),  # K3 u K1
+    "P4": (1, 1, 2, 2),
 }
+GRAPHLET4_TYPES = tuple(_GRAPHLET4_DEGSEQS)
 
 
 # the 6 vertex pairs of a quad, and which 2 of its 4 vertices each pair touches
@@ -197,8 +184,8 @@ _QUAD_INCIDENCE = np.eye(4, dtype=np.int64)[_QUAD_PAIRS].sum(axis=0)
 # sorted induced degree sequence, read as a base-4 number, to type index
 _BASE4 = 4 ** np.arange(4, dtype=np.int64)
 _DEGCODE4_TO_INDEX = np.full(4**4, -1, dtype=np.int64)
-_DEGCODE4_TO_INDEX[[np.dot(seq, _BASE4) for seq in _DEGSEQ4_TO_INDEX]] = list(
-    _DEGSEQ4_TO_INDEX.values())
+_DEGCODE4_TO_INDEX[[np.dot(seq, _BASE4) for seq in _GRAPHLET4_DEGSEQS.values()]] = range(
+    len(_GRAPHLET4_DEGSEQS))
 
 
 def graphlet3_distribution(g: Graph) -> np.ndarray:

@@ -292,10 +292,10 @@ def bench_moment_scaling(
 ) -> list[dict]:
     """Time moment extraction and pairwise comparison per (nv, ne) size.
 
-    For each size, ``count`` (at least two) graphs are generated up front;
-    then each repeat times every size in turn, so a slow spell of the host
-    hits all sizes alike, and medians over ``repeats`` are reported. The
-    moment phase is :func:`moment_table`; the pairwise phase is
+    For each size, :func:`make_rewired_corpus` makes ``count`` (at least two)
+    graphs up front; then each repeat times every size in turn, so a slow spell
+    of the host hits all sizes alike, and medians over ``repeats`` are reported.
+    The moment phase is :func:`moment_table`; the pairwise phase is
     :func:`pairwise_distance_matrix` on that table, under Frobenius.
     Additional methods time their full distance-matrix construction.
     """
@@ -303,10 +303,10 @@ def bench_moment_scaling(
         raise ConfigError("count must be at least 2")
     if repeats < 1:
         raise ConfigError("repeats must be positive")
-    graph_seeds = iter(_spawn_seeds(seed, len(sizes) * count))
-    corpora = [[generate_rewired(nv, ne, rho, next(graph_seeds)) for _ in range(count)]
-               for nv, ne in sizes]
     cfg = DistanceConfig(degree=degree, metric="frobenius")
+    graphs, _ = make_rewired_corpus(
+        [{"nv": nv, "ne": ne, "rho": rho, "count": count} for nv, ne in sizes], seed)
+    corpora = [graphs[i:i + count] for i in range(0, len(graphs), count)]
     times = [defaultdict(list) for _ in sizes]
     for _ in range(repeats):
         for gs, size_times in zip(corpora, times):

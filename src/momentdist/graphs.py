@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
 from typing import Sequence
 
 import numpy as np
@@ -387,42 +388,34 @@ def empty_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return Graph.from_edges(n, np.stack([i, (i + 1) % n], axis=1))
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    i = np.arange(n - 1)
+    return Graph.from_edges(n, np.stack([i, i + 1], axis=1))
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices: one center joined to n-1 leaves (S_n)."""
     if n < 1:
         raise ValueError("star needs at least 1 vertex")
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    leaves = np.arange(1, n)
+    return Graph.from_edges(n, np.stack([np.zeros_like(leaves), leaves], axis=1))
 
 
 def complete_bipartite_graph(m: int, n: int) -> Graph:
-    return Graph.from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-
-
-def _claw() -> Graph:
-    return star_graph(4)
-
-
-def _paw() -> Graph:
-    return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-
-
-def _diamond() -> Graph:
-    return Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    return Graph.from_edges(m + n, np.stack([np.repeat(np.arange(m), n),
+                                             np.tile(np.arange(m, m + n), m)], axis=1))
 
 
 _WORD_NAMES = {
-    "claw": _claw,
-    "paw": _paw,
-    "diamond": _diamond,
+    "claw": lambda: star_graph(4),
+    "paw": lambda: Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "diamond": lambda: Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
     "triangle": lambda: complete_graph(3),
 }
 
@@ -476,10 +469,15 @@ def named_graph(name: str) -> Graph:
         return _build_family(m.group(1), int(m.group(2)), int(m.group(3)) if m.group(3) else None)
     m = _MULT_RE.fullmatch(s)
     if m and not s[0].isalpha():
-        count = int(m.group(1))
-        if count < 1:
+        copies = int(m.group(1))
+        if copies < 1:
             raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
-        return disjoint_union([named_graph(m.group(2))] * count)
+        part = named_graph(m.group(2))
+        most = MAX_VERTICES // max(part.n, 1)  # a part of 0 vertices counts as 1
+        if copies > most:
+            raise UnknownGraphNameError(f"{s}: multiplier {copies} exceeds {most}, the most "
+                                        f"copies that fit in {MAX_VERTICES} vertices")
+        return disjoint_union([part] * copies)
     pos = low.find("u", 1)
     if 0 < pos < len(s) - 1:
         try:
@@ -527,29 +525,27 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
     if picked.size:
         present = set(codes.tolist())
         remove, add = present.remove, present.add
-        # Candidate endpoints are drawn in bulk, picked.size at a time, and
-        # again when rejections use them up. numpy's bounded draws (Lemire's
-        # method) take their words from the bit generator one value at a time,
-        # and the generator buffers the spare half of each 64-bit word, so a
-        # bulk draw yields the same values, in the same order, as that many
-        # scalar draws: the stream and every graph stay the same.
-        draws = iter(rng.integers(nv, size=picked.size).tolist())
+        # One stream of candidate endpoints, drawn in bulk picked.size at a
+        # time, and again whenever rejections use a batch up. numpy's bounded
+        # draws (Lemire's method) take their words from the bit generator one
+        # value at a time, and the generator buffers the spare half of each
+        # 64-bit word, so a bulk draw yields the same values, in the same order,
+        # as that many scalar draws: the stream and every graph stay the same.
+        draws = chain.from_iterable(rng.integers(nv, size=picked.size).tolist() for _ in count())
         new_other = []
         for u, old, kept in zip(home[picked].tolist(), codes[picked].tolist(),
                                 other[picked].tolist()):
-            tries = 100  # draws left for this edge; 0 once one is accepted
-            while tries:
-                for w in draws:
-                    tries -= 1
-                    new = (u * nv + w) if u < w else (w * nv + u)
-                    if w != u and new not in present:
-                        remove(old)
-                        add(new)
-                        kept, tries = w, 0
-                    if not tries:
-                        break
-                else:  # rejections used up the draws mid-edge: draw as many again
-                    draws = iter(rng.integers(nv, size=picked.size).tolist())
+            tries = 100  # draws left for this edge
+            for w in draws:
+                new = (u * nv + w) if u < w else (w * nv + u)
+                if w != u and new not in present:
+                    remove(old)
+                    add(new)
+                    kept = w
+                    break
+                tries -= 1
+                if not tries:
+                    break
             new_other.append(kept)
         other[picked] = new_other
     return Graph.from_edges(nv, np.stack([home, other], axis=1))

@@ -27,7 +27,7 @@ from momentdist import (
     SelfLoopError,
     UnknownGraphNameError,
 )
-from momentdist.baselines import _DEGSEQ4_TO_INDEX, GRAPHLET4_TYPES
+from momentdist.baselines import _GRAPHLET4_DEGSEQS, GRAPHLET4_TYPES
 from momentdist.graphs import (
     _FAMILY_RE,
     _MULT_RE,
@@ -190,7 +190,7 @@ def _graphlet4_type(g: Graph, quad) -> int:
             if has_edge(g, int(quad[a]), int(quad[b])):
                 degs[a] += 1
                 degs[b] += 1
-    return _DEGSEQ4_TO_INDEX[tuple(sorted(degs))]
+    return list(_GRAPHLET4_DEGSEQS.values()).index(tuple(sorted(degs)))
 
 
 def brute_graphlet4_distribution(g: Graph) -> np.ndarray:

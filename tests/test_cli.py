@@ -461,6 +461,7 @@ def _gk4_refused(samples):
 _HUGE = 10**20
 _ORDER_REFUSED = "exceeds 1152921504606846974, the most whose moment array numpy can size"
 _COUNT_REFUSED = "exceeds 1152921504606846975, the most whose seed array numpy can size"
+_COPIES_REFUSED = "exceeds 3037000499, the most copies that fit in 3037000499 vertices"
 
 
 def _main_with_capped_memory(argv):
@@ -542,6 +543,16 @@ def _main_with_capped_memory(argv):
      "9999999999 exceeds 3037000499, the most whose edge codes fit in int64"),
     (["moments", "--named", "K2,9999999999"], 2, "input error: K2,9999999999: vertex count "
      "10000000001 exceeds 3037000499, the most whose edge codes fit in int64"),
+    # a family within the vertex limit but beyond memory fails at its first array
+    (["moments", "--named", "C3037000499"], 4, _OUT_OF_MEMORY + "Unable to allocate 22.6 GiB "
+     "for an array with shape (3037000499,) and data type int64"),
+    # refused before the copies are listed; a part of 0 vertices counts as 1
+    (["moments", "--named", "10000000000000000000K1"], 2, "input error: "
+     f"10000000000000000000K1: multiplier 10000000000000000000 {_COPIES_REFUSED}"),
+    (["moments", "--named", "10000000000000000000K0"], 2, "input error: "
+     f"10000000000000000000K0: multiplier 10000000000000000000 {_COPIES_REFUSED}"),
+    (["moments", "--named", "K1u10000000000000000000K1"], 2,
+     "input error: unknown graph name 'K1u10000000000000000000K1'"),
     (["cluster", "--corpus", "deep.json"], 2, _DEEP_JSON),
     (["classify", "--corpus", "deep-settings.json"], 2, _DEEP_JSON),
     # one gk4 draw array holds seven int64 draws per sample: above the most
@@ -602,7 +613,8 @@ def _main_with_capped_memory(argv):
         "corpus-nv-above-max", "bench-nv-above-max",
         "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory", "union-40-parts",
         "union-600-parts", "union-5000-parts", "complete-above-max", "cycle-above-max",
-        "bipartite-above-max", "manifest-deep", "settings-deep",
+        "bipartite-above-max", "cycle-out-of-memory", "multiplier-above-max",
+        "multiplier-above-max-empty-part", "union-multiplier-above-max", "manifest-deep", "settings-deep",
         "gk4-samples-above-intp", "gk4-samples-int64-max", "gk4-samples-out-of-memory",
         "gk4-samples-at-max",
         "nv-float", "nv-string", "ne-float", "count-float", "label-bool", "rho-bool",

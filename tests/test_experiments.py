@@ -54,3 +54,17 @@ def test_bench_times_the_public_pairwise_entry(monkeypatch):
     md.bench_moment_scaling([(20, 40), (20, 60)], count=2, repeats=2, seed=0)
     # one call per size and repeat, each on the table the moment phase timed
     assert calls == [True] * 4
+
+
+def test_bench_refuses_a_bad_degree_before_generating(monkeypatch):
+    calls = []
+    real = md.experiments.generate_rewired
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(md.experiments, "generate_rewired", counted)
+    with pytest.raises(md.ConfigError, match="^degree must be >= 1, got 0$"):
+        md.bench_moment_scaling([(20, 40)], count=2, degree=0)
+    assert calls == []
