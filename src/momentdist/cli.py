@@ -392,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except MemoryError as exc:
-            print(f"config error: out of memory: {exc}", file=sys.stderr)
+            print("config error: out of memory:", str(exc) or "allocation failed", file=sys.stderr)
             return EXIT_CONFIG
         except _NUMERIC_ERRORS as exc:
             print(f"numeric error: {exc}", file=sys.stderr)

@@ -243,13 +243,13 @@ def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, np.ndarray, int 
     """:func:`_read_lines`' result in bulk, if each data line is two ASCII decimal tokens.
 
     Tokens are runs of the digits 0-9, at most 18 of them (so int64 holds
-    each), separated by spaces, tabs or carriage returns. Returns None for
-    any other text and for text without data lines.
+    each), separated by spaces, tabs or carriage returns; comment lines may
+    hold any text. Returns None for other data lines and for none at all.
     """
-    if not text.isascii():
-        return None
     if "#" in text or "%" in text:
         text = re.sub(r"(?m)^[ \t\r]*[#%].*", "", text)  # blank out comment lines
+    if not text.isascii():
+        return None
     b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     newline = b == 10
     digit = (b >= 48) & (b <= 57)
@@ -468,7 +468,7 @@ def named_graph(name: str) -> Graph:
     if m:
         return _build_family(m.group(1), int(m.group(2)), int(m.group(3)) if m.group(3) else None)
     m = _MULT_RE.fullmatch(s)
-    if m and not s[0].isalpha():
+    if m:
         copies = int(m.group(1))
         if copies < 1:
             raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
@@ -477,7 +477,9 @@ def named_graph(name: str) -> Graph:
         if copies > most:
             raise UnknownGraphNameError(f"{s}: multiplier {copies} exceeds {most}, the most "
                                         f"copies that fit in {MAX_VERTICES} vertices")
-        return disjoint_union([part] * copies)
+        # the part's edges once per copy, shifted by that copy's first vertex
+        edges = part.edge_array() + np.arange(0, copies * part.n, max(part.n, 1))[:, None, None]
+        return Graph.from_edges(copies * part.n, edges.reshape(-1, 2))
     pos = low.find("u", 1)
     if 0 < pos < len(s) - 1:
         try:

@@ -551,6 +551,10 @@ def _main_with_capped_memory(argv):
      f"10000000000000000000K1: multiplier 10000000000000000000 {_COPIES_REFUSED}"),
     (["moments", "--named", "10000000000000000000K0"], 2, "input error: "
      f"10000000000000000000K0: multiplier 10000000000000000000 {_COPIES_REFUSED}"),
+    # the copies build at array speed, so the graph's 2.24 GiB row pointers fit
+    # under the cap and the csr matrix's int32 copy of them does not
+    (["moments", "--named", "300000000K1"], 4, _OUT_OF_MEMORY + "Unable to allocate 1.12 GiB "
+     "for an array with shape (300000001,) and data type int32"),
     (["moments", "--named", "K1u10000000000000000000K1"], 2,
      "input error: unknown graph name 'K1u10000000000000000000K1'"),
     (["cluster", "--corpus", "deep.json"], 2, _DEEP_JSON),
@@ -614,7 +618,8 @@ def _main_with_capped_memory(argv):
         "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory", "union-40-parts",
         "union-600-parts", "union-5000-parts", "complete-above-max", "cycle-above-max",
         "bipartite-above-max", "cycle-out-of-memory", "multiplier-above-max",
-        "multiplier-above-max-empty-part", "union-multiplier-above-max", "manifest-deep", "settings-deep",
+        "multiplier-above-max-empty-part", "multiplier-out-of-memory",
+        "union-multiplier-above-max", "manifest-deep", "settings-deep",
         "gk4-samples-above-intp", "gk4-samples-int64-max", "gk4-samples-out-of-memory",
         "gk4-samples-at-max",
         "nv-float", "nv-string", "ne-float", "count-float", "label-bool", "rho-bool",
@@ -640,6 +645,15 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, code, err):
     else:
         assert out == ""
         assert stderr == err + "\n"
+
+
+def test_out_of_memory_without_text_names_a_cause(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError()  # as Python raises its own: no text
+
+    monkeypatch.setattr(md.cli, "_cmd_moments", exhausted)
+    assert main(["moments", "--named", "K4"]) == 4
+    assert capsys.readouterr() == ("", "config error: out of memory: allocation failed\n")
 
 
 def test_long_union_name_exits_within_a_second(capsys):
@@ -682,9 +696,9 @@ def _write_rewiring_corpus(path):
 # per-k KNN loop that the shared moment table and the one-sort KNN replaced,
 # and (cluster-gk4) with the per-sample gk4 loop the one-pass classification
 # replaced; the manifests' former "threads_bound" line is removed from each;
-# pairwise-inputs with the bulk reader's retry through the line loop and the
-# pairwise JSON built through DistanceMatrix.to_json. Paths are relative, so
-# the manifests are stable.
+# pairwise-inputs with the line loop reading comment.txt, which the bulk reader
+# now reads as well, and the pairwise JSON built through DistanceMatrix.to_json.
+# Paths are relative, so the manifests are stable.
 _PINNED_OUTPUTS = {
     "classify-default": (["classify"],
         "20559ab030cc5db52353cb6f9d40dc85a72f7a0e97aaf95bf6041c474b3a2dce"),
@@ -722,7 +736,7 @@ _TIMINGS_KEYS = {"moments": ["moments_s"], "pairwise": ["pairwise_s"], "spectrum
 
 def _write_edge_files(tmp_path):
     """Two rewired graphs as edge lists: plain decimal pairs, and pairs after a
-    non-ASCII comment line, which the bulk reader hands to the line loop."""
+    non-ASCII comment line, which the bulk reader blanks like any comment."""
     for name, comment, seed in (("plain.txt", "", 1), ("comment.txt", "# graphe réécrit\n", 2)):
         g = md.generate_rewired(40, 120, 0.3, seed=seed)
         edges = "".join(f"{u} {v}\n" for u, v in g.edge_array().tolist())

@@ -193,6 +193,19 @@ def test_parse_matches_line_loop(text, indexing, header):
         assert md.parse_edge_list(text, indexing=indexing, header=header) == want
 
 
+def test_parse_non_ascii_comment_stays_bulk(monkeypatch):
+    text = "% réseau\n1 2\n# ünïcode\n2 3\n"
+    want = parse_edge_list_by_lines(text)
+
+    def line_loop(*args):
+        raise AssertionError("the bulk reader handed the text to the line loop")
+
+    monkeypatch.setattr(md.graphs, "_read_lines", line_loop)
+    assert md.parse_edge_list(text) == want
+    with pytest.raises(md.SelfLoopError, match="^line 5: self-loop 3 3 rejected$"):
+        md.parse_edge_list(text + "3 3\n", indexing="zero")
+
+
 def test_write_read_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     g = random_graph(rng, 12, 0.4)
@@ -422,6 +435,21 @@ def test_named_long_unions():
     assert md.named_graph("K1u" * 59 + "K1") == md.empty_graph(60)
     assert md.named_graph("C3u" * 29 + "co-K2") == md.disjoint_union(
         [md.cycle_graph(3)] * 29 + [md.empty_graph(2)])
+
+
+def test_named_multiplier_tiles_one_edge_array(monkeypatch):
+    calls = []
+    edge_array = md.Graph.edge_array
+
+    def counted(g):
+        calls.append(g.n)
+        return edge_array(g)
+
+    monkeypatch.setattr(md.Graph, "edge_array", counted)
+    g = md.named_graph("1000K2")
+    assert calls == [2]
+    monkeypatch.undo()
+    assert g == md.disjoint_union([md.complete_graph(2)] * 1000)
 
 
 # -- generator ---------------------------------------------------------------
