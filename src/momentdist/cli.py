@@ -207,10 +207,10 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
         base = os.path.dirname(os.path.abspath(path))
         for idx, entry in enumerate(files):
             fpath = _required(entry, "path", f"files entry {idx}", _string)
+            labels.append(_required(entry, "label", f"files entry {idx}", _label))
             if not os.path.isabs(fpath):
                 fpath = os.path.join(base, fpath)
             graphs.append(load_edge_list(fpath, indexing=indexing))
-            labels.append(_required(entry, "label", f"files entry {idx}", _label))
             digests[fpath] = _sha256_file(fpath)
         if any(isinstance(label, str) for label in labels):
             labels = [str(label) for label in labels]  # as numpy reads int64 and str, any int

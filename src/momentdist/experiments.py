@@ -295,9 +295,9 @@ def bench_moment_scaling(
     For each size, :func:`make_rewired_corpus` makes ``count`` (at least two)
     graphs up front; then each repeat times every size in turn, so a slow spell
     of the host hits all sizes alike, and medians over ``repeats`` are reported.
-    The moment phase is :func:`moment_table`; the pairwise phase is
-    :func:`pairwise_distance_matrix` on that table, under Frobenius.
-    Additional methods time their full distance-matrix construction.
+    Each of ``methods`` is timed once per size and repeat, in the order given:
+    ``moment`` as :func:`moment_table`, then :func:`pairwise_distance_matrix`
+    on that table under Frobenius; a baseline as its full distance matrix.
     """
     if count < 2:
         raise ConfigError("count must be at least 2")
@@ -310,20 +310,17 @@ def bench_moment_scaling(
     times = [defaultdict(list) for _ in sizes]
     for _ in range(repeats):
         for gs, size_times in zip(corpora, times):
-            if "moment" in methods:
+            for method in dict.fromkeys(methods):
                 t0 = time.perf_counter()
-                table = moment_table(gs, 2 * degree)
-                t1 = time.perf_counter()
-                pairwise_distance_matrix(gs, cfg, table=table)
-                t2 = time.perf_counter()
-                size_times["moment_extract_s"].append(t1 - t0)
-                size_times["moment_pairwise_s"].append(t2 - t1)
-            for method in methods:
                 if method == "moment":
-                    continue
-                t0 = time.perf_counter()
-                method_distance_matrix(gs, method)
-                size_times[f"{method}_s"].append(time.perf_counter() - t0)
+                    table = moment_table(gs, 2 * degree)
+                    size_times["moment_extract_s"].append(time.perf_counter() - t0)
+                    t0 = time.perf_counter()
+                    pairwise_distance_matrix(gs, cfg, table=table)
+                    size_times["moment_pairwise_s"].append(time.perf_counter() - t0)
+                else:
+                    method_distance_matrix(gs, method)
+                    size_times[f"{method}_s"].append(time.perf_counter() - t0)
     return [
         {"nv": int(nv), "ne": int(ne), "count": int(count),
          **{key: float(np.median(ts)) for key, ts in size_times.items()}}

@@ -429,6 +429,7 @@ NAMED_GRAPH_CATALOG = (
 
 _FAMILY_RE = re.compile(r"([KkCcPpSs])(\d+)(?:,(\d+))?$")
 _MULT_RE = re.compile(r"(\d+)(.+)$")
+_PREFIX_RE = re.compile(r"\s*(?:co-|\d)")  # a prefix, past what strip() drops
 _FAMILIES = {"C": cycle_graph, "P": path_graph, "S": star_graph}
 
 
@@ -453,9 +454,9 @@ def named_graph(name: str) -> Graph:
     """Look up a standard graph by a compact name such as ``"C4"``, ``"K2,3"``,
     ``"co-paw"``, ``"2K2"`` or ``"C4uK1"``. See :data:`NAMED_GRAPH_CATALOG`.
 
-    No part name contains a ``u``, so a union splits only at its first ``u``
-    after the first character. A ``co-`` or multiplier prefix applies to the
-    rest of the name: ``2K1uC4`` is two copies of ``K1uC4``."""
+    No part name contains a ``u``, so a union's parts are read in one loop, each
+    up to the next ``u``. A ``co-`` or multiplier prefix applies to the rest of
+    the name: ``2K1uC4`` is two copies of ``K1uC4``."""
     s = name.strip().replace(" ", "").replace("_", "")
     if not s:
         raise UnknownGraphNameError("empty graph name")
@@ -480,12 +481,16 @@ def named_graph(name: str) -> Graph:
         # the part's edges once per copy, shifted by that copy's first vertex
         edges = part.edge_array() + np.arange(0, copies * part.n, max(part.n, 1))[:, None, None]
         return Graph.from_edges(copies * part.n, edges.reshape(-1, 2))
-    pos = low.find("u", 1)
-    if 0 < pos < len(s) - 1:
-        try:
-            return disjoint_union([named_graph(s[:pos]), named_graph(s[pos + 1 :])])
-        except UnknownGraphNameError:
-            pass
+    parts, start, pos = [], 0, low.find("u", 1)
+    while 0 < pos < len(s) - 1:  # a co- or multiplier prefix applies to all of the rest
+        parts.append(s[start:pos])
+        start = pos + 1
+        pos = -1 if _PREFIX_RE.match(low, start) else low.find("u", start + 1)
+    try:
+        if parts:
+            return disjoint_union([*map(named_graph, parts), named_graph(s[start:])])
+    except UnknownGraphNameError:
+        pass
     raise UnknownGraphNameError(f"unknown graph name {name!r}")
 
 

@@ -98,20 +98,14 @@ def spectral_measure(a: np.ndarray, xi: np.ndarray) -> DiscreteMeasure:
         raise ValueError("matrix eigenvalues must be finite")
     merge_tol = MERGE_REL_TOL * float(np.max(np.abs(eigs)))
     amps2 = (vecs.T @ xi) ** 2
-
-    lambdas: list[float] = []
-    omegas: list[float] = []
-    start = 0
-    for i in range(1, eigs.size + 1):
-        if i == eigs.size or eigs[i] - eigs[i - 1] > merge_tol:
-            w = float(amps2[start:i].sum())
-            lam = float(np.mean(eigs[start:i]))
-            if w > WEIGHT_FLOOR:
-                lambdas.append(lam)
-                omegas.append(w)
-            start = i
-    om = np.asarray(omegas)
-    return DiscreteMeasure(np.asarray(lambdas), om / om.sum())
+    # an atom starts at each eigenvalue more than merge_tol above the one before;
+    # a 0.0 inserted before each makes reduceat sum from 0.0, as np.sum does
+    starts = np.flatnonzero(np.diff(eigs, prepend=-np.inf) > merge_tol)
+    at = starts + np.arange(starts.size)
+    omegas = np.add.reduceat(np.insert(amps2, starts, 0.0), at)
+    lambdas = np.add.reduceat(np.insert(eigs, starts, 0.0), at) / np.diff(starts, append=eigs.size)
+    keep = omegas > WEIGHT_FLOOR
+    return DiscreteMeasure(lambdas[keep], omegas[keep] / omegas[keep].sum())
 
 
 def graph_spectral_measure(g: Graph) -> DiscreteMeasure:

@@ -5,8 +5,8 @@ isomorphism, walk enumeration and dense integer matrix powers for walk
 counts, exhaustive subset enumeration for graphlets, Gaussian elimination
 over fractions for Hankel minors, every split retried for union names. These stay independent of the library's
 fast paths so they can referee them. The loops that batched paths replaced
-(one row of pairs, one KNN query, one walk step, one sample at a time) are
-kept here too, as byte-exact references for the batching. ``one_of`` is the
+(one row of pairs, one KNN query, one walk step, one sample, one eigenvalue
+at a time) are kept here too, as byte-exact references for the batching. ``one_of`` is the
 weighted hypothesis strategy choice the property tests share.
 """
 
@@ -38,6 +38,7 @@ from momentdist.graphs import (
 )
 from momentdist import learn
 from momentdist.learn import _stratified_folds
+from momentdist.measures import MERGE_REL_TOL, WEIGHT_FLOOR
 from momentdist.metrics import METRICS, _euclidean
 
 
@@ -620,3 +621,22 @@ def named_graph_by_splits(name: str) -> Graph:
                 continue
             return disjoint_union([left, right])
     raise UnknownGraphNameError(f"unknown graph name {name!r}")
+
+
+def spectral_atoms_by_eigenvalue(a: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (lambdas, omegas) of ``spectral_measure(a, xi)``, one eigenvalue at a
+    time: the loop that the per-atom sums replaced, kept as their byte-exact reference."""
+    eigs, vecs = np.linalg.eigh(a)
+    merge_tol = MERGE_REL_TOL * float(np.max(np.abs(eigs)))
+    amps2 = (vecs.T @ xi) ** 2
+    lambdas, omegas = [], []
+    start = 0
+    for i in range(1, eigs.size + 1):
+        if i == eigs.size or eigs[i] - eigs[i - 1] > merge_tol:
+            w = float(amps2[start:i].sum())
+            if w > WEIGHT_FLOOR:
+                lambdas.append(float(np.mean(eigs[start:i])))
+                omegas.append(w)
+            start = i
+    om = np.asarray(omegas)
+    return np.asarray(lambdas), om / om.sum()

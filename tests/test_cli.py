@@ -223,6 +223,14 @@ def test_bench_bad_size_is_config_error(capsys):
     assert code == 4
 
 
+def test_bench_times_each_method_in_one_row(capsys):
+    code, out = run(capsys, ["bench", "--sizes", "20:40", "--count", "2", "--repeats", "1",
+                             "--methods", "moment", "cov", "--seed", "0"])
+    assert code == 0
+    [row] = json.loads(out)["rows"]
+    assert list(row) == ["nv", "ne", "count", "moment_extract_s", "moment_pairwise_s", "cov_s"]
+
+
 # -- exit codes -------------------------------------------------------------------
 
 
@@ -384,6 +392,17 @@ def test_exit_code_input_error_manifest_missing_key(tmp_path, capsys, spec, mess
     assert captured.err == f"input error: {message}\n"
 
 
+def test_files_entry_label_checked_before_its_file_is_read(tmp_path, monkeypatch, capsys):
+    def unread(*args, **kwargs):
+        raise AssertionError("the edge list was read before its entry was checked")
+
+    monkeypatch.setattr(md.cli, "load_edge_list", unread)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"files": [{"path": "g.txt"}]}))
+    assert main(["cluster", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr() == ("", "input error: files entry 0 has no 'label'\n")
+
+
 def _one_setting(seed=None, **changes) -> bytes:
     """A synthetic manifest of one valid setting, with ``changes`` applied."""
     block = {"settings": [{"nv": 10, "ne": 20, "rho": 0.1, "count": 2, **changes}]}
@@ -437,7 +456,7 @@ _CONTRACT_FILES.update({
 })
 # a union name of 40 parts, the last unknown: each part is tried once, not 2**39 times
 _LONG_UNION = "K1u" * 39 + "X"
-# json's decoder and the union parser recurse once per level
+# json's decoder recurses once per level, and the name parser once per prefix
 _CONTRACT_FILES.update({
     "deep.json": b"[" * 100_000,
     "deep-settings.json": b'{"synthetic": {"seed": 1, "settings": ' + b"[" * 100_000,
@@ -533,7 +552,8 @@ def _main_with_capped_memory(argv):
      "22.4 GiB for an array with shape (3000000000,) and data type int64"),
     (["moments", "--named", _LONG_UNION], 2, f"input error: unknown graph name {_LONG_UNION!r}"),
     (["moments", "--named", "K1u" * 599 + "K1"], 0, None),
-    (["moments", "--named", "K1u" * 4999 + "K1"], 2,
+    (["moments", "--named", "K1u" * 4999 + "K1"], 0, None),
+    (["moments", "--named", "co-" * 5000 + "K1"], 2,
      "input error: graph name nests too deeply: maximum recursion depth exceeded while "
      "calling a Python object"),
     # refused before the family's edge list is built
@@ -616,7 +636,8 @@ def _main_with_capped_memory(argv):
         "reg-overflows-trace", "bench-no-graphs", "bench-single-graph", "bench-no-repeats",
         "corpus-nv-above-max", "bench-nv-above-max",
         "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory", "union-40-parts",
-        "union-600-parts", "union-5000-parts", "complete-above-max", "cycle-above-max",
+        "union-600-parts", "union-5000-parts", "prefix-chain-5000", "complete-above-max",
+        "cycle-above-max",
         "bipartite-above-max", "cycle-out-of-memory", "multiplier-above-max",
         "multiplier-above-max-empty-part", "multiplier-out-of-memory",
         "union-multiplier-above-max", "manifest-deep", "settings-deep",

@@ -56,6 +56,20 @@ def test_bench_times_the_public_pairwise_entry(monkeypatch):
     assert calls == [True] * 4
 
 
+def test_bench_times_a_repeated_method_once(monkeypatch):
+    calls = []
+    real = md.experiments.method_distance_matrix
+
+    def counted(gs, method, **params):
+        calls.append(method)
+        return real(gs, method, **params)
+
+    monkeypatch.setattr(md.experiments, "method_distance_matrix", counted)
+    [row] = md.bench_moment_scaling([(20, 40)], count=2, repeats=1, methods=["cov", "cov"])
+    assert calls == ["cov"]
+    assert list(row) == ["nv", "ne", "count", "cov_s"]
+
+
 def test_bench_refuses_a_bad_degree_before_generating(monkeypatch):
     calls = []
     real = md.experiments.generate_rewired

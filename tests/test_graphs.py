@@ -206,6 +206,12 @@ def test_parse_non_ascii_comment_stays_bulk(monkeypatch):
         md.parse_edge_list(text + "3 3\n", indexing="zero")
 
 
+def test_parse_non_ascii_digits_take_the_line_loop():
+    text = "\u0661 \u0662\n\u0662 \u0663\n"  # Arabic-Indic digits, which int() reads
+    assert md.graphs._decimal_rows(text, False) is None
+    assert md.parse_edge_list(text) == md.parse_edge_list("1 2\n2 3\n")
+
+
 def test_write_read_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     g = random_graph(rng, 12, 0.4)
@@ -435,6 +441,15 @@ def test_named_long_unions():
     assert md.named_graph("K1u" * 59 + "K1") == md.empty_graph(60)
     assert md.named_graph("C3u" * 29 + "co-K2") == md.disjoint_union(
         [md.cycle_graph(3)] * 29 + [md.empty_graph(2)])
+
+
+@pytest.mark.parametrize("name, n", [
+    ("K1u\t2K1uK1", 5), ("K1u\xa02K1uK1", 5), ("K1u\n3K1uK2", 10), ("K1u\tco-K1uK1", 3),
+])
+def test_named_prefix_after_whitespace_applies_to_the_rest(name, n):
+    # a part's name is stripped before it is read, so the prefix still leads it
+    g = md.named_graph(name)
+    assert g.n == n and g == named_graph_by_splits(name)
 
 
 def test_named_multiplier_tiles_one_edge_array(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import momentdist as md
+from oracles import spectral_atoms_by_eigenvalue
 
 
 def _unit(rng, n):
@@ -96,6 +97,17 @@ def test_moment_agreement_random():
         ms = md.xi_state_moments(a, xi, 8)
         for k in range(9):
             assert abs(mu.moment(k) - ms[k]) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["K200", "S300", "K5,5uK1", "50K3", "C4uK1", "co-paw"])
+def test_atoms_match_the_eigenvalue_loop(name):
+    g = md.named_graph(name)
+    xi = _unit(np.random.default_rng(g.n), g.n)
+    for state in (np.full(g.n, 1.0 / np.sqrt(g.n)), xi):
+        mu = md.spectral_measure(g.to_dense(), state)
+        lambdas, omegas = spectral_atoms_by_eigenvalue(g.to_dense(), state)
+        assert mu.lambdas.tobytes() == lambdas.tobytes()
+        assert mu.omegas.tobytes() == omegas.tobytes()
 
 
 def test_round_trip_from_atoms(monkeypatch):
