@@ -523,15 +523,12 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
         raise ConfigError(f"infeasible (nv={nv}, ne={ne}): lattice needs nv >= 2*(ne/nv)+1")
 
     home = np.tile(np.arange(nv, dtype=np.int64), c)
-    shift = np.repeat(np.arange(1, c + 1, dtype=np.int64), nv)
-    other = (home + shift) % nv
+    other = (home + np.repeat(np.arange(1, c + 1, dtype=np.int64), nv)) % nv
 
     codes = np.minimum(home, other) * nv + np.maximum(home, other)
     rng = np.random.default_rng(seed)
     picked = np.flatnonzero(rng.random(ne) < rho)
     if picked.size:
-        present = set(codes.tolist())
-        remove, add = present.remove, present.add
         # One stream of candidate endpoints, drawn in bulk picked.size at a
         # time, and again whenever rejections use a batch up. numpy's bounded
         # draws (Lemire's method) take their words from the bit generator one
@@ -539,21 +536,42 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
         # 64-bit word, so a bulk draw yields the same values, in the same order,
         # as that many scalar draws: the stream and every graph stay the same.
         draws = chain.from_iterable(rng.integers(nv, size=picked.size).tolist() for _ in count())
+        rows = zip(home[picked].tolist(), codes[picked].tolist(), other[picked].tolist())
         new_other = []
-        for u, old, kept in zip(home[picked].tolist(), codes[picked].tolist(),
-                                other[picked].tolist()):
-            tries = 100  # draws left for this edge
-            for w in draws:
-                new = (u * nv + w) if u < w else (w * nv + u)
-                if w != u and new not in present:
-                    remove(old)
-                    add(new)
-                    kept = w
-                    break
-                tries -= 1
-                if not tries:
-                    break
-            new_other.append(kept)
+        # present edges: a byte per code u*nv + v while no larger than a set (64+ B an edge)
+        if nv * nv <= 64 * ne:
+            present = bytearray(nv * nv)
+            np.frombuffer(present, dtype=np.uint8)[codes] = 1
+            for u, old, kept in rows:
+                tries = 100  # draws left for this edge
+                for w in draws:
+                    new = (u * nv + w) if u < w else (w * nv + u)
+                    if w != u and not present[new]:
+                        present[old] = 0
+                        present[new] = 1
+                        kept = w
+                        break
+                    tries -= 1
+                    if not tries:
+                        break
+                new_other.append(kept)
+        else:
+            present = set(codes.tolist())
+            remove, add = present.remove, present.add
+            for u, old, kept in rows:
+                tries = 100  # draws left for this edge
+                for w in draws:
+                    new = (u * nv + w) if u < w else (w * nv + u)
+                    if w != u and new not in present:
+                        remove(old)
+                        add(new)
+                        kept = w
+                        break
+                    tries -= 1
+                    if not tries:
+                        break
+                new_other.append(kept)
+        del rows, present  # not held through from_edges
         other[picked] = new_other
     return Graph.from_edges(nv, np.stack([home, other], axis=1))
 

@@ -133,10 +133,11 @@ def clustering_accuracy(assignment: Sequence[int], labels: Sequence[int]) -> flo
     k = max(a_codes.max(), l_codes.max()) + 1
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (a_codes, l_codes), 1)
-    # every weight is at least 1, so the matching is full, and its least
-    # total weight is the greatest total agreement
-    rows, cols = min_weight_full_bipartite_matching(
-        sp.csr_matrix(confusion.max() + 1 - confusion))
+    # every weight is at least 1, so the matching is full, and its least total
+    # weight is the greatest total agreement; CSR arrays skip a dense scan
+    weights = (confusion.max() + 1 - confusion).ravel()
+    rows, cols = min_weight_full_bipartite_matching(sp.csr_matrix(
+        (weights, np.tile(np.arange(k), k), np.arange(0, k * k + 1, k)), shape=(k, k)))
     return float(confusion[rows, cols].sum()) / n
 
 

@@ -206,7 +206,8 @@ def _vector_state(a, xi) -> tuple[np.ndarray, np.ndarray]:
     if a.size == 0:
         raise ValueError("matrix must be nonempty")
     with np.errstate(over="ignore"):  # an overflowing difference is inf and fails the test
-        asymmetry = np.max(np.abs(a - a.T))
+        d = np.subtract(a, a.T)  # the one n-by-n temporary: abs runs in place
+        asymmetry = np.max(np.abs(d, out=d))
     if asymmetry > 1e-10:
         raise ValueError("matrix is not symmetric within 1e-10")
     if abs(np.linalg.norm(xi) - 1.0) > 1e-10:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import momentdist as md
@@ -522,6 +522,12 @@ def _rewired_params(draw):
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_rewired_params())
+# nv*nv <= 64*ne tracks edges in a byte map: the first two sit on that rule, the
+# last two just past it, where the generator keeps a set of edge codes instead
+@example((64, 64, 0.5, 3))
+@example((128, 256, 0.9, 5))
+@example((65, 65, 0.5, 3))
+@example((129, 258, 0.9, 5))
 def test_rewired_matches_scalar_draws(params):
     nv, ne, rho, seed = params
     g = md.generate_rewired(nv, ne, rho, seed)

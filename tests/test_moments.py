@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -6,7 +7,7 @@ import pytest
 import scipy.sparse
 
 import momentdist as md
-from momentdist.moments import _column_block
+from momentdist.moments import _column_block, _vector_state
 from oracles import exact_walk_sums, random_graph, step_chain_moments, walk_count
 from test_acceptance import DESK_SETTINGS, TABLE4V_NAMES
 
@@ -294,6 +295,19 @@ def test_xi_moments_rejects_bad_inputs():
         md.xi_state_moments(a, np.array([1.0, 1.0]), 2)  # not unit
     with pytest.raises(ValueError):
         md.xi_state_moments(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]), 2)
+
+
+def test_vector_state_check_allocates_one_temporary():
+    # the symmetry test needs one n-by-n difference, not a second for its absolute value
+    a = md.generate_rewired(1000, 10000, 0.5, seed=0).to_dense()
+    xi = np.full(1000, 1 / np.sqrt(1000))
+    tracemalloc.start()
+    try:
+        _vector_state(a, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * a.nbytes
 
 
 # -- density states ---------------------------------------------------------------
