@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -114,13 +114,16 @@ class Graph:
     def from_edges(cls, n: int, edges: np.ndarray | Sequence[tuple[int, int]]) -> Graph:
         """Build a canonical graph from an ``(m, 2)`` array or a list of (u, v) pairs.
 
-        Duplicate edges (in either orientation) collapse; self-loops raise.
+        Duplicate edges (in either orientation) collapse; self-loops and endpoints
+        that are not integers (floats, strings) raise ValueError.
         """
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
-        arr = np.asarray(edges, dtype=np.int64)
+        arr = np.asarray(edges)
         if arr.size == 0:
             return cls(n, np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"edge endpoints must be integers, got {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be pairs")
         if arr.min() < 0 or arr.max() >= n:
@@ -129,14 +132,7 @@ class Graph:
         if np.any(u == v):
             bad = int(u[np.argmax(u == v)])
             raise SelfLoopError(f"self-loop at vertex {bad} rejected")
-        # both orientations of every edge as row-major codes, sorted and
-        # deduplicated (sort-and-compare: np.unique is far slower on int64)
-        codes = np.sort(np.concatenate([u * n + v, v * n + u]))
-        codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
-        src, dst = np.divmod(codes, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(n, indptr, dst)
+        return _canonical(n, u, v)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -186,6 +182,20 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _canonical(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """The graph of the in-range, loop-free pairs (u[i], v[i]), from the row-major codes
+    of both orientations: int32 while n*n <= 2**31 - 1, sorted, and deduplicated."""
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    u, v = u.astype(dtype), v.astype(dtype)
+    codes = np.sort(np.concatenate([u * n + v, v * n + u]))
+    dup = codes[1:] == codes[:-1]  # sort and compare: np.unique is far slower
+    codes = np.delete(codes, np.flatnonzero(dup) + 1) if dup.any() else codes
+    rows = codes // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Graph(n, indptr, (codes - rows * n).astype(np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,25 +258,23 @@ def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, np.ndarray, int 
     """
     if "#" in text or "%" in text:
         text = re.sub(r"(?m)^[ \t\r]*[#%].*", "", text)  # blank out comment lines
-    if not text.isascii():
+    if not text.isascii() or (data := text.encode("ascii")).translate(None, b"0123456789 \t\r\n"):
+        return None  # a byte other than ASCII digits and blanks
+    b = np.frombuffer(data, dtype=np.uint8)
+    # token bounds: each row's first start, first end, second start, second end
+    bounds = np.flatnonzero(np.diff((b - 48) < 10, prepend=False, append=False))
+    if not bounds.size or bounds.size % 4 or (bounds[1::2] - bounds[::2]).max() > 18:
         return None
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    newline = b == 10
-    digit = (b >= 48) & (b <= 57)
-    if not (digit | newline | (b == 32) | (b == 9) | (b == 13)).all():
+    # a row's line holds its first token; the second must come before that
+    # line's end, and the next row must start on a later line
+    ends = np.append(np.flatnonzero(b == 10), b.size)
+    line = np.searchsorted(ends, bounds[::4])
+    if np.any(bounds[2::4] > ends[line]) or np.any(line[1:] == line[:-1]):
         return None
-    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))  # token starts, ends
-    starts, lengths = bounds[0::2], np.diff(bounds)[0::2]
-    # tokens per line, from the tokens that start before each line end
-    per_line = np.diff(np.searchsorted(starts, np.append(np.flatnonzero(newline), b.size)),
-                       prepend=0)
-    if starts.size == 0 or np.any((per_line != 0) & (per_line != 2)) or lengths.max() > 18:
-        return None
-    rows = np.fromstring(text, dtype=np.int64, count=starts.size, sep=" ").reshape(-1, 2)
-    linenos = np.flatnonzero(per_line) + 1
+    rows = np.fromstring(text, dtype=np.int64, count=bounds.size // 2, sep=" ").reshape(-1, 2)
     if header:
-        return rows[1:], linenos[1:], int(rows[0, 0])
-    return rows, linenos, None
+        return rows[1:], line[1:] + 1, int(rows[0, 0])
+    return rows, line + 1, None
 
 
 def _read_lines(text: str, header: bool) -> tuple[np.ndarray, list[int], int | None]:
@@ -523,30 +531,40 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
         raise ConfigError(f"infeasible (nv={nv}, ne={ne}): lattice needs nv >= 2*(ne/nv)+1")
 
     home = np.tile(np.arange(nv, dtype=np.int64), c)
-    other = (home + np.repeat(np.arange(1, c + 1, dtype=np.int64), nv)) % nv
+    other = home + np.repeat(np.arange(1, c + 1, dtype=np.int64), nv)
+    other[other >= nv] -= nv
 
     codes = np.minimum(home, other) * nv + np.maximum(home, other)
     rng = np.random.default_rng(seed)
     picked = np.flatnonzero(rng.random(ne) < rho)
     if picked.size:
-        # One stream of candidate endpoints, drawn in bulk picked.size at a
-        # time, and again whenever rejections use a batch up. numpy's bounded
-        # draws (Lemire's method) take their words from the bit generator one
-        # value at a time, and the generator buffers the spare half of each
-        # 64-bit word, so a bulk draw yields the same values, in the same order,
-        # as that many scalar draws: the stream and every graph stay the same.
-        draws = chain.from_iterable(rng.integers(nv, size=picked.size).tolist() for _ in count())
-        rows = zip(home[picked].tolist(), codes[picked].tolist(), other[picked].tolist())
         new_other = []
-        # present edges: a byte per code u*nv + v while no larger than a set (64+ B an edge)
+        # One stream of candidate endpoints, drawn in bulk: picked.size, then, each
+        # time rejections use a batch up, what the edges left need at the rate so
+        # far. numpy's bounded draws (Lemire's method) take their words from the bit
+        # generator one value at a time, and the generator buffers the spare half of
+        # each 64-bit word, so a bulk draw yields the values of that many scalar
+        # draws, in order: the stream and every graph stay the same.
+        def batches(size=picked.size, drawn=0):
+            while True:
+                yield rng.integers(nv, size=size).tolist()
+                drawn += size
+                done = len(new_other)
+                size = (picked.size - done) * drawn // max(done, 1) + 1
+
+        draws = chain.from_iterable(batches())
+        rows = zip(home[picked].tolist(), codes[picked].tolist(), other[picked].tolist())
+        # present edges: a byte per code u*nv + v while no larger than a set (64+ B an
+        # edge), with the self-pairs u*nv + u marked too, so a loop reads as present
         if nv * nv <= 64 * ne:
             present = bytearray(nv * nv)
             np.frombuffer(present, dtype=np.uint8)[codes] = 1
+            np.frombuffer(present, dtype=np.uint8)[::nv + 1] = 1
             for u, old, kept in rows:
                 tries = 100  # draws left for this edge
                 for w in draws:
                     new = (u * nv + w) if u < w else (w * nv + u)
-                    if w != u and not present[new]:
+                    if not present[new]:
                         present[old] = 0
                         present[new] = 1
                         kept = w
@@ -571,9 +589,10 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
                     if not tries:
                         break
                 new_other.append(kept)
-        del rows, present  # not held through from_edges
+        del rows, present  # not held through the CSR build
         other[picked] = new_other
-    return Graph.from_edges(nv, np.stack([home, other], axis=1))
+    # distinct, loop-free pairs in range: the CSR kernel needs no checks
+    return _canonical(nv, home, other)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,18 @@ def neighbors(g: Graph, i: int) -> np.ndarray:
     return g.indices[g.indptr[i] : g.indptr[i + 1]]
 
 
+def csr_by_neighbor_sets(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``indices`` of the simple graph on ``pairs``, from one Python
+    set of neighbors per vertex: the reference for the sorted-code CSR build."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    rows = [sorted(s) for s in nbrs]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return indptr, np.array([v for r in rows for v in r], dtype=np.int64)
+
+
 def has_edge(g: Graph, i: int, j: int) -> bool:
     row = neighbors(g, i)
     pos = np.searchsorted(row, j)

@@ -74,6 +74,24 @@ def test_within_bound_unresolved_when_parent_spreads_past_bound(parent, change, 
     assert bench_pairs.summarize(runs, _END_TO_END)["w"]["setup_s"]["within_bound"] == within
 
 
+# median 1.00, inclusive quartiles 0.9625 and 1.0375: an IQR of 0.075
+_PARENT = [0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1]
+
+
+@pytest.mark.parametrize("change, gain", [
+    # better in 10 of 10 pairs, and the median moves 0.20
+    ([0.8] * 10, True),
+    # better in only 8 of 10 pairs
+    ([0.8] * 8 + [1.2] * 2, False),
+    # better in 10 of 10 pairs, but the median moves 0.01
+    ([round(v - 0.01, 2) for v in _PARENT], False),
+])
+def test_gain_needs_nine_tenths_of_pairs_and_a_move_past_the_parent_iqr(change, gain):
+    runs = [_run("parent", i, v) for i, v in enumerate(_PARENT, 1)]
+    runs += [_run("change", i, v) for i, v in enumerate(change, 1)]
+    assert bench_pairs.summarize(runs, _END_TO_END)["w"]["setup_s"]["gain"] is gain
+
+
 def test_within_bound_higher_better():
     runs = [_run("parent", 1, 0.1, accuracy=1.0), _run("change", 1, 0.1, accuracy=0.8)]
     got = bench_pairs.summarize(runs, _END_TO_END)["w"]["accuracy"]

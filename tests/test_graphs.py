@@ -11,6 +11,7 @@ import momentdist as md
 from oracles import (
     are_isomorphic,
     component_count,
+    csr_by_neighbor_sets,
     dense_int_power,
     generate_rewired_by_draws,
     has_edge,
@@ -181,6 +182,17 @@ def _edge_list_texts(draw):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(_edge_list_texts(), st.sampled_from(["zero", "one", "auto"]), st.booleans())
+# the cases the bulk reader's row-level line check decides: a lone token per
+# line, three or four tokens on a line, blank and whitespace-only lines
+# between rows, CRLF endings, no final newline
+@example("1\n2\n", "zero", False)
+@example("1 2 3\n4 5 6\n", "auto", False)
+@example("1 2 3 4\n", "zero", False)
+@example("0 1\n\n  \n\t \r\n1 2\n \n2 3\n", "zero", False)
+@example("3 2\n\t\n1 2\n", "one", True)
+@example("1 2\r\n2 3\r\n\r\n3 1\r\n", "auto", False)
+@example("0 1\n1 2", "zero", False)
+@example("1 2\r\n2 2", "auto", False)
 def test_parse_matches_line_loop(text, indexing, header):
     try:
         want = parse_edge_list_by_lines(text, indexing=indexing, header=header)
@@ -253,6 +265,25 @@ def test_from_edges_vertex_count_range():
         md.Graph.from_edges(md.graphs.MAX_VERTICES + 1, [])
     with pytest.raises(ValueError, match="got -1"):
         md.Graph.from_edges(-1, [])
+
+
+# n*n = 2147395600 <= 2**31 - 1 < 46341**2: the last size whose edge codes the
+# CSR build sorts as int32, and the first it sorts as int64
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_from_edges_matches_neighbor_sets_across_int32_codes(n):
+    rng = np.random.default_rng(n)
+    # half the endpoints among the top 1000 vertices, whose codes pass 2**31 at n = 46341
+    pairs = np.concatenate([rng.integers(0, n, size=(1500, 2)),
+                            rng.integers(n - 1000, n, size=(1500, 2))])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # reversed copies and plain duplicates
+    pairs = np.concatenate([pairs, pairs[:300, ::-1], pairs[300:400]])
+    rng.shuffle(pairs)
+    g = md.Graph.from_edges(n, pairs)
+    indptr, indices = csr_by_neighbor_sets(n, pairs.tolist())
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+    assert g.m < pairs.shape[0]
 
 
 def test_self_loop_in_from_edges():
@@ -537,6 +568,18 @@ def test_rewired_matches_scalar_draws(params):
     assert g.m == ne
 
 
+def test_rewired_past_int32_codes_matches_scalar_draws():
+    # 46341**2 > 2**31 - 1: the CSR build sorts int64 codes, and the edges
+    # present are a set (nv*nv > 64*ne)
+    g = md.generate_rewired(46341, 46341, 0.5, seed=14)
+    want = generate_rewired_by_draws(46341, 46341, 0.5, seed=14)
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert g.indptr.tobytes() == want.indptr.tobytes()
+    assert g.indices.tobytes() == want.indices.tobytes()
+    # this seed keeps the lattice edge whose code 46340*46341 + 46339 passes int32
+    assert (g.n - 1) * g.n + int(g.indices[-1]) > np.iinfo(np.int32).max
+
+
 @pytest.mark.parametrize("c", [1, 2, 3, 4])
 def test_rewired_complete_lattice_hits_attempt_cap(c):
     # nv = 2c+1 makes the lattice complete: every draw is a self-loop or a
@@ -681,9 +724,17 @@ def test_walk_count_matches_dense_powers():
 @pytest.mark.parametrize("call, error, message", [
     (lambda: md.Graph.from_edges(3, [(0, 1, 2)]), ValueError, "edges must be pairs"),
     (lambda: md.Graph.from_edges(2, [(0, 2)]), ValueError, "edge endpoint out of range for n=2"),
+    # not truncated to (0, 2), (0, 1) or parsed
+    (lambda: md.Graph.from_edges(3, [(0.5, 2)]), ValueError,
+     "edge endpoints must be integers, got float64"),
+    (lambda: md.Graph.from_edges(3, np.array([[1.9, 0.2]])), ValueError,
+     "edge endpoints must be integers, got float64"),
+    (lambda: md.Graph.from_edges(3, [("1", 2)]), ValueError,
+     "edge endpoints must be integers, got <U21"),
     (lambda: md.named_graph("C4,5"), md.UnknownGraphNameError, "family C takes one parameter"),
     (lambda: md.generate_rewired(0, 10, 0.1, 1), md.ConfigError, "nv and ne must be positive"),
-], ids=["triples", "endpoint-out-of-range", "cycle-two-parameters", "no-vertices"])
+], ids=["triples", "endpoint-out-of-range", "float-list", "float-array", "string-endpoint",
+        "cycle-two-parameters", "no-vertices"])
 def test_bad_arguments_raise(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -41,7 +41,9 @@ SUMMARY_NOTE = (
     "change reads better (ties count for neither), within_bound says the change's median is "
     "no worse than the parent's by more than the metric's bound, or is 'unresolved' when "
     "the parent's IQR over its median exceeds the bound and not every change run beats "
-    "every parent run.")
+    "every parent run. gain applies the claim rule: the change reads better in at least nine "
+    "tenths of the pairs and its median is better than the parent's by more than the parent's "
+    "quartile distance.")
 RUNS_NOTE = (
     "one entry per run: the final JSON line and the record line of perfbench/run.py; each "
     "record's task_times_s and ref_times_s lists are given as count, median, min and max to "
@@ -161,6 +163,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 within = "unresolved"
             else:
                 within = med["change"] <= limit if lower else med["change"] >= limit
+            moved = med["parent"] - med["change"] if lower else med["change"] - med["parent"]
+            gain = bool(pairs) and 10 * better >= 9 * len(pairs) and moved > q3 - q1
             entry[name] = {
                 "parent": [_r(v) for v in vals["parent"]],
                 "change": [_r(v) for v in vals["change"]],
@@ -171,6 +175,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 if med["parent"] else None,
                 "change_better_in": f"{better}/{len(pairs)}",
                 "within_bound": within,
+                "gain": gain,
             }
         summary[workload] = entry
     return summary
