@@ -188,17 +188,44 @@ _DEGCODE4_TO_INDEX[[np.dot(seq, _BASE4) for seq in _GRAPHLET4_DEGSEQS.values()]]
     len(_GRAPHLET4_DEGSEQS))
 
 
+# adjacency bytes per array that one step of the dense triangle count gathers
+_GATHER_BYTES = 1 << 20
+
+
+def _dense_adjacency(g: Graph) -> np.ndarray:
+    """0/1 adjacency as bools, each row padded with False to a whole number of
+    64-bit words."""
+    width = -(-g.n // 64) * 64
+    adj = np.zeros((g.n, width), dtype=bool)
+    adj.reshape(-1)[g._rows() * width + g.indices] = True
+    return adj
+
+
 def graphlet3_distribution(g: Graph) -> np.ndarray:
     """Exact induced 3-subgraph distribution (empty, one-edge, wedge, triangle).
 
     Counted in integer arithmetic from triangle and path-of-length-2 counts,
-    then normalized by C(n, 3). tr(A^3), the closed 3-walks, counts every
-    triangle six times; it costs one sparse product per block of 256 columns.
+    then normalized by C(n, 3). Up to ``DENSE_EIG_N`` vertices the triangles
+    come from adjacency rows held as bits: each edge u < v lies on
+    popcount(N(u) & N(v)) of them, and each triangle has three edges. Beyond,
+    tr(A^3), the closed 3-walks, counts every triangle six times; it costs one
+    sparse product per block of 256 columns.
     """
     n = g.n
     if n < 3:
         raise EmptyGraphError("need at least 3 vertices")
-    t = int(_closed_walks(g.to_csr(), 3)[3]) // 6
+    if n <= DENSE_EIG_N:
+        bits = np.packbits(_dense_adjacency(g), axis=1).view(np.uint64)
+        rows = g._rows()
+        step = max(1, _GATHER_BYTES // bits[0].nbytes)  # CSR entries, so rows, per gather
+        t = 0
+        for s in range(0, rows.size, step):
+            u, v = rows[s:s + step], g.indices[s:s + step]
+            fw = u < v
+            t += int(np.bitwise_count(bits.take(u[fw], axis=0) & bits.take(v[fw], axis=0)).sum())
+        t //= 3
+    else:
+        t = int(_closed_walks(g.to_csr(), 3)[3]) // 6
     degs = g.degrees.astype(object)
     p2 = int(np.sum(degs * (degs - 1) // 2))
     wedges = p2 - 3 * t
@@ -246,12 +273,16 @@ def graphlet4_distribution(g: Graph, samples: int = 10000, seed=None) -> np.ndar
     _check_size("samples", samples, 7 * 8, "draw array")  # seven int64 draws per sample
     quads = _draw_quads(n, samples, np.random.default_rng(seed))
     u, v = quads[:, _QUAD_PAIRS[0]], quads[:, _QUAD_PAIRS[1]]
-    # edge_array rows are u < v in CSR order, so their u*n+v codes are sorted;
-    # the n*n sentinel (no pair's code) keeps every search position in range
-    e = g.edge_array()
-    edge_codes = np.append(e[:, 0] * n + e[:, 1], n * n)
-    pair_codes = np.minimum(u, v) * n + np.maximum(u, v)
-    hits = edge_codes[np.searchsorted(edge_codes, pair_codes)] == pair_codes
+    if n <= DENSE_EIG_N:
+        adj = _dense_adjacency(g)
+        hits = adj.reshape(-1).take(u * adj.shape[1] + v)
+    else:
+        # edge_array rows are u < v in CSR order, so their u*n+v codes are sorted;
+        # the n*n sentinel (no pair's code) keeps every search position in range
+        e = g.edge_array()
+        edge_codes = np.append(e[:, 0] * n + e[:, 1], n * n)
+        pair_codes = np.minimum(u, v) * n + np.maximum(u, v)
+        hits = edge_codes[np.searchsorted(edge_codes, pair_codes)] == pair_codes
     degs = np.sort(hits.astype(np.int64) @ _QUAD_INCIDENCE, axis=1)
     types = _DEGCODE4_TO_INDEX[degs @ _BASE4]
     return np.bincount(types, minlength=len(GRAPHLET4_TYPES)) / samples

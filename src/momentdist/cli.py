@@ -42,8 +42,9 @@ from .graphs import (
     EdgeListError,
     Graph,
     UnknownGraphNameError,
-    load_edge_list,
+    _utf8_text,
     named_graph,
+    parse_edge_list,
 )
 from .measures import graph_spectral_measure
 from .metrics import (
@@ -70,32 +71,29 @@ _NUMERIC_ERRORS = (
 )
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
-def _named(name: str) -> Graph:
-    """:func:`named_graph`, where a name nested past the recursion limit is an input error."""
-    try:
-        return named_graph(name)
-    except RecursionError as exc:
-        raise UnknownGraphNameError(f"graph name nests too deeply: {exc}") from None
+def _read(path: str, digests: dict, error: type[ValueError]) -> str:
+    """The text of the file at ``path``, read once; ``digests[path]`` is the SHA-256
+    of the bytes decoded. ``error`` names a byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digests[path] = hashlib.sha256(data).hexdigest()
+    return _utf8_text(data, error)
+
+
+def _edge_list(path: str, digests: dict, indexing: str, header: bool = False) -> Graph:
+    return parse_edge_list(_read(path, digests, EdgeListError), indexing=indexing, header=header)
 
 
 def _load_graph(args) -> tuple[Graph, str, dict]:
     if args.named is not None:
-        return _named(args.named), args.named, {}
-    g = load_edge_list(args.input, indexing=args.indexing, header=args.header)
-    return g, args.input, {args.input: _sha256_file(args.input)}
+        return named_graph(args.named), args.named, {}
+    digests: dict = {}
+    return _edge_list(args.input, digests, args.indexing, args.header), args.input, digests
 
 
 def _write(command: str, out: str | None, output: dict | str, config: dict, seeds: dict,
@@ -138,12 +136,11 @@ def _graphs_from_args(args) -> tuple[list[Graph], list[str], dict]:
     labels: list[str] = []
     digests: dict = {}
     for name in args.named or []:
-        graphs.append(_named(name))
+        graphs.append(named_graph(name))
         labels.append(name)
     for path in args.inputs or []:
-        graphs.append(load_edge_list(path, indexing=args.indexing, header=args.header))
+        graphs.append(_edge_list(path, digests, args.indexing, args.header))
         labels.append(os.path.basename(path))
-        digests[path] = _sha256_file(path)
     if not graphs:
         raise ConfigError("no graphs given; use --named and/or --inputs")
     return graphs, labels, digests
@@ -180,15 +177,12 @@ def _string(value) -> str:
 
 def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
     """Load a corpus manifest: synthetic generator settings or labeled files."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise CorpusSpecError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
-                                  f"{exc.start}") from None
-        except RecursionError as exc:
-            raise CorpusSpecError(f"corpus manifest nests too deeply: {exc}") from None
-    digests = {path: _sha256_file(path)}
+    digests: dict = {}
+    text = _read(path, digests, CorpusSpecError)
+    try:
+        spec = json.loads(text)
+    except RecursionError as exc:
+        raise CorpusSpecError(f"corpus manifest nests too deeply: {exc}") from None
     if not isinstance(spec, dict):
         raise CorpusSpecError("corpus manifest is not a JSON object")
     if "synthetic" in spec:
@@ -210,8 +204,7 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
             labels.append(_required(entry, "label", f"files entry {idx}", _label))
             if not os.path.isabs(fpath):
                 fpath = os.path.join(base, fpath)
-            graphs.append(load_edge_list(fpath, indexing=indexing))
-            digests[fpath] = _sha256_file(fpath)
+            graphs.append(_edge_list(fpath, digests, indexing))
         if any(isinstance(label, str) for label in labels):
             labels = [str(label) for label in labels]  # as numpy reads int64 and str, any int
         return graphs, np.asarray(labels), digests

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -249,7 +249,7 @@ def parse_edge_list(text: str, indexing: str = "auto", header: bool = False) -> 
     return _edge_graph(*(parsed or _read_lines(text, header)), indexing)
 
 
-def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, np.ndarray, int | None] | None:
+def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, Callable, int | None] | None:
     """:func:`_read_lines`' result in bulk, if each data line is two ASCII decimal tokens.
 
     Tokens are runs of the digits 0-9, at most 18 of them (so int64 holds
@@ -265,20 +265,28 @@ def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, np.ndarray, int 
     bounds = np.flatnonzero(np.diff((b - 48) < 10, prepend=False, append=False))
     if not bounds.size or bounds.size % 4 or (bounds[1::2] - bounds[::2]).max() > 18:
         return None
-    # a row's line holds its first token; the second must come before that
-    # line's end, and the next row must start on a later line
-    ends = np.append(np.flatnonzero(b == 10), b.size)
-    line = np.searchsorted(ends, bounds[::4])
-    if np.any(bounds[2::4] > ends[line]) or np.any(line[1:] == line[:-1]):
+    # the blank gap b[lo[k]:hi[k]] after token k holds a newline if an end byte is
+    # one; a gap of up to two bytes has no other, a longer one is searched
+    lo, hi = bounds[1:-1:2], bounds[2::2]
+    newline = (b[lo] == 10) | (b[hi - 1] == 10)
+    if (search := np.flatnonzero(~newline & (hi - lo > 2))).size:
+        ends = np.append(np.flatnonzero(b == 10), b.size)  # the sentinel: no gap's newline
+        newline[search] = ends[np.searchsorted(ends, lo[search])] < hi[search]
+    # a row's two tokens share a line, and each next row starts on a later one
+    if newline[::2].any() or not newline[1::2].all():
         return None
     rows = np.fromstring(text, dtype=np.int64, count=bounds.size // 2, sep=" ").reshape(-1, 2)
-    if header:
-        return rows[1:], line[1:] + 1, int(rows[0, 0])
-    return rows, line + 1, None
+    skip = int(header)
+
+    def line_of(row: int) -> int:  # 1 + the newlines before the row's first token
+        return int(np.count_nonzero(b[:bounds[4 * (row + skip)]] == 10)) + 1
+
+    return rows[skip:], line_of, int(rows[0, 0]) if header else None
 
 
-def _read_lines(text: str, header: bool) -> tuple[np.ndarray, list[int], int | None]:
-    """The edge rows, their line numbers and the header's ``n``, one line at a time."""
+def _read_lines(text: str, header: bool) -> tuple[np.ndarray, Callable, int | None]:
+    """The edge rows, the line number of each by its index, and the header's ``n``,
+    one line at a time."""
     pairs: list[tuple[int, int]] = []
     linenos: list[int] = []
     header_n: int | None = None
@@ -309,14 +317,14 @@ def _read_lines(text: str, header: bool) -> tuple[np.ndarray, list[int], int | N
 
     if header and not saw_header:
         raise EdgeListError("header requested but no data lines found")
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), linenos, header_n
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), linenos.__getitem__, header_n
 
 
-def _edge_graph(flat: np.ndarray, linenos: Sequence[int], header_n: int | None,
+def _edge_graph(flat: np.ndarray, line_of: Callable[[int], int], header_n: int | None,
                 indexing: str) -> Graph:
     """Graph from parsed edge rows: indexing shift, self-loop, header and size checks.
 
-    ``linenos`` gives each row's line number for the error messages.
+    ``line_of`` gives a row's line number, by its index, for the error messages.
     """
     n = 0
     if flat.size:
@@ -324,12 +332,12 @@ def _edge_graph(flat: np.ndarray, linenos: Sequence[int], header_n: int | None,
         if indexing == "one" or (indexing == "auto" and lo == 1):
             if lo == 0:
                 bad = int(np.argmax((flat == 0).any(axis=1)))
-                raise EdgeListError("vertex id 0 under one-based indexing", int(linenos[bad]))
+                raise EdgeListError("vertex id 0 under one-based indexing", line_of(bad))
             flat = flat - 1
         loops = np.flatnonzero(flat[:, 0] == flat[:, 1])
         if loops.size:
             a = flat[loops[0], 0]
-            raise SelfLoopError(f"self-loop {a} {a} rejected", int(linenos[loops[0]]))
+            raise SelfLoopError(f"self-loop {a} {a} rejected", line_of(int(loops[0])))
         n = int(flat.max()) + 1
     if header_n is not None:
         if flat.size and header_n < n:
@@ -337,21 +345,27 @@ def _edge_graph(flat: np.ndarray, linenos: Sequence[int], header_n: int | None,
         n = header_n
     if n > MAX_VERTICES:
         # the line of the largest id, unless the header set n
-        line = None if header_n is not None else int(linenos[np.argmax(flat.max(axis=1))])
+        line = None if header_n is not None else line_of(int(np.argmax(flat.max(axis=1))))
         raise EdgeListError(f"vertex count {n} exceeds {MAX_VERTICES}, the most whose "
                             "edge codes fit in int64", line)
     return Graph.from_edges(n, flat)
 
 
-def load_edge_list(path, indexing: str = "auto", header: bool = False) -> Graph:
-    """Read an edge-list file from disk. See :func:`parse_edge_list`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise EdgeListError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
-                                f"{exc.start}") from None
-    return parse_edge_list(text, indexing=indexing, header=header)
+def _utf8_text(data: bytes, error: type[ValueError]) -> str:
+    """``data`` read as a file opened in text mode reads it: UTF-8 with universal
+    newlines. ``error`` names the first byte that is not UTF-8."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
+                    f"{exc.start}") from None
+
+
+def load_edge_list(path, indexing: str = "auto") -> Graph:
+    """Read an edge-list file without a header line from disk. See :func:`parse_edge_list`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_edge_list(_utf8_text(data, EdgeListError), indexing=indexing)
 
 
 # ---------------------------------------------------------------------------
@@ -462,44 +476,74 @@ def named_graph(name: str) -> Graph:
     """Look up a standard graph by a compact name such as ``"C4"``, ``"K2,3"``,
     ``"co-paw"``, ``"2K2"`` or ``"C4uK1"``. See :data:`NAMED_GRAPH_CATALOG`.
 
-    No part name contains a ``u``, so a union's parts are read in one loop, each
-    up to the next ``u``. A ``co-`` or multiplier prefix applies to the rest of
-    the name: ``2K1uC4`` is two copies of ``K1uC4``."""
-    s = name.strip().replace(" ", "").replace("_", "")
-    if not s:
-        raise UnknownGraphNameError("empty graph name")
-    low = s.lower()
-    if low.startswith("co-"):
-        return complement(named_graph(s[3:]))
-    if low in _WORD_NAMES:
-        return _WORD_NAMES[low]()
-    m = _FAMILY_RE.fullmatch(s)
-    if m:
-        return _build_family(m.group(1), int(m.group(2)), int(m.group(3)) if m.group(3) else None)
-    m = _MULT_RE.fullmatch(s)
-    if m:
-        copies = int(m.group(1))
-        if copies < 1:
-            raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
-        part = named_graph(m.group(2))
-        most = MAX_VERTICES // max(part.n, 1)  # a part of 0 vertices counts as 1
-        if copies > most:
-            raise UnknownGraphNameError(f"{s}: multiplier {copies} exceeds {most}, the most "
-                                        f"copies that fit in {MAX_VERTICES} vertices")
-        # the part's edges once per copy, shifted by that copy's first vertex
-        edges = part.edge_array() + np.arange(0, copies * part.n, max(part.n, 1))[:, None, None]
-        return Graph.from_edges(copies * part.n, edges.reshape(-1, 2))
-    parts, start, pos = [], 0, low.find("u", 1)
-    while 0 < pos < len(s) - 1:  # a co- or multiplier prefix applies to all of the rest
-        parts.append(s[start:pos])
-        start = pos + 1
-        pos = -1 if _PREFIX_RE.match(low, start) else low.find("u", start + 1)
+    A ``co-`` or multiplier prefix applies to the rest of the name: ``2K1uC4``
+    is two copies of ``K1uC4``. No part name contains a ``u``, so only a
+    union's last part may hold prefixes or a further union. One loop reads the
+    name onto a stack, applied from the innermost out, so no name is too deep."""
+    pending = []  # None (co-), (copies, name) or a union's leading parts, outermost first
+    union = None  # the outermost union's place in pending, and its name
     try:
-        if parts:
-            return disjoint_union([*map(named_graph, parts), named_graph(s[start:])])
+        while True:
+            s = name.strip().replace(" ", "").replace("_", "")
+            if not s:
+                raise UnknownGraphNameError("empty graph name")
+            low = s.lower()
+            if low.startswith("co-"):
+                pending.append(None)
+                name = s[3:]
+                continue
+            if low in _WORD_NAMES:
+                g = _WORD_NAMES[low]()
+                break
+            m = _FAMILY_RE.fullmatch(s)
+            if m:
+                g = _build_family(m.group(1), int(m.group(2)),
+                                  int(m.group(3)) if m.group(3) else None)
+                break
+            m = _MULT_RE.fullmatch(s)
+            if m:
+                copies = int(m.group(1))
+                if copies < 1:
+                    raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
+                pending.append((copies, s))
+                name = m.group(2)
+                continue
+            parts, start, pos = [], 0, low.find("u", 1)
+            while 0 < pos < len(s) - 1:  # a co- or multiplier prefix applies to all of the rest
+                parts.append(s[start:pos])
+                start = pos + 1
+                pos = -1 if _PREFIX_RE.match(low, start) else low.find("u", start + 1)
+            if not parts:
+                raise UnknownGraphNameError(f"unknown graph name {name!r}")
+            if union is None:
+                union = (len(pending), name)
+            pending.append([named_graph(part) for part in parts])  # no prefix, no u: no deeper
+            name = s[start:]
+        while len(pending) > (union[0] if union else 0):
+            g = _apply_prefix(pending.pop(), g)
     except UnknownGraphNameError:
-        pass
-    raise UnknownGraphNameError(f"unknown graph name {name!r}")
+        if union is None:
+            raise
+        raise UnknownGraphNameError(f"unknown graph name {union[1]!r}") from None
+    while pending:
+        g = _apply_prefix(pending.pop(), g)
+    return g
+
+
+def _apply_prefix(prefix, g: Graph) -> Graph:
+    """``g`` under one entry of :func:`named_graph`'s stack."""
+    if prefix is None:
+        return complement(g)
+    if isinstance(prefix, list):
+        return disjoint_union([*prefix, g])
+    copies, s = prefix
+    most = MAX_VERTICES // max(g.n, 1)  # a part of 0 vertices counts as 1
+    if copies > most:
+        raise UnknownGraphNameError(f"{s}: multiplier {copies} exceeds {most}, the most "
+                                    f"copies that fit in {MAX_VERTICES} vertices")
+    # the part's edges once per copy, shifted by that copy's first vertex
+    edges = g.edge_array() + np.arange(0, copies * g.n, max(g.n, 1))[:, None, None]
+    return Graph.from_edges(copies * g.n, edges.reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------

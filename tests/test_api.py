@@ -228,3 +228,25 @@ def test_commands_import_scipy_subpackages_only_where_called(tmp_path):
     # own package import brings scipy.sparse.linalg along), not scipy.optimize
     loaded = runs[-1][2]
     assert "scipy.sparse.csgraph" in loaded and "scipy.optimize" not in loaded
+
+
+def _imported_modules(tree: ast.AST):
+    """The dotted name of every module that an import anywhere in ``tree`` names,
+    local imports included; for ``from m import a``, both ``m`` and ``m.a``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_private_numpy_or_scipy_module_imported():
+    # numpy's and scipy's private modules change between releases without notice
+    private = []
+    for path in sorted((_ROOT / "src" / "momentdist").glob("*.py")):
+        for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
+            parts = name.split(".")
+            if parts[0] in ("numpy", "scipy") and any(p.startswith("_") for p in parts[1:]):
+                private.append(f"{path.name}: {name}")
+    assert private == []

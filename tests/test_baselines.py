@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,48 @@ def test_gk3_matches_exhaustive_enumeration():
 def test_gk3_distribution_sums_to_one():
     g = random_graph(np.random.default_rng(3), 30, 0.2)
     assert md.graphlet3_distribution(g).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _dense_switch_graphs():
+    rng = np.random.default_rng(8)
+    yield "random13", random_graph(rng, 13, 0.4)  # rows of a part of one 64-bit word
+    yield "random70", random_graph(rng, 70, 0.3)
+    yield "rewired201", md.generate_rewired(201, 2010, 0.5, seed=3)
+    yield "rewired256", md.generate_rewired(256, 1024, 0.9, seed=4)
+    yield "K7,9", md.complete_bipartite_graph(7, 9)  # no triangles
+    yield "K40,50", md.complete_bipartite_graph(40, 50)
+    yield "K9", md.complete_graph(9)
+    yield "K130", md.complete_graph(130)
+    yield "C4u3K1", md.named_graph("C4u3K1")
+    yield "edgeless5", md.empty_graph(5)
+
+
+_DENSE_SWITCH_GRAPHS = dict(_dense_switch_graphs())
+
+
+@pytest.mark.parametrize("gather_bytes", [1 << 20, 64, 1], ids=["one-step", "steps", "edge-steps"])
+@pytest.mark.parametrize("label", list(_DENSE_SWITCH_GRAPHS))
+def test_graphlets_same_on_both_sides_of_the_dense_switch(label, gather_bytes, monkeypatch):
+    # small gathers split the dense triangle count into many steps, down to one edge a step
+    g = _DENSE_SWITCH_GRAPHS[label]
+    monkeypatch.setattr(md.baselines, "_GATHER_BYTES", gather_bytes)
+    dense = [md.graphlet3_distribution(g), md.graphlet4_distribution(g, samples=300, seed=5)]
+    monkeypatch.setattr(md.baselines, "DENSE_EIG_N", 2)
+    sparse = [md.graphlet3_distribution(g), md.graphlet4_distribution(g, samples=300, seed=5)]
+    assert [d.tobytes() for d in dense] == [s.tobytes() for s in sparse]
+
+
+def test_gk3_dense_count_gathers_in_bounded_steps():
+    # K2048, at the dense switch: 2.1M edges whose gathered rows would take 1 GiB at once
+    g = md.complete_graph(md.baselines.DENSE_EIG_N)
+    tracemalloc.start()
+    try:
+        features = md.graphlet3_distribution(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert features.tolist() == [0, 0, 0, 1]
+    assert peak <= 64 * 2**20
 
 
 def test_gk4_point_masses():

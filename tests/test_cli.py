@@ -393,14 +393,45 @@ def test_exit_code_input_error_manifest_missing_key(tmp_path, capsys, spec, mess
 
 
 def test_files_entry_label_checked_before_its_file_is_read(tmp_path, monkeypatch, capsys):
-    def unread(*args, **kwargs):
-        raise AssertionError("the edge list was read before its entry was checked")
+    real_open = open
 
-    monkeypatch.setattr(md.cli, "load_edge_list", unread)
+    def open_manifest_only(file, *args, **kwargs):
+        if os.fspath(file) != str(corpus):
+            raise AssertionError("the edge list was read before its entry was checked")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", open_manifest_only)
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps({"files": [{"path": "g.txt"}]}))
     assert main(["cluster", "--corpus", str(corpus)]) == 2
     assert capsys.readouterr() == ("", "input error: files entry 0 has no 'label'\n")
+
+
+def test_each_input_read_once_and_digested_as_parsed(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    names = [f"g{i}.txt" for i in range(4)]
+    for i, name in enumerate(names):
+        write_edge_list(md.generate_rewired(20, 40 * (1 + i // 2), 0.1, seed=i), name)
+    pathlib.Path("corpus.json").write_text(json.dumps(
+        {"files": [{"path": name, "label": i // 2} for i, name in enumerate(names)]}))
+    real_open, opened = open, []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    # files entries are read at their paths joined to the manifest's folder
+    entries = [str(tmp_path / name) for name in names]
+    for argv, inputs in ((["moments", "--input", names[0]], names[:1]),
+                         (["pairwise", "--inputs", *names], names),
+                         (["cluster", "--corpus", "corpus.json"], ["corpus.json", *entries])):
+        opened.clear()
+        assert main(argv + ["--out", "out.json"]) == 0
+        assert [p for p in opened if not p.startswith("out.json")] == inputs
+        manifest = json.loads(pathlib.Path("out.json").read_text())["manifest"]
+        assert manifest["input_digests"] == {
+            p: hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest() for p in inputs}
 
 
 def _one_setting(seed=None, **changes) -> bytes:
@@ -415,6 +446,8 @@ _CONTRACT_FILES = {
     "big-id.txt": b"0 1\n9223372036854775807 1\n",
     "wide.txt": b"0 5000\n",
     "not-utf8.json": b'{"files": [\xff',
+    # json.loads would read these bytes as UTF-16; the manifest is decoded as UTF-8
+    "utf16.json": json.dumps({"synthetic": {"settings": []}}).encode("utf-16"),
     "files-not-list.json": b'{"files": 3}',
     "bad-rho.json": json.dumps({"synthetic": {"settings": [
         {"nv": 10, "ne": 20, "rho": "x", "count": 2}]}}).encode(),
@@ -503,6 +536,7 @@ def _main_with_capped_memory(argv):
      "9223372036854775808 exceeds 3037000499, the most whose edge codes fit in int64"),
     (["cluster", "--corpus", "not-utf8.json"], 2,
      "input error: not UTF-8: byte 0xff at offset 11"),
+    (["cluster", "--corpus", "utf16.json"], 2, "input error: not UTF-8: byte 0xff at offset 0"),
     (["spectrum", "--named", "K0"], 3,
      "numeric error: spectral measure of the empty graph is undefined"),
     (["spectrum", "--input", "wide.txt"], 4, "config error: n=5001 exceeds the dense "
@@ -553,9 +587,9 @@ def _main_with_capped_memory(argv):
     (["moments", "--named", _LONG_UNION], 2, f"input error: unknown graph name {_LONG_UNION!r}"),
     (["moments", "--named", "K1u" * 599 + "K1"], 0, None),
     (["moments", "--named", "K1u" * 4999 + "K1"], 0, None),
-    (["moments", "--named", "co-" * 5000 + "K1"], 2,
-     "input error: graph name nests too deeply: maximum recursion depth exceeded while "
-     "calling a Python object"),
+    # prefixes and unions are read in one loop: no recursion limit applies
+    (["moments", "--named", "co-" * 5000 + "K1"], 0, None),
+    (["moments", "--named", "K0uco-" * 2000 + "K1"], 0, None),
     # refused before the family's edge list is built
     (["moments", "--named", "K9999999999"], 2, "input error: K9999999999: vertex count "
      "9999999999 exceeds 3037000499, the most whose edge codes fit in int64"),
@@ -629,15 +663,16 @@ def _main_with_capped_memory(argv):
     (["cluster", "--corpus", "no-block.json"], 4,
      "config error: corpus manifest must contain a 'synthetic' or 'files' block"),
     (["cluster", "--corpus", "bad-indexing.json"], 4, "config error: unknown indexing mode 'x'"),
-], ids=["id-int64-max", "manifest-not-utf8", "spectrum-empty", "spectrum-above-dense",
-        "files-not-list", "rho-not-number", "negative-count", "manifest-not-object",
+], ids=["id-int64-max", "manifest-not-utf8", "manifest-utf16", "spectrum-empty",
+        "spectrum-above-dense", "files-not-list", "rho-not-number", "negative-count",
+        "manifest-not-object",
         "corpus-count-above-intp", "bench-count-above-intp", "bench-count-above-seed-array",
         "negative-seed", "no-restarts", "cov-k-1", "nclm-edgeless", "reg-nan", "reg-inf",
         "reg-overflows-trace", "bench-no-graphs", "bench-single-graph", "bench-no-repeats",
         "corpus-nv-above-max", "bench-nv-above-max",
         "corpus-lattice-out-of-memory", "bench-lattice-out-of-memory", "union-40-parts",
-        "union-600-parts", "union-5000-parts", "prefix-chain-5000", "complete-above-max",
-        "cycle-above-max",
+        "union-600-parts", "union-5000-parts", "prefix-chain-5000", "union-prefix-chain-2000",
+        "complete-above-max", "cycle-above-max",
         "bipartite-above-max", "cycle-out-of-memory", "multiplier-above-max",
         "multiplier-above-max-empty-part", "multiplier-out-of-memory",
         "union-multiplier-above-max", "manifest-deep", "settings-deep",

@@ -193,6 +193,16 @@ def _edge_list_texts(draw):
 @example("1 2\r\n2 3\r\n\r\n3 1\r\n", "auto", False)
 @example("0 1\n1 2", "zero", False)
 @example("1 2\r\n2 2", "auto", False)
+# token gaps the row check settles by their end bytes or searches: each of
+# " \t ", " \n ", "\t\r\n\t" and "  \n\n  " inside a row and between rows
+@example("0 \t 1\n1 2\n", "zero", False)
+@example("0 1 \t 1 2\n", "zero", False)
+@example("0 \n 1\n1 2\n", "zero", False)
+@example("0 1 \n 1 2\n", "zero", False)
+@example("0\t\r\n\t1\n", "zero", False)
+@example("0 1\t\r\n\t1 2\n", "zero", False)
+@example("0  \n\n  1\n", "zero", False)
+@example("5 2  \n\n  1 2  \n\n  2 3\n", "auto", True)
 def test_parse_matches_line_loop(text, indexing, header):
     try:
         want = parse_edge_list_by_lines(text, indexing=indexing, header=header)
@@ -216,6 +226,21 @@ def test_parse_non_ascii_comment_stays_bulk(monkeypatch):
     assert md.parse_edge_list(text) == want
     with pytest.raises(md.SelfLoopError, match="^line 5: self-loop 3 3 rejected$"):
         md.parse_edge_list(text + "3 3\n", indexing="zero")
+
+
+@pytest.mark.parametrize("text", [
+    "0 1\r\n1 2\r\n\r\n2 0\r\n",
+    "0\t1\n1\t2\n2\t0",
+    "0    1\n  1  2  \n\n2 \t 0\n",
+], ids=["crlf", "tabs", "spaces"])
+def test_parse_common_separators_stay_bulk(text, monkeypatch):
+    want = parse_edge_list_by_lines(text)
+
+    def line_loop(*args):
+        raise AssertionError("the bulk reader handed the text to the line loop")
+
+    monkeypatch.setattr(md.graphs, "_read_lines", line_loop)
+    assert md.parse_edge_list(text) == want
 
 
 def test_parse_non_ascii_digits_take_the_line_loop():

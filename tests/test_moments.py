@@ -250,7 +250,9 @@ def csr_products(monkeypatch):
     return products
 
 
-def test_walk_sums_use_half_the_products(csr_products):
+def test_walk_sums_use_half_the_products(csr_products, monkeypatch):
+    # gk3 takes the block chain only above the dense switch
+    monkeypatch.setattr(md.baselines, "DENSE_EIG_N", 512)
     g = md.generate_rewired(513, 1539, 0.5, seed=2)
     for d in range(8):
         csr_products.clear()
