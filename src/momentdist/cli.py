@@ -27,6 +27,8 @@ import numpy as np
 from . import __version__
 from .baselines import EigensolverError
 from .experiments import (
+    _DEGREES,
+    _KNN_K,
     METHODS,
     CorpusSpecError,
     _nonnegative_int,
@@ -347,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "cluster":
             p.add_argument("--restarts", type=int, default=20)
         else:
-            p.add_argument("--knn-k", type=int, nargs="*", default=list(range(1, 11)))
-            p.add_argument("--degrees", type=int, nargs="*", default=[2, 3, 4, 5, 6, 7])
+            p.add_argument("--knn-k", type=int, nargs="*", default=list(_KNN_K))
+            p.add_argument("--degrees", type=int, nargs="*", default=list(_DEGREES))
             p.add_argument("--folds", type=int, default=10)
         _add_common_out(p)
         p.set_defaults(func=_cmd_experiment)

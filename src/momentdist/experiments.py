@@ -142,6 +142,10 @@ _BASELINES = {
 }
 METHODS = ("moment", *_BASELINES)
 
+# classify's default sweep: moment-matrix degrees and KNN neighbor counts
+_DEGREES = (2, 3, 4, 5, 6, 7)
+_KNN_K = tuple(range(1, 11))
+
 
 def _method_row(method: str, params: dict) -> tuple:
     """A method's (features, kernel) row, after checking its name and parameters."""
@@ -217,7 +221,7 @@ def classify_experiment(
     labels: Sequence[int],
     method: str = "moment",
     method_params: dict | None = None,
-    knn_k: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    knn_k: Sequence[int] = _KNN_K,
     degrees: Sequence[int] | None = None,
     folds: int = 10,
     seed=None,
@@ -226,8 +230,9 @@ def classify_experiment(
     """KNN cross-validation over a labeled corpus, with an explicit sweep.
 
     For the moment method, ``degrees`` sweeps the moment-matrix degree
-    (default 2..7); ``knn_k`` sweeps the neighbor count (default 1..10). The
-    best (degree, k) cell by mean accuracy is reported along with the whole
+    (default 2..7), so ``method_params`` may not hold a ``degree``; ``knn_k``
+    sweeps the neighbor count (default 1..10). The best (degree, k) cell by
+    mean accuracy, the first of any tie, is reported along with the whole
     grid, so nothing about the selection is hidden. Every swept degree is
     checked first; then the moments are extracted once, to the largest
     degree's order, and each degree reads its leading blocks. ``threads`` is
@@ -236,38 +241,28 @@ def classify_experiment(
     labels = np.asarray(labels)
     method_params = dict(method_params or {})
     ks = [int(x) for x in knn_k]
-    if method == "moment":
-        swept_degrees = list(degrees) if degrees is not None else [2, 3, 4, 5, 6, 7]
-    else:
-        swept_degrees = [None]
+    moment = method == "moment"
+    swept_degrees = list(_DEGREES if degrees is None else degrees) if moment else [None]
     for name, values in (("degrees", swept_degrees), ("knn_k", ks)):
         if not values:
             raise ConfigError(f"empty sweep grid: no {name} given")
-
-    if method == "moment":
+    if moment:
         _method_row(method, method_params)
-        cfgs = [DistanceConfig(**{**method_params, "degree": deg}) for deg in swept_degrees]
+        if "degree" in method_params:
+            raise ConfigError("classify sweeps the degree: give degrees, not a 'degree' parameter")
+        cfgs = [DistanceConfig(**method_params, degree=deg) for deg in swept_degrees]
         _corpus_labels(gs)
         table = moment_table(gs, 2 * max(swept_degrees))
         matrices = (pairwise_distance_matrix(gs, cfg, table=table) for cfg in cfgs)
     else:
         matrices = [method_distance_matrix(gs, method, **method_params)]
-
-    grid = []
-    best = None
-    for deg, dm in zip(swept_degrees, matrices):
-        for k, per_fold in zip(ks, knn_classify(dm, labels, ks, folds=folds, seed=seed)):
-            mean = float(per_fold.mean())
-            cell = {
-                "degree": deg,
-                "k": k,
-                "accuracy_mean": mean,
-                "accuracy_std": float(per_fold.std()),
-                "per_fold": per_fold.tolist(),
-            }
-            grid.append(cell)
-            if best is None or mean > best["accuracy_mean"]:
-                best = cell
+    grid = [
+        {"degree": deg, "k": k, "accuracy_mean": float(per_fold.mean()),
+         "accuracy_std": float(per_fold.std()), "per_fold": per_fold.tolist()}
+        for deg, dm in zip(swept_degrees, matrices)
+        for k, per_fold in zip(ks, knn_classify(dm, labels, ks, folds=folds, seed=seed))
+    ]
+    best = max(grid, key=lambda cell: cell["accuracy_mean"])  # the first of equal cells
     return {
         "task": "classify",
         "method": method,

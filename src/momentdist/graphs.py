@@ -13,7 +13,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -164,9 +164,8 @@ class Graph:
         return self._csr
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        a[self._rows(), self.indices] = 1.0
-        return a
+        """Adjacency matrix as a C-ordered float64 0/1 array."""
+        return self._csr.toarray()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -348,7 +347,7 @@ def _edge_graph(flat: np.ndarray, line_of: Callable[[int], int], header_n: int |
         line = None if header_n is not None else line_of(int(np.argmax(flat.max(axis=1))))
         raise EdgeListError(f"vertex count {n} exceeds {MAX_VERTICES}, the most whose "
                             "edge codes fit in int64", line)
-    return Graph.from_edges(n, flat)
+    return _canonical(n, flat[:, 0], flat[:, 1])
 
 
 def _utf8_text(data: bytes, error: type[ValueError]) -> str:
@@ -480,7 +479,7 @@ def named_graph(name: str) -> Graph:
     is two copies of ``K1uC4``. No part name contains a ``u``, so only a
     union's last part may hold prefixes or a further union. One loop reads the
     name onto a stack, applied from the innermost out, so no name is too deep."""
-    pending = []  # None (co-), (copies, name) or a union's leading parts, outermost first
+    pending = []  # the prefixes to apply, as functions of the graph, outermost first
     union = None  # the outermost union's place in pending, and its name
     try:
         while True:
@@ -489,7 +488,7 @@ def named_graph(name: str) -> Graph:
                 raise UnknownGraphNameError("empty graph name")
             low = s.lower()
             if low.startswith("co-"):
-                pending.append(None)
+                pending.append(complement)
                 name = s[3:]
                 continue
             if low in _WORD_NAMES:
@@ -505,7 +504,7 @@ def named_graph(name: str) -> Graph:
                 copies = int(m.group(1))
                 if copies < 1:
                     raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
-                pending.append((copies, s))
+                pending.append(partial(_copies, copies, s))
                 name = m.group(2)
                 continue
             parts, start, pos = [], 0, low.find("u", 1)
@@ -517,26 +516,22 @@ def named_graph(name: str) -> Graph:
                 raise UnknownGraphNameError(f"unknown graph name {name!r}")
             if union is None:
                 union = (len(pending), name)
-            pending.append([named_graph(part) for part in parts])  # no prefix, no u: no deeper
+            parsed = [named_graph(part) for part in parts]  # no prefix, no u: no deeper
+            pending.append(lambda rest, parsed=parsed: disjoint_union([*parsed, rest]))
             name = s[start:]
         while len(pending) > (union[0] if union else 0):
-            g = _apply_prefix(pending.pop(), g)
+            g = pending.pop()(g)
     except UnknownGraphNameError:
         if union is None:
             raise
         raise UnknownGraphNameError(f"unknown graph name {union[1]!r}") from None
     while pending:
-        g = _apply_prefix(pending.pop(), g)
+        g = pending.pop()(g)
     return g
 
 
-def _apply_prefix(prefix, g: Graph) -> Graph:
-    """``g`` under one entry of :func:`named_graph`'s stack."""
-    if prefix is None:
-        return complement(g)
-    if isinstance(prefix, list):
-        return disjoint_union([*prefix, g])
-    copies, s = prefix
+def _copies(copies: int, s: str, g: Graph) -> Graph:
+    """``copies`` disjoint copies of ``g``; ``s`` is the name the multiplier heads."""
     most = MAX_VERTICES // max(g.n, 1)  # a part of 0 vertices counts as 1
     if copies > most:
         raise UnknownGraphNameError(f"{s}: multiplier {copies} exceeds {most}, the most "

@@ -231,6 +231,18 @@ def graphlet4_distribution_by_samples(g: Graph, samples: int, seed) -> np.ndarra
     return counts / samples
 
 
+def chung_lu_graph(seed, n: int = 3000, gamma: float = 2.3, mean_degree: int = 10) -> Graph:
+    """A heavy-tailed stand-in for real networks (Chung and Lu, Annals of
+    Combinatorics 6, 2002): vertex i has weight i^(-1/(gamma-1)), and n *
+    mean_degree / 2 endpoint pairs are drawn in proportion to the weights, with
+    self-pairs dropped and repeats merged. At the defaults a graph has about 13.7k
+    edges and a largest degree of about 730."""
+    rng = np.random.default_rng(seed)
+    w = np.arange(1, n + 1) ** (-1 / (gamma - 1))
+    pairs = rng.choice(n, size=(n * mean_degree // 2, 2), p=w / w.sum())
+    return Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+
+
 def component_count(g: Graph) -> int:
     seen = np.zeros(g.n, dtype=bool)
     comps = 0

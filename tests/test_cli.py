@@ -854,8 +854,10 @@ def test_threads_keyword_ignored():
     for report in runs:
         report.pop("timings")
     assert runs[0] == runs[1]
-    assert (md.classify_experiment(gs, labels, method_params=params, folds=2, seed=1, threads=2)
-            == md.classify_experiment(gs, labels, method_params=params, folds=2, seed=1))
+    # classify sweeps the degree through degrees=
+    sweep = {"method_params": {"eps": 1e4}, "degrees": [3], "folds": 2, "seed": 1}
+    assert (md.classify_experiment(gs, labels, **sweep, threads=2)
+            == md.classify_experiment(gs, labels, **sweep))
 
 
 # -- fuzzed error contract --------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import momentdist as md
@@ -82,3 +83,29 @@ def test_bench_refuses_a_bad_degree_before_generating(monkeypatch):
     with pytest.raises(md.ConfigError, match="^degree must be >= 1, got 0$"):
         md.bench_moment_scaling([(20, 40)], count=2, degree=0)
     assert calls == []
+
+
+def test_classify_refuses_a_degree_parameter(monkeypatch):
+    monkeypatch.setattr(md.experiments, "moment_table", None)  # refused before extraction
+    gs, labels = md.make_rewired_corpus(
+        [{"nv": 20, "ne": 40, "rho": rho, "count": 4} for rho in (0.1, 0.9)], seed=0)
+    with pytest.raises(md.ConfigError) as exc:
+        md.classify_experiment(gs, labels, method_params={"degree": 3, "metric": "frobenius"},
+                               folds=2)
+    assert str(exc.value) == "classify sweeps the degree: give degrees, not a 'degree' parameter"
+
+
+def test_classify_reports_the_first_of_tied_cells(monkeypatch):
+    # per-fold accuracies by degree, one row per k: the best mean, 0.75, is reached
+    # first at (3, 1), then again at (3, 2) and (4, 1)
+    rows = {2: [[0.5, 0.5], [1.0, 0.0]], 3: [[1.0, 0.5], [0.5, 1.0]], 4: [[0.5, 1.0], [0.0, 0.5]]}
+    monkeypatch.setattr(md.experiments, "knn_classify",
+                        lambda dm, labels, ks, **kw: np.array(rows[dm.metadata["degree"]]))
+    gs, labels = md.make_rewired_corpus(
+        [{"nv": 20, "ne": 40, "rho": rho, "count": 2} for rho in (0.1, 0.9)], seed=0)
+    report = md.classify_experiment(gs, labels, method_params={"metric": "frobenius"},
+                                    degrees=[2, 3, 4], knn_k=[1, 2], folds=2)
+    assert report["best"] == {"degree": 3, "k": 1}
+    assert (report["accuracy_mean"], report["per_fold"]) == (0.75, [1.0, 0.5])
+    assert [(c["degree"], c["k"], c["accuracy_mean"]) for c in report["sweep"]] == [
+        (2, 1, 0.5), (2, 2, 0.5), (3, 1, 0.75), (3, 2, 0.75), (4, 1, 0.75), (4, 2, 0.25)]

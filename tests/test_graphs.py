@@ -743,6 +743,25 @@ def test_walk_count_matches_dense_powers():
                     assert walk_count(g, i, j, k) == p[i, j]
 
 
+def _dense_by_scatter(g):
+    a = np.zeros((g.n, g.n), dtype=np.float64)
+    a[np.repeat(np.arange(g.n), g.degrees), g.indices] = 1.0
+    return a
+
+
+def test_to_dense_matches_scatter():
+    desk, _ = md.make_rewired_corpus(_DESK_SETTINGS, seed=0)
+    graphs = [md.empty_graph(0), md.empty_graph(3), md.named_graph("K3u2K1"),
+              md.named_graph("P1uC5u3K1"), *desk[::15]]
+    for g in graphs:
+        got, want = g.to_dense(), _dense_by_scatter(g)
+        assert got.dtype == np.float64 and got.shape == (g.n, g.n), g
+        assert got.flags.c_contiguous and got.flags.writeable, g
+        assert got.tobytes() == want.tobytes(), g
+        got[...] = 2.0  # a fresh array: the next view is unchanged
+        assert g.to_dense().tobytes() == want.tobytes(), g
+
+
 # -- argument checks -------------------------------------------------------------
 
 

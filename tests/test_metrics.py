@@ -11,7 +11,13 @@ from momentdist import metrics
 from momentdist.experiments import _BASELINES
 from momentdist.hankel import _hankel_blocks
 from momentdist.metrics import METRICS, _moment_distances, _pairwise
-from oracles import moment_distances_by_rows, pairwise_by_rows, random_graph, reference_pairwise
+from oracles import (
+    chung_lu_graph,
+    moment_distances_by_rows,
+    pairwise_by_rows,
+    random_graph,
+    reference_pairwise,
+)
 
 
 def _random_pd(rng, k):
@@ -440,3 +446,11 @@ def test_bad_arguments_raise(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert exc.type is error and str(exc.value) == message
+
+
+def test_heavy_tailed_pairwise_finite_and_symmetric():
+    # cond(M) passes 1e11 from d = 3 here, so which pairs fall back is not pinned
+    gs = [chung_lu_graph(seed) for seed in range(3)]
+    for degree in (3, 4, 5):
+        entries = md.pairwise_distance_matrix(gs, md.DistanceConfig(degree=degree)).entries
+        assert np.isfinite(entries).all() and np.array_equal(entries, entries.T), degree

@@ -8,7 +8,7 @@ import scipy.sparse
 
 import momentdist as md
 from momentdist.moments import _column_block, _vector_state
-from oracles import exact_walk_sums, random_graph, step_chain_moments, walk_count
+from oracles import chung_lu_graph, exact_walk_sums, random_graph, step_chain_moments, walk_count
 from test_acceptance import DESK_SETTINGS, TABLE4V_NAMES
 
 
@@ -195,6 +195,20 @@ def test_walk_sums_past_2_53_stay_within_roundoff(desk_corpora):
             for k, count in enumerate(exact_walk_sums(g, 14)):
                 want = Fraction(count, g.n)
                 assert abs(Fraction(got[k]) - want) <= tol * want, (k, got[k])
+
+
+def test_heavy_tailed_walk_sums_exact_below_2_53():
+    # hubs of degree about 730 take the walk sums past 2**53 at order 8 (order 14
+    # on the desk corpus): below it the moments are exact, from it within roundoff
+    for g in (chung_lu_graph(seed) for seed in range(3)):
+        sums = exact_walk_sums(g, 12)
+        first = next(k for k, count in enumerate(sums) if count > 2**53)
+        assert first == 8
+        got = md.vector_state_moments(g, 12).values
+        assert got[:first].tolist() == [count / g.n for count in sums[:first]]
+        for k in range(first, 13):
+            want = Fraction(sums[k], g.n)
+            assert abs(Fraction(got[k]) - want) <= Fraction(1e-14) * want, k
 
 
 def _boundary_graphs():
