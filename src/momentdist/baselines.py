@@ -130,8 +130,9 @@ def nclm_vector(g: Graph) -> FeatureVector:
 def top_k_eigenvalues(g: Graph, k: int = 10) -> FeatureVector:
     """The k algebraically largest adjacency eigenvalues, descending.
 
-    Dense solve up to ``DENSE_EIG_N`` vertices, Lanczos (tolerance 1e-8)
-    beyond; zero-padded when the graph has fewer than k vertices.
+    Dense solve up to ``DENSE_EIG_N`` vertices, Lanczos (tolerance 1e-8,
+    from a fixed start vector, so repeated calls give the same bits) beyond;
+    zero-padded when the graph has fewer than k vertices.
     """
     if k < 1:
         raise ConfigError("k must be positive")
@@ -142,8 +143,12 @@ def top_k_eigenvalues(g: Graph, k: int = 10) -> FeatureVector:
     else:
         import scipy.sparse.linalg as spla  # local: a slow import only large graphs need
 
+        # a fixed start vector, so the bits repeat; not all-ones, which on a
+        # regular graph is an eigenvector orthogonal to all the others
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, g.n)
         try:
-            top = spla.eigsh(g.to_csr(), k=k, which="LA", tol=1e-8, return_eigenvectors=False)
+            top = spla.eigsh(g.to_csr(), k=k, which="LA", tol=1e-8, v0=v0,
+                             return_eigenvectors=False)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(
                 f"Lanczos did not converge: {len(exc.eigenvalues)}/{k} eigenvalues "

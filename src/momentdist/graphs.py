@@ -157,7 +157,11 @@ class Graph:
     @cached_property
     def _csr(self) -> sp.csr_matrix:
         data = np.ones(self.indices.size, dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        # int32 copies when n and nnz fit: scipy would scan the int64 arrays to pick them
+        fits = max(self.n, self.indices.size) <= np.iinfo(np.int32).max
+        index = np.int32 if fits else np.int64
+        return sp.csr_matrix((data, self.indices.astype(index, copy=False),
+                              self.indptr.astype(index, copy=False)), shape=(self.n, self.n))
 
     def to_csr(self) -> sp.csr_matrix:
         """Adjacency matrix as a scipy CSR matrix with float64 ones."""
@@ -449,8 +453,10 @@ NAMED_GRAPH_CATALOG = (
 )
 
 _FAMILY_RE = re.compile(r"([KkCcPpSs])(\d+)(?:,(\d+))?$")
-_MULT_RE = re.compile(r"(\d+)(.+)$")
-_PREFIX_RE = re.compile(r"\s*(?:co-|\d)")  # a prefix, past what strip() drops
+_COUNT_RE = re.compile(r"\d+")
+_PREFIX_RE = re.compile(r"\s*(?:[Cc][Oo]-|\d)")  # a prefix, past what strip() drops
+_UNION_RE = re.compile(r"[Uu]")
+_LONGEST_WORD = max(map(len, _WORD_NAMES))
 _FAMILIES = {"C": cycle_graph, "P": path_graph, "S": star_graph}
 
 
@@ -478,47 +484,63 @@ def named_graph(name: str) -> Graph:
     A ``co-`` or multiplier prefix applies to the rest of the name: ``2K1uC4``
     is two copies of ``K1uC4``. No part name contains a ``u``, so only a
     union's last part may hold prefixes or a further union. One loop reads the
-    name onto a stack, applied from the innermost out, so no name is too deep."""
+    name onto a stack, applied from the innermost out, so no name is too deep.
+    The name is normalized once and each rest read at its offset, so the time
+    is linear in the name's length."""
+    s = name.strip().replace(" ", "").replace("_", "")
+    tail = len(s.rstrip())  # where every rest after a prefix ends, once stripped
+    pos, end, newline = 0, len(s), s.rfind("\n")  # this rest is s[pos:end]
+    head = given_end = None  # and it was given as s[head:given_end], or as name
+
+    def given() -> str:
+        return name if head is None else s[head:given_end]
+
     pending = []  # the prefixes to apply, as functions of the graph, outermost first
     union = None  # the outermost union's place in pending, and its name
     try:
         while True:
-            s = name.strip().replace(" ", "").replace("_", "")
-            if not s:
+            if head is not None:  # the rest after a prefix, stripped
+                given_end, pos = end, head
+                if end != tail:
+                    end, newline = tail, s.rfind("\n", 0, tail)
+                while pos < end and s[pos].isspace():
+                    pos += 1
+            if pos >= end:
                 raise UnknownGraphNameError("empty graph name")
-            low = s.lower()
-            if low.startswith("co-"):
+            if s[pos : min(pos + 3, end)].lower() == "co-":
                 pending.append(complement)
-                name = s[3:]
+                head = pos + 3
                 continue
-            if low in _WORD_NAMES:
-                g = _WORD_NAMES[low]()
+            if end - pos <= _LONGEST_WORD and (word := s[pos:end].lower()) in _WORD_NAMES:
+                g = _WORD_NAMES[word]()
                 break
-            m = _FAMILY_RE.fullmatch(s)
+            m = _FAMILY_RE.fullmatch(s, pos, end)
             if m:
                 g = _build_family(m.group(1), int(m.group(2)),
                                   int(m.group(3)) if m.group(3) else None)
                 break
-            m = _MULT_RE.fullmatch(s)
+            # a count and a nonempty rest with no newline, as a full match of (\d+)(.+)
+            m = _COUNT_RE.match(s, pos, end - 1) if newline < pos else None
             if m:
-                copies = int(m.group(1))
+                copies = int(m.group())
                 if copies < 1:
-                    raise UnknownGraphNameError(f"multiplier must be positive in {name!r}")
-                pending.append(partial(_copies, copies, s))
-                name = m.group(2)
+                    raise UnknownGraphNameError(f"multiplier must be positive in {given()!r}")
+                pending.append(partial(_copies, copies, s, pos, end))
+                head = m.end()
                 continue
-            parts, start, pos = [], 0, low.find("u", 1)
-            while 0 < pos < len(s) - 1:  # a co- or multiplier prefix applies to all of the rest
-                parts.append(s[start:pos])
-                start = pos + 1
-                pos = -1 if _PREFIX_RE.match(low, start) else low.find("u", start + 1)
+            parts, start, cut = [], pos, _UNION_RE.search(s, pos + 1, end)
+            while cut and cut.start() < end - 1:  # a prefix applies to all of the rest
+                parts.append(s[start : cut.start()])
+                start = cut.start() + 1
+                cut = None if _PREFIX_RE.match(s, start, end) else _UNION_RE.search(
+                    s, start + 1, end)
             if not parts:
-                raise UnknownGraphNameError(f"unknown graph name {name!r}")
+                raise UnknownGraphNameError(f"unknown graph name {given()!r}")
             if union is None:
-                union = (len(pending), name)
+                union = (len(pending), given())
             parsed = [named_graph(part) for part in parts]  # no prefix, no u: no deeper
             pending.append(lambda rest, parsed=parsed: disjoint_union([*parsed, rest]))
-            name = s[start:]
+            head = start
         while len(pending) > (union[0] if union else 0):
             g = pending.pop()(g)
     except UnknownGraphNameError:
@@ -530,12 +552,12 @@ def named_graph(name: str) -> Graph:
     return g
 
 
-def _copies(copies: int, s: str, g: Graph) -> Graph:
-    """``copies`` disjoint copies of ``g``; ``s`` is the name the multiplier heads."""
+def _copies(copies: int, s: str, start: int, stop: int, g: Graph) -> Graph:
+    """``copies`` disjoint copies of ``g``; ``s[start:stop]`` is the name the multiplier heads."""
     most = MAX_VERTICES // max(g.n, 1)  # a part of 0 vertices counts as 1
     if copies > most:
-        raise UnknownGraphNameError(f"{s}: multiplier {copies} exceeds {most}, the most "
-                                    f"copies that fit in {MAX_VERTICES} vertices")
+        raise UnknownGraphNameError(f"{s[start:stop]}: multiplier {copies} exceeds {most}, the "
+                                    f"most copies that fit in {MAX_VERTICES} vertices")
     # the part's edges once per copy, shifted by that copy's first vertex
     edges = g.edge_array() + np.arange(0, copies * g.n, max(g.n, 1))[:, None, None]
     return Graph.from_edges(copies * g.n, edges.reshape(-1, 2))

@@ -117,13 +117,19 @@ def _closed_walks(a, order: int) -> np.ndarray:
 
     tr(A^0) = n and tr(A) = 0 (no self-loops); for k >= 2, tr(A^k) is the
     walk sum <c, A^(k-2) c> over A's own columns c, taken in blocks of 256,
-    so the work space stays n * 256 doubles per array.
+    so the work space stays n * 256 doubles per array. When one block spans
+    A it is A itself, dense, and serves as the chain's operator too, so the
+    products run as dense matrix products (BLAS) instead of sparse ones.
     """
     n = a.shape[0]
     traces = np.zeros(order + 1, dtype=np.float64)
     traces[0] = n
     if order >= 2:
         block = 256
+        if n <= block:
+            dense = _column_block(a, 0, n)
+            traces[2:] = _walk_sums(dense, dense, order - 2)
+            return traces
         for start in range(0, n, block):
             # the block goes in unnamed, so it is freed once its first product exists
             traces[2:] += _walk_sums(a, _column_block(a, start, min(start + block, n)), order - 2)
@@ -180,7 +186,9 @@ def trace_moments(g: Graph, order: int) -> MomentSequence:
 
     This equals the average number of closed walks of length k. Blocks of
     256 of A's columns go through one walk-sum chain of ceil((order-2)/2)
-    sparse products each, so the cost is about n * order * |E| / 2. Every
+    sparse products each, so the cost is about n * order * |E| / 2; when one
+    block spans A (n <= 256), that block is A itself and the chain's dense
+    operator, at about n**3 * order / 2 multiply-adds in BLAS. Every
     intermediate is an integer walk count, so the moments are exact
     closed-walk counts over n while those counts stay below 2**53, and
     cospectral graphs agree bit for bit.

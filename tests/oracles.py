@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -30,7 +31,6 @@ from momentdist import (
 from momentdist.baselines import _GRAPHLET4_DEGSEQS, GRAPHLET4_TYPES
 from momentdist.graphs import (
     _FAMILY_RE,
-    _MULT_RE,
     _WORD_NAMES,
     _build_family,
     complement,
@@ -613,6 +613,9 @@ def kernel_kmeans_by_restarts(k_mat: np.ndarray, k: int, restarts: int, seed):
         if best is None or objective < best[1]:
             best = (labels, objective)
     return best
+
+
+_MULT_RE = re.compile(r"(\d+)(.+)$")
 
 
 def named_graph_by_splits(name: str) -> Graph:

@@ -174,6 +174,13 @@ def test_eigs_sparse_path_matches_dense(monkeypatch):
     assert np.allclose(dense, sparse, atol=1e-6)
 
 
+def test_eigs_sparse_path_repeats_its_bits(monkeypatch):
+    # Lanczos starts from a fixed vector, not from ARPACK's own random one
+    monkeypatch.setattr(md.baselines, "DENSE_EIG_N", 100)
+    g = md.generate_rewired(400, 4000, 0.5, seed=3)
+    assert len({md.top_k_eigenvalues(g).values.tobytes() for _ in range(5)}) == 1
+
+
 def _no_convergence(a, k, **_):
     """An ``eigsh`` whose Lanczos run stops with 2 of its k eigenvalues converged."""
     raise scipy.sparse.linalg.ArpackNoConvergence(

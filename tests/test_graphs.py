@@ -1,9 +1,11 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -499,6 +501,22 @@ def test_named_long_unions():
         [md.cycle_graph(3)] * 29 + [md.empty_graph(2)])
 
 
+def test_named_prefix_chains_keep_no_copy_of_the_rest():
+    # every prefix reads the one normalized name at its offset: a pending multiplier
+    # holds offsets, not its rest of the name, so memory stays linear in the name
+    assert md.named_graph("co-" * 2001 + "K2") == md.empty_graph(2)
+    assert md.named_graph("K0uco-" * 1001 + "K2") == md.empty_graph(2)
+    name = "1co-" * 4000 + "K1"
+    tracemalloc.start()
+    try:
+        g = md.named_graph(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == md.empty_graph(1)
+    assert peak <= 200 * len(name)  # a copy of each rest would take about 2000 per character
+
+
 @pytest.mark.parametrize("name, n", [
     ("K1u\t2K1uK1", 5), ("K1u\xa02K1uK1", 5), ("K1u\n3K1uK2", 10), ("K1u\tco-K1uK1", 3),
 ])
@@ -760,6 +778,23 @@ def test_to_dense_matches_scatter():
         assert got.tobytes() == want.tobytes(), g
         got[...] = 2.0  # a fresh array: the next view is unchanged
         assert g.to_dense().tobytes() == want.tobytes(), g
+
+
+def test_to_csr_matches_scipy_from_int64_arrays():
+    # the reference: scipy handed the graph's own int64 arrays, which it scans and narrows
+    desk, _ = md.make_rewired_corpus(_DESK_SETTINGS, seed=0)
+    graphs = [md.empty_graph(0), md.empty_graph(3), md.named_graph("K3u2K1"), *desk[::15],
+              md.generate_rewired(20000, 40000, 0.5, seed=0)]
+    for g in graphs:
+        got = g.to_csr()
+        want = scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+                                       shape=(g.n, g.n))
+        assert got.shape == want.shape, g
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g, name)
+        x = np.random.default_rng(g.n).standard_normal((g.n, 3))
+        assert (got @ x).tobytes() == (want @ x).tobytes(), g
 
 
 # -- argument checks -------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_overflowing_moments_rejected(moments):
 
 @pytest.mark.parametrize("name, vector_order, trace_order",
                          [("K60,60", 173, 174), ("K60uK1", 174, 175)])
-def test_first_overflowing_order_pinned(csr_products, name, vector_order, trace_order):
+def test_first_overflowing_order_pinned(chain_products, name, vector_order, trace_order):
     # the first order whose walk count passes float64's maximum is named, also
     # where a full chain's later inner products would read 0 * inf = NaN: the
     # closed walks of a bipartite graph alternate sides, so past order 349 of
@@ -107,8 +107,9 @@ def test_first_overflowing_order_pinned(csr_products, name, vector_order, trace_
             moments(g, 400)
     # each chain stops at its first overflow, not at order 400: ceil(k/2)
     # products reach a walk sum of order k, and trace order k is one block's
-    # walk sum of order k - 2
-    assert len(csr_products) == (vector_order + 1) // 2 + (trace_order - 1) // 2
+    # walk sum of order k - 2; that block spans A, so it is the dense operator
+    assert chain_products == ([scipy.sparse.csr_matrix] * ((vector_order + 1) // 2)
+                              + [np.ndarray] * ((trace_order - 1) // 2))
 
 
 def _int_closed_walks(g, order):
@@ -211,6 +212,39 @@ def test_heavy_tailed_walk_sums_exact_below_2_53():
             assert abs(Fraction(got[k]) - want) <= Fraction(1e-14) * want, k
 
 
+def _on_sparse_chain(monkeypatch, g, extract):
+    """``extract(g)`` with every walk-sum chain run on A's CSR, as it is above one block."""
+    walk_sums = md.moments._walk_sums
+    with monkeypatch.context() as patch:
+        patch.setattr(md.moments, "_walk_sums",
+                      lambda a, w, order: walk_sums(g.to_csr(), w, order))
+        return extract(g)
+
+
+_TRACE_FEATURES = (lambda g: md.nclm_vector(g).values, lambda g: md.trace_moments(g, 12).values)
+
+
+def test_dense_chain_matches_sparse_chain_on_desk_corpus(desk_corpora, monkeypatch):
+    # one block spans these 200-vertex graphs, so the chain is dense; every
+    # product is an integer walk count, so the summation order moves no bit
+    for gs in desk_corpora[:3]:
+        for g in gs:
+            for extract in _TRACE_FEATURES:
+                assert extract(g).tobytes() == _on_sparse_chain(monkeypatch, g, extract).tobytes()
+
+
+def test_complete_graph_traces_past_2_53_within_roundoff(monkeypatch):
+    # tr(A^k) of K60 is 59**k + 59 * (-1)**k; past 2**53 (order 10 on) both chains round it
+    def extract(x):
+        return md.trace_moments(x, 40).values
+
+    g = md.complete_graph(60)
+    for got in (extract(g), _on_sparse_chain(monkeypatch, g, extract)):
+        for k in range(41):
+            want = Fraction(59**k + 59 * (-1) ** k, 60)
+            assert abs(Fraction(got[k]) - want) <= Fraction(1.2e-14) * want, k
+
+
 def _boundary_graphs():
     # one to three blocks of 256 columns, then isolated vertices in a second block
     for n in (255, 256, 257, 513):
@@ -250,35 +284,42 @@ def test_column_blocks_match_densified_row_slices(label):
         assert got.tobytes() == want.tobytes()
 
 
+class _CountingOperator:
+    """A walk-sum chain's operator that records each of its products, sparse or dense."""
+
+    def __init__(self, a, products):
+        self.a, self.products = a, products
+
+    def __matmul__(self, w):
+        self.products.append(type(self.a))
+        return self.a @ w
+
+
 @pytest.fixture
-def csr_products(monkeypatch):
-    """A list that gets one entry per product with a scipy CSR matrix."""
+def chain_products(monkeypatch):
+    """A list that gets the operator's type for every product of a walk-sum chain."""
     products = []
-    matmul = scipy.sparse.csr_matrix.__matmul__
-
-    def counting(self, other):
-        products.append(None)
-        return matmul(self, other)
-
-    monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", counting)
+    walk_sums = md.moments._walk_sums
+    monkeypatch.setattr(md.moments, "_walk_sums", lambda a, w, order: walk_sums(
+        _CountingOperator(a, products), w, order))
     return products
 
 
-def test_walk_sums_use_half_the_products(csr_products, monkeypatch):
+def test_walk_sums_use_half_the_products(chain_products, monkeypatch):
     # gk3 takes the block chain only above the dense switch
     monkeypatch.setattr(md.baselines, "DENSE_EIG_N", 512)
     g = md.generate_rewired(513, 1539, 0.5, seed=2)
     for d in range(8):
-        csr_products.clear()
+        chain_products.clear()
         md.vector_state_moments(g, 2 * d)
-        assert len(csr_products) == d
+        assert len(chain_products) == d
     blocks = 3  # of 256 columns: 256, 256 and 1
-    csr_products.clear()
+    chain_products.clear()
     md.trace_moments(g, 7)
-    assert len(csr_products) == 3 * blocks
-    csr_products.clear()
+    assert chain_products == [scipy.sparse.csr_matrix] * 3 * blocks  # above one block, sparse
+    chain_products.clear()
     md.graphlet3_distribution(g)
-    assert len(csr_products) == blocks
+    assert len(chain_products) == blocks
 
 
 # -- general vector states -------------------------------------------------------
