@@ -21,6 +21,7 @@ import os
 import sys
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -312,22 +313,15 @@ def _add_distance_options(p: argparse.ArgumentParser, degree: bool = True) -> No
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="momentdist",
-        description="Graph similarity via spectral moment matrices.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("moments", help="moment sequence of one graph")
+def _moments_arguments(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--state", choices=["vector", "trace"], default="vector")
     _add_common_out(p)
     p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("pairwise", help="pairwise distance matrix over graphs")
+
+def _pairwise_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--named", nargs="*", help=f"named graphs: {NAMED_GRAPH_CATALOG}")
     p.add_argument("--inputs", nargs="*", help="edge-list files")
     p.add_argument("--indexing", choices=["zero", "one", "auto"], default="auto")
@@ -336,31 +330,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_out(p)
     p.set_defaults(func=_cmd_pairwise)
 
-    for name in ("cluster", "classify"):
-        # no abbreviations in classify, where --degree would be read as --degrees
-        p = sub.add_parser(name, help=f"{name} a corpus manifest", allow_abbrev=name != "classify")
-        p.add_argument("--corpus", required=True, help="corpus manifest JSON")
-        p.add_argument("--method", choices=list(METHODS), default="moment")
-        _add_distance_options(p, degree=name == "cluster")
-        p.add_argument("--cov-k", type=int, default=4)
-        p.add_argument("--eigs-k", type=int, default=10)
-        p.add_argument("--gk4-samples", type=int, default=10000)
-        p.add_argument("--seed", type=int, default=0)
-        if name == "cluster":
-            p.add_argument("--restarts", type=int, default=20)
-        else:
-            p.add_argument("--knn-k", type=int, nargs="*", default=list(_KNN_K))
-            p.add_argument("--degrees", type=int, nargs="*", default=list(_DEGREES))
-            p.add_argument("--folds", type=int, default=10)
-        _add_common_out(p)
-        p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("spectrum", help="stem-plot spectral distribution data")
+def _experiment_arguments(name: str, p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", required=True, help="corpus manifest JSON")
+    p.add_argument("--method", choices=list(METHODS), default="moment")
+    _add_distance_options(p, degree=name == "cluster")
+    p.add_argument("--cov-k", type=int, default=4)
+    p.add_argument("--eigs-k", type=int, default=10)
+    p.add_argument("--gk4-samples", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0)
+    if name == "cluster":
+        p.add_argument("--restarts", type=int, default=20)
+    else:
+        p.add_argument("--knn-k", type=int, nargs="*", default=list(_KNN_K))
+        p.add_argument("--degrees", type=int, nargs="*", default=list(_DEGREES))
+        p.add_argument("--folds", type=int, default=10)
+    _add_common_out(p)
+    p.set_defaults(func=_cmd_experiment)
+
+
+def _spectrum_arguments(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p)
     _add_common_out(p)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("bench", help="timing table for moment extraction/pairwise phases")
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sizes", nargs="+", required=True, help="sizes as NV:NE")
     p.add_argument("--count", type=int, default=3, help="graphs per size")
     p.add_argument("--rho", type=float, default=0.1)
@@ -371,12 +366,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_out(p)
     p.set_defaults(func=_cmd_bench)
 
+
+# each command's help line and the function that adds its arguments
+_COMMANDS = {
+    "moments": ("moment sequence of one graph", _moments_arguments),
+    "pairwise": ("pairwise distance matrix over graphs", _pairwise_arguments),
+    "cluster": ("cluster a corpus manifest", partial(_experiment_arguments, "cluster")),
+    "classify": ("classify a corpus manifest", partial(_experiment_arguments, "classify")),
+    "spectrum": ("stem-plot spectral distribution data", _spectrum_arguments),
+    "bench": ("timing table for moment extraction/pairwise phases", _bench_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every command, or with ``command`` alone:
+    that one reads an argv that starts with ``command`` as the full parser does,
+    in less time."""
+    parser = argparse.ArgumentParser(
+        prog="momentdist",
+        description="Graph similarity via spectral moment matrices.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    # the usage line names every command, however many are built
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            # no abbreviations in classify, where --degree would be read as --degrees
+            add_arguments(sub.add_parser(name, help=summary, allow_abbrev=name != "classify"))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the full parser only for --help, --version or an unknown command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     with warnings.catch_warnings():
         # one stderr line per warning, without the source line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

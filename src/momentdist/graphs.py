@@ -263,28 +263,74 @@ def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, Callable, int | 
         text = re.sub(r"(?m)^[ \t\r]*[#%].*", "", text)  # blank out comment lines
     if not text.isascii() or (data := text.encode("ascii")).translate(None, b"0123456789 \t\r\n"):
         return None  # a byte other than ASCII digits and blanks
-    b = np.frombuffer(data, dtype=np.uint8)
+    padded = bytes(8) + data  # the words of _token_values start 8 bytes before b
+    b = np.frombuffer(padded, dtype=np.uint8, offset=8)
     # token bounds: each row's first start, first end, second start, second end
     bounds = np.flatnonzero(np.diff((b - 48) < 10, prepend=False, append=False))
     if not bounds.size or bounds.size % 4 or (bounds[1::2] - bounds[::2]).max() > 18:
         return None
-    # the blank gap b[lo[k]:hi[k]] after token k holds a newline if an end byte is
-    # one; a gap of up to two bytes has no other, a longer one is searched
+    # the blank gap b[lo[k]:hi[k]] after token k holds a newline if one of its two
+    # bytes at either end is one; a gap of up to four bytes has no other, a
+    # longer one is searched
     lo, hi = bounds[1:-1:2], bounds[2::2]
     newline = (b[lo] == 10) | (b[hi - 1] == 10)
-    if (search := np.flatnonzero(~newline & (hi - lo > 2))).size:
-        ends = np.append(np.flatnonzero(b == 10), b.size)  # the sentinel: no gap's newline
-        newline[search] = ends[np.searchsorted(ends, lo[search])] < hi[search]
+    if (wide := np.flatnonzero(~newline & (hi - lo > 2))).size:
+        lo, hi = lo[wide], hi[wide]
+        newline[wide] = (b[lo + 1] == 10) | (b[hi - 2] == 10)
+        if (search := np.flatnonzero(~newline[wide] & (hi - lo > 4))).size:
+            ends = np.append(np.flatnonzero(b == 10), b.size)  # the sentinel: no gap's newline
+            newline[wide[search]] = ends[np.searchsorted(ends, lo[search])] < hi[search]
     # a row's two tokens share a line, and each next row starts on a later one
     if newline[::2].any() or not newline[1::2].all():
         return None
-    rows = np.fromstring(text, dtype=np.int64, count=bounds.size // 2, sep=" ").reshape(-1, 2)
+    rows = _token_values(padded, bounds).reshape(-1, 2)
     skip = int(header)
 
     def line_of(row: int) -> int:  # 1 + the newlines before the row's first token
         return int(np.count_nonzero(b[:bounds[4 * (row + skip)]] == 10)) + 1
 
     return rows[skip:], line_of, int(rows[0, 0]) if header else None
+
+
+# _DIGIT_MASKS[k] keeps the low nibble of a word's last min(k, 8) bytes, which
+# in a little-endian word are its high bytes, and clears the bytes before a
+# k-digit token's first digit
+_DIGIT_MASKS = np.array([0x0F0F0F0F0F0F0F0F >> (s := 8 * max(8 - k, 0)) << s for k in range(19)],
+                        dtype=np.uint64)
+
+
+def _token_values(padded: bytes, bounds: np.ndarray) -> np.ndarray:
+    """The int64 value of each token ``b[bounds[2i]:bounds[2i + 1]]`` of 1 to 18
+    decimal digits, where ``padded`` is 8 zero bytes and then the bytes ``b``.
+
+    The 8 bytes that end at each token's end are read as one little-endian
+    word, from a stride-1 view of ``padded``; a token of more than 8 or 16
+    digits also reads the word 8 or 16 bytes before. Each word's digits are
+    folded to their value in three mask-multiply-shift steps (pairs, then
+    quads, then all eight)."""
+    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    ends = bounds[1::2]
+    digits = ends - bounds[::2]
+    values = _fold(words[ends], digits)
+    for k in (8, 16):  # a word that lies wholly before the token is not read
+        if (long := np.flatnonzero(digits > k)).size:
+            values[long] += _fold(words[ends[long] - k], digits[long] - k) * 10**k
+    return values.view(np.int64)
+
+
+def _fold(words: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """In place, the value of the decimal number in each word's last ``digits``
+    bytes (all 8 when more), its most significant digit the lowest byte."""
+    words &= _DIGIT_MASKS[digits]
+    words *= 10 << 8 | 1  # each byte plus ten times the byte below it
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 100 << 16 | 1
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 10000 << 32 | 1
+    words >>= 32
+    return words
 
 
 def _read_lines(text: str, header: bool) -> tuple[np.ndarray, Callable, int | None]:

@@ -250,3 +250,12 @@ def test_no_private_numpy_or_scipy_module_imported():
             if parts[0] in ("numpy", "scipy") and any(p.startswith("_") for p in parts[1:]):
                 private.append(f"{path.name}: {name}")
     assert private == []
+
+
+def test_no_fromstring_call():
+    # the bulk edge-list parser reads token values at the bounds it has found;
+    # np.fromstring would tokenize the whole text a second time
+    calls = [f"{path.name}:{call.lineno}"
+             for path in sorted((_ROOT / "src" / "momentdist").glob("*.py"))
+             for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "fromstring", None)]
+    assert calls == []

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import momentdist as md
-from momentdist.cli import main
+from momentdist.cli import build_parser, main
 from oracles import one_of, write_edge_list
 
 
@@ -23,6 +23,29 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+# -- argument parsing --------------------------------------------------------
+
+# what each command requires, so that a bad option reaches the top-level parser
+_REQUIRED = {"moments": ["--named", "K4"], "pairwise": [], "cluster": ["--corpus", "c.json"],
+             "classify": ["--corpus", "c.json"], "spectrum": ["--named", "K4"],
+             "bench": ["--sizes", "10:20"]}
+
+
+@pytest.mark.parametrize("command", list(_REQUIRED))
+def test_one_command_parser_reads_as_the_full_one(command, capsys):
+    # main builds only the named command's parser: its help and errors are the full one's
+    seen = []
+    for parser in (build_parser(), build_parser(command)):
+        for argv in ([command, "--help"], [command, "--no-such-option"],
+                     [command, *_REQUIRED[command], "--no-such-option"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            seen.append((exc.value.code, *capsys.readouterr()))
+    assert seen[:3] == seen[3:]
+    assert f"usage: momentdist {command} " in seen[0][1]
+    assert "unrecognized arguments: --no-such-option" in seen[2][2]
 
 
 # -- moments ----------------------------------------------------------------

@@ -167,10 +167,11 @@ def test_parse_error_contract(case, indexing):
 def _edge_list_texts(draw):
     """Small edge lists; half of them only plain decimal pairs, the rest with odd forms."""
     odd = draw(st.booleans())
-    token = st.integers(0, 9).map(str)
+    # small ids, and tokens of 1-18 digits (leading zeros too) for the word reads
+    token = st.one_of(st.integers(0, 9).map(str), st.text("0123456789", min_size=1, max_size=18))
     if odd:
         token = st.one_of(token, st.sampled_from(["007", "+3", "-1", "1.0", "x", "00", "1_0"]))
-    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    sep = st.sampled_from([" ", "\t", "  ", " \t ", "    "])
     pad = st.sampled_from(["", " ", "\t"])
     data = st.builds(lambda p, a, s, b, q: p + a + s + b + q, pad, token, sep, token, pad)
     kinds = [data, data, st.sampled_from(["", "  ", "# comment 1 2", "% note", " \t# indented"])]
@@ -205,7 +206,35 @@ def _edge_list_texts(draw):
 @example("0 1\t\r\n\t1 2\n", "zero", False)
 @example("0  \n\n  1\n", "zero", False)
 @example("5 2  \n\n  1 2  \n\n  2 3\n", "auto", True)
+# gaps of four and five blanks: settled by their inner bytes, or searched
+@example("0    1\n1 2\n", "zero", False)
+@example("0 1    1 2\n", "zero", False)
+@example("0  \n 1\n1 2\n", "zero", False)
+@example("0  \n  1\n1 2\n", "zero", False)
+# token values at the word edges: 8, 9, 16, 17 and 18 digits, the largest
+# token, leading zeros, long tokens at byte 0 and at the end of the text
+@example("12345678 87654321\n", "zero", False)
+@example("123456789 987654321\n", "zero", False)
+@example("1234567890123456 6543210987654321\n", "zero", False)
+@example("12345678901234567 76543210987654321\n", "zero", False)
+@example("123456789012345678 876543210987654321\n", "zero", False)
+@example("999999999999999999 0\n", "zero", False)
+@example("000000000000000001 000000009\n00000002 000000000000000003\n", "auto", False)
+@example("1 2\n3 123456789012345678", "zero", False)
+# a 19-digit token: the line loop reads it
+@example("0 1\n1000000000000000000 1\n", "zero", False)
 def test_parse_matches_line_loop(text, indexing, header):
+    try:
+        rows, _, header_n = md.graphs._read_lines(text, header)
+    except md.EdgeListError:
+        pass
+    else:
+        if (parsed := md.graphs._decimal_rows(text, header)) is not None:
+            assert np.array_equal(parsed[0], rows) and parsed[2] == header_n
+        # a graph on an id of 2**16 or more is too large to build here, or past
+        # MAX_VERTICES, where the reference stops; the rows above hold such ids
+        if max([*rows.ravel().tolist(), *[header_n] * header], default=0) >= 2**16:
+            return
     try:
         want = parse_edge_list_by_lines(text, indexing=indexing, header=header)
     except md.EdgeListError as expected:
@@ -243,6 +272,13 @@ def test_parse_common_separators_stay_bulk(text, monkeypatch):
 
     monkeypatch.setattr(md.graphs, "_read_lines", line_loop)
     assert md.parse_edge_list(text) == want
+
+
+def test_parse_19_digit_token_takes_the_line_loop():
+    text = "0 1\n9223372036854775807 1\n"
+    assert md.graphs._decimal_rows(text, False) is None
+    with pytest.raises(md.EdgeListError, match="^line 2: vertex count 9223372036854775808 "):
+        md.parse_edge_list(text, indexing="zero")
 
 
 def test_parse_non_ascii_digits_take_the_line_loop():
