@@ -151,12 +151,11 @@ def _graphs_from_args(args) -> tuple[list[Graph], list[str], dict]:
 
 def _cmd_pairwise(args) -> tuple:
     graphs, labels, digests = _graphs_from_args(args)
-    cfg = DistanceConfig(degree=args.degree, metric=args.metric, eps=args.reg, scaling=args.scale)
+    cfg = DistanceConfig(degree=args.degree, metric=args.metric, eps=args.reg)
     t0 = time.perf_counter()
     dm = pairwise_distance_matrix(graphs, cfg, labels=labels)
     timings = {"pairwise_s": time.perf_counter() - t0}
-    config = {"degree": args.degree, "metric": args.metric, "reg": args.reg,
-              "scale": args.scale, "labels": labels}
+    config = {"degree": args.degree, "metric": args.metric, "reg": args.reg, "labels": labels}
     if args.out is not None and args.out.endswith(".json"):
         output = {"labels": dm.labels, "entries": dm.entries.tolist(), "metadata": dm.metadata}
     else:
@@ -215,7 +214,7 @@ def _load_corpus(path: str, seed) -> tuple[list[Graph], np.ndarray, dict]:
 
 
 def _method_params(args) -> dict:
-    moment = {"metric": args.metric, "eps": args.reg, "scaling": args.scale}
+    moment = {"metric": args.metric, "eps": args.reg}
     if args.cmd == "cluster":  # classify sweeps --degrees instead
         moment = {"degree": args.degree, **moment}
     return {
@@ -307,7 +306,6 @@ def _add_distance_options(p: argparse.ArgumentParser, degree: bool = True) -> No
     if degree:
         p.add_argument("--degree", type=int, default=4)
     p.add_argument("--metric", default="affine-invariant", choices=list(METRICS))
-    p.add_argument("--scale", choices=["none", "log1p"], default="none")
     p.add_argument("--reg", type=float, default=0.0, help="eps ridge added to moment matrices")
     # ignored; accepted for existing callers
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)

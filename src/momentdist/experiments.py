@@ -166,7 +166,7 @@ def method_distance_matrix(
 ) -> DistanceMatrix:
     """Pairwise distance matrix under one of the implemented methods.
 
-    ``moment`` takes DistanceConfig fields (degree, metric, eps, scaling);
+    ``moment`` takes DistanceConfig fields (degree, metric, eps);
     ``cov`` and ``eigs`` take k; ``gk4`` takes samples/seed. Baselines compare
     their per-graph features with the Euclidean distance, ``cov`` with the
     Bhattacharyya distance; every method runs on the one pairwise engine of

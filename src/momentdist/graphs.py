@@ -263,10 +263,14 @@ def _decimal_rows(text: str, header: bool) -> tuple[np.ndarray, Callable, int | 
         text = re.sub(r"(?m)^[ \t\r]*[#%].*", "", text)  # blank out comment lines
     if not text.isascii() or (data := text.encode("ascii")).translate(None, b"0123456789 \t\r\n"):
         return None  # a byte other than ASCII digits and blanks
-    padded = bytes(8) + data  # the words of _token_values start 8 bytes before b
-    b = np.frombuffer(padded, dtype=np.uint8, offset=8)
+    # the words of _token_values start 8 bytes before b; the zero bytes on
+    # either side of b end its first and last token without a padded mask.
+    # One join copies the text once, where two + would copy it twice
+    padded = b"".join((bytes(8), data, bytes(1)))
+    b = np.frombuffer(padded, dtype=np.uint8, count=len(data), offset=8)
+    digit = (np.frombuffer(padded, dtype=np.uint8, offset=7) - 48) < 10
     # token bounds: each row's first start, first end, second start, second end
-    bounds = np.flatnonzero(np.diff((b - 48) < 10, prepend=False, append=False))
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
     if not bounds.size or bounds.size % 4 or (bounds[1::2] - bounds[::2]).max() > 18:
         return None
     # the blank gap b[lo[k]:hi[k]] after token k holds a newline if one of its two
@@ -301,7 +305,7 @@ _DIGIT_MASKS = np.array([0x0F0F0F0F0F0F0F0F >> (s := 8 * max(8 - k, 0)) << s for
 
 def _token_values(padded: bytes, bounds: np.ndarray) -> np.ndarray:
     """The int64 value of each token ``b[bounds[2i]:bounds[2i + 1]]`` of 1 to 18
-    decimal digits, where ``padded`` is 8 zero bytes and then the bytes ``b``.
+    decimal digits, where ``padded`` is 8 zero bytes, the bytes ``b`` and a zero byte.
 
     The 8 bytes that end at each token's end are read as one little-endian
     word, from a stride-1 view of ``padded``; a token of more than 8 or 16

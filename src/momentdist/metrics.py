@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,16 +62,16 @@ class DistanceConfig:
     degree: moment-matrix degree d (the matrix is (d+1) x (d+1), built from
     moments m_0..m_{2d}). metric: one of ``frobenius``, ``affine-invariant``,
     ``log-frobenius``, ``cholesky-frobenius``. eps: optional ridge added as
-    eps*I to each moment matrix before comparing. scaling: ``none`` or
-    ``log1p`` (applies x -> log(1 + x) to the final distance).
+    eps*I to each moment matrix before comparing. ``scaling`` is not stored
+    and may only be ``none``; it is accepted for existing callers.
     """
 
     degree: int = 4
     metric: str = "affine-invariant"
     eps: float = 0.0
-    scaling: str = "none"
+    scaling: InitVar[str] = "none"
 
-    def __post_init__(self):
+    def __post_init__(self, scaling):
         if self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {self.degree}")
         if self.metric not in METRICS:
@@ -80,8 +80,8 @@ class DistanceConfig:
             )
         if not 0 <= self.eps < math.inf:
             raise ConfigError(f"eps must be finite and nonnegative, got {self.eps}")
-        if self.scaling not in ("none", "log1p"):
-            raise ConfigError(f"unknown scaling {self.scaling!r}")
+        if scaling != "none":
+            raise ConfigError(f"unknown scaling {scaling!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +215,6 @@ def _moment_distances(mats: np.ndarray, cfg: DistanceConfig) -> tuple[np.ndarray
     # overflow or NaN in the embedding surfaces as a non-finite distance
     with np.errstate(over="ignore", invalid="ignore"):
         pd, left, right = embed(mats)
-    # math.log1p, not np.log1p: the two differ in the last bit on some inputs
-    log1p = np.vectorize(math.log1p, otypes=[np.float64])
 
     def pairs(i, j):
         a, b = mats[i], mats[j]
@@ -231,7 +229,7 @@ def _moment_distances(mats: np.ndarray, cfg: DistanceConfig) -> tuple[np.ndarray
             if w0 is not None:  # the whitened product lost positivity
                 fell[use] = w0 <= 0
         d[fell] = _euclidean(a[fell], b[fell])
-        return (log1p(d) if cfg.scaling == "log1p" else d), int(fell.sum())
+        return d, int(fell.sum())
 
     return _pairwise(pairs, len(mats))
 
@@ -342,7 +340,6 @@ def pairwise_distance_matrix(
         "metric": cfg.metric,
         "degree": cfg.degree,
         "eps": cfg.eps,
-        "scaling": cfg.scaling,
         "fallback_pairs": fallbacks,
     }
     return DistanceMatrix(labels, out, meta)

@@ -13,7 +13,6 @@ weighted hypothesis strategy choice the property tests share.
 from __future__ import annotations
 
 import io
-import math
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -31,6 +30,7 @@ from momentdist import (
 from momentdist.baselines import _GRAPHLET4_DEGSEQS, GRAPHLET4_TYPES
 from momentdist.graphs import (
     _FAMILY_RE,
+    MAX_VERTICES,
     _WORD_NAMES,
     _build_family,
     complement,
@@ -361,11 +361,11 @@ def pairwise_by_rows(kernel, *stacks) -> tuple[np.ndarray, int]:
     return out, fallbacks
 
 
-def moment_distances_by_rows(mats: np.ndarray, metric: str, scaling: str = "none"):
+def moment_distances_by_rows(mats: np.ndarray, metric: str):
     """All-pairs moment-matrix distances and fallback count, one row of pairs
     per kernel call through :func:`pairwise_by_rows`: the identity test, the
     PD mask, the metric's kernel and the Frobenius fallback of graph i against
-    graphs i+1..n-1, then ``log1p`` over all n² entries if asked."""
+    graphs i+1..n-1."""
     embed, kernel = METRICS[metric]
 
     def row(a, pd_a, left_a, _right_a, bs, pd_bs, _left_bs, right_bs):
@@ -381,10 +381,7 @@ def moment_distances_by_rows(mats: np.ndarray, metric: str, scaling: str = "none
         return d, int(fell.sum())
 
     with np.errstate(over="ignore", invalid="ignore"):
-        out, fallbacks = pairwise_by_rows(row, mats, *embed(mats))
-    if scaling == "log1p":
-        out = np.vectorize(math.log1p, otypes=[np.float64])(out)
-    return out, fallbacks
+        return pairwise_by_rows(row, mats, *embed(mats))
 
 
 def reference_euclidean_matrix(features) -> np.ndarray:
@@ -499,6 +496,11 @@ def parse_edge_list_by_lines(text: str, indexing: str = "auto", header: bool = F
         if pairs and header_n < n:
             raise EdgeListError(f"header n={header_n} smaller than max vertex id {n - 1}")
         n = header_n
+    if n > MAX_VERTICES:
+        # the line of the largest id, unless the header set n
+        line = None if header_n is not None else linenos[int(np.argmax(flat.max(axis=1)))]
+        raise EdgeListError(f"vertex count {n} exceeds {MAX_VERTICES}, the most whose "
+                            "edge codes fit in int64", line)
     return Graph.from_edges(n, flat)
 
 

@@ -252,10 +252,20 @@ def test_no_private_numpy_or_scipy_module_imported():
     assert private == []
 
 
+def _package_calls(name: str) -> list[str]:
+    """``module.py:line`` of every call in the package of a function or method called ``name``."""
+    return [f"{path.name}:{call.lineno}"
+            for path in sorted((_ROOT / "src" / "momentdist").glob("*.py"))
+            for call in _calls(ast.parse(path.read_text(encoding="utf-8")), name, None)]
+
+
 def test_no_fromstring_call():
     # the bulk edge-list parser reads token values at the bounds it has found;
     # np.fromstring would tokenize the whole text a second time
-    calls = [f"{path.name}:{call.lineno}"
-             for path in sorted((_ROOT / "src" / "momentdist").glob("*.py"))
-             for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "fromstring", None)]
-    assert calls == []
+    assert _package_calls("fromstring") == []
+
+
+def test_no_vectorize_call():
+    # np.vectorize is a Python loop per element: the pair engine and every
+    # per-pair or per-token path stay array code
+    assert _package_calls("vectorize") == []

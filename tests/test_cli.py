@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import os
 import pathlib
 import subprocess
@@ -111,15 +110,6 @@ def test_pairwise_repeated_input_zero(capsys):
     assert float(out.strip().splitlines()[1].split(",")[2]) == 0.0
 
 
-def test_pairwise_log1p_scaling(capsys):
-    base = ["pairwise", "--named", "claw", "P4", "--degree", "2", "--metric", "frobenius"]
-    _, out_plain = run(capsys, base)
-    _, out_scaled = run(capsys, base + ["--scale", "log1p"])
-    plain = float(out_plain.strip().splitlines()[1].split(",")[2])
-    scaled = float(out_scaled.strip().splitlines()[1].split(",")[2])
-    assert scaled == pytest.approx(math.log1p(plain), rel=1e-12)
-
-
 # -- spectrum ----------------------------------------------------------------
 
 
@@ -205,7 +195,7 @@ def test_classify_sweep_is_explicit(tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     _write_synthetic_corpus(corpus)
     code, out = run(capsys, ["classify", "--corpus", str(corpus), "--method", "moment",
-                             "--metric", "frobenius", "--scale", "log1p",
+                             "--metric", "frobenius",
                              "--degrees", "2", "3", "--knn-k", "1", "2",
                              "--folds", "5", "--seed", "1"])
     assert code == 0
@@ -771,31 +761,27 @@ def _write_rewiring_corpus(path):
     path.write_text(json.dumps({"synthetic": {"seed": 5, "settings": settings}}))
 
 
-# SHA-256 of each output file, recorded with the per-degree extraction and the
-# per-k KNN loop that the shared moment table and the one-sort KNN replaced,
-# and (cluster-gk4) with the per-sample gk4 loop the one-pass classification
-# replaced; the manifests' former "threads_bound" line is removed from each;
-# pairwise-inputs with the line loop reading comment.txt, which the bulk reader
-# now reads as well, and the pairwise JSON built through DistanceMatrix.to_json.
-# Paths are relative, so the manifests are stable.
+# SHA-256 of each command's output file on the rewiring corpus (seed 2), the
+# named graphs or the two edge files above: every distance, fallback count,
+# assignment, KNN grid, moment and spectrum value, and every output and
+# manifest key, to the byte. Paths are relative, so the manifests are stable.
 _PINNED_OUTPUTS = {
     "classify-default": (["classify"],
-        "20559ab030cc5db52353cb6f9d40dc85a72f7a0e97aaf95bf6041c474b3a2dce"),
+        "0aa6573587eb520988cee8ec33708073d4fa19e7e259f4dfff84881ff2845fba"),
     "classify-degrees-3-2-3": (["classify", "--degrees", "3", "2", "3", "--reg", "1e4"],
-        "0548ed12f6093440b5fd6df65cbe45202621af384535c198d199a6302bbc714b"),
-    "classify-frobenius-log1p": (["classify", "--metric", "frobenius", "--scale", "log1p",
-                                  "--knn-k", "1", "4", "40"],
-        "4a097bc892e0cc114032113070e5e85d2924ade87d9136d3240ac2975a1ee5dd"),
+        "25bf6b717f03e83e1b6028ba8fe31b57c82106c7934cca479b4a55c7b937ffca"),
+    "classify-frobenius": (["classify", "--metric", "frobenius", "--knn-k", "1", "4", "40"],
+        "06d68cfc71b9932c15686f8a96f48490895635e5b4f766717b6db1f8409c5b4e"),
     "cluster": (["cluster", "--degree", "3", "--reg", "1e4"],
-        "a23166654904a61958fb47f4cd58221b52cfb864b663e389b482a12c9c5409c4"),
+        "63380a3e53a1b490b1961987a9956ca11034a1d8a950ca3418e1dc44a969d422"),
     "cluster-gk4": (["cluster", "--method", "gk4", "--gk4-samples", "300"],
         "cf8bf66daffc538aa96f6cc1a4356c8fbc0d95256dc7a32590d811ec08a72836"),
     "pairwise": (["pairwise", "--named", "K4", "C4", "paw", "P5", "S5", "C4uK1", "C6",
                   "--degree", "3", "--reg", "1e-3"],
-        "de97af309a332209a3af7cedf12ed03c4d0509efabf1e993b4c66d53c2f777d4"),
+        "ffda7456e0bfd8531a97d6a60be67961159c5d037aa6bdfbd4852c4cf12ea63b"),
     "pairwise-inputs": (["pairwise", "--inputs", "plain.txt", "comment.txt",
                          "--indexing", "zero", "--degree", "4"],
-        "c55a8e7e740f7cbbded4e3b5e8a8da77113ebee222bc67b989261501a6ff3881"),
+        "12f9efd72fe49d736dc199715da5536751741e97e65037d14144f76ecdeda575"),
     "moments": (["moments", "--named", "C4uK1", "--order", "8"],
         "f1ff009d592e61f3c635ddb6ba5408c209516d5719bff39c9aef77f2ffe035e4"),
     "moments-trace": (["moments", "--named", "C4uK1", "--order", "8", "--state", "trace"],
@@ -963,10 +949,9 @@ def _int(draw, values):
 
 
 def _distance_options(draw, degree=True):
-    """--metric, --scale and --reg, after --degree where the command takes it."""
+    """--metric and --reg, after --degree where the command takes it."""
     argv = ["--degree", _int(draw, st.integers(0, 5))] if degree else []
     return argv + ["--metric", draw(st.sampled_from(list(md.METRICS))),
-                   "--scale", draw(st.sampled_from(["none", "log1p"])),
                    "--reg", draw(st.sampled_from(["0", "0", "0", "1e-6", "1e4", "1e308", "-1",
                                                   "nan", "inf"]))]
 

@@ -219,6 +219,7 @@ def _edge_list_texts(draw):
 @example("12345678901234567 76543210987654321\n", "zero", False)
 @example("123456789012345678 876543210987654321\n", "zero", False)
 @example("999999999999999999 0\n", "zero", False)
+@example("999999999999999999 0\n", "zero", True)
 @example("000000000000000001 000000009\n00000002 000000000000000003\n", "auto", False)
 @example("1 2\n3 123456789012345678", "zero", False)
 # a 19-digit token: the line loop reads it
@@ -231,9 +232,10 @@ def test_parse_matches_line_loop(text, indexing, header):
     else:
         if (parsed := md.graphs._decimal_rows(text, header)) is not None:
             assert np.array_equal(parsed[0], rows) and parsed[2] == header_n
-        # a graph on an id of 2**16 or more is too large to build here, or past
-        # MAX_VERTICES, where the reference stops; the rows above hold such ids
-        if max([*rows.ravel().tolist(), *[header_n] * header], default=0) >= 2**16:
+        # a graph on an id from 2**16 up to MAX_VERTICES is too large to build
+        # here; past it, both parsers refuse the vertex count
+        largest = max([*rows.ravel().tolist(), *[header_n] * header], default=0)
+        if 2**16 <= largest <= md.graphs.MAX_VERTICES:
             return
     try:
         want = parse_edge_list_by_lines(text, indexing=indexing, header=header)

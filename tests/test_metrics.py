@@ -28,9 +28,9 @@ def _random_pd(rng, k):
 # -- individual metrics, through the engine ------------------------------------
 
 
-def _engine(mats, metric, scaling="none"):
+def _engine(mats, metric):
     """All-pairs distances and the fallback count of the engine on a stack of matrices."""
-    return _moment_distances(np.stack(mats), md.DistanceConfig(metric=metric, scaling=scaling))
+    return _moment_distances(np.stack(mats), md.DistanceConfig(metric=metric))
 
 
 def test_frobenius_anchor_values():
@@ -145,16 +145,6 @@ def test_metric_axioms_sampled():
     assert md.affine_invariant_dist(mats[0], mats[1]) == pytest.approx(d[0, 1], rel=1e-12)
 
 
-def test_log1p_preserves_metric_axioms_sampled():
-    rng = np.random.default_rng(4)
-    mats = [_random_pd(rng, 3) for _ in range(6)]
-    d, _ = _engine(mats, "frobenius", scaling="log1p")
-    for i in range(6):
-        for j in range(6):
-            for k in range(6):
-                assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
-
-
 # -- graph distance ---------------------------------------------------------------
 
 
@@ -191,15 +181,6 @@ def test_graph_distance_eps_restores_geodesic():
     assert val > 0 and val != frobenius
 
 
-def test_graph_distance_log1p_scaling():
-    base = md.DistanceConfig(degree=2, metric="frobenius")
-    scaled = md.DistanceConfig(degree=2, metric="frobenius", scaling="log1p")
-    g1, g2 = md.named_graph("claw"), md.named_graph("P4")
-    assert md.graph_distance(g1, g2, scaled) == pytest.approx(
-        math.log1p(md.graph_distance(g1, g2, base)), rel=1e-12
-    )
-
-
 def test_distance_config_validation():
     with pytest.raises(md.ConfigError):
         md.DistanceConfig(degree=0)
@@ -208,8 +189,12 @@ def test_distance_config_validation():
     for eps in (-1.0, math.nan, math.inf):
         with pytest.raises(md.ConfigError, match="eps must be finite and nonnegative"):
             md.DistanceConfig(eps=eps)
-    with pytest.raises(md.ConfigError):
-        md.DistanceConfig(scaling="sqrt")
+    # scaling is accepted as "none" alone, and not kept
+    for scaling in ("sqrt", "log1p"):
+        with pytest.raises(md.ConfigError, match="unknown scaling"):
+            md.DistanceConfig(scaling=scaling)
+    assert md.DistanceConfig(scaling="none") == md.DistanceConfig()
+    assert "scaling" not in repr(md.DistanceConfig())
 
 
 # -- pairwise ---------------------------------------------------------------------
@@ -274,13 +259,12 @@ def test_chunked_engine_matches_row_loop(monkeypatch, metric, chunk):
     table = md.moment_table(engine_corpus(), 14)
     for degree in range(1, 8):
         for eps in (0.0, 1e4):
-            for scaling in ("none", "log1p"):
-                mats = _hankel_blocks(table, degree) + eps * np.eye(degree + 1)
-                cfg = md.DistanceConfig(degree=degree, metric=metric, eps=eps, scaling=scaling)
-                got, got_fallbacks = _moment_distances(mats, cfg)
-                want, want_fallbacks = moment_distances_by_rows(mats, metric, scaling)
-                assert got.tobytes() == want.tobytes(), (degree, eps, scaling)
-                assert got_fallbacks == want_fallbacks, (degree, eps, scaling)
+            mats = _hankel_blocks(table, degree) + eps * np.eye(degree + 1)
+            cfg = md.DistanceConfig(degree=degree, metric=metric, eps=eps)
+            got, got_fallbacks = _moment_distances(mats, cfg)
+            want, want_fallbacks = moment_distances_by_rows(mats, metric)
+            assert got.tobytes() == want.tobytes(), (degree, eps)
+            assert got_fallbacks == want_fallbacks, (degree, eps)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
