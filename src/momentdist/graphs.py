@@ -14,7 +14,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -624,10 +623,15 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
     Starts from the circulant lattice where each vertex links to its
     ``c = ne/nv`` nearest neighbors on each side, then independently with
     probability ``rho`` re-targets the far endpoint of each edge to a uniform
-    random vertex, rejecting self-loops and duplicates. An edge whose 100
-    draws are all rejected keeps its lattice endpoint. The result always has
-    exactly ``nv`` vertices and ``ne`` edges, and is deterministic for a fixed
-    seed. ``nv`` may be at most ``MAX_VERTICES``, so that edge codes fit in int64.
+    random vertex, rejecting self-loops and duplicates. The re-targeting runs
+    in rounds: each round draws one endpoint for every edge still pending, and
+    a drawn pair is taken only if it is free at the start of the round (not an
+    edge, not a self-loop); of the edges that draw the same free pair, the
+    first in edge order takes it and frees its old pair, and the rest draw
+    again the next round. An edge still pending after 100 rounds keeps its
+    lattice endpoint. The result always has exactly ``nv`` vertices and ``ne``
+    edges, and is deterministic for a fixed seed. ``nv`` may be at most
+    ``MAX_VERTICES``, so that edge codes fit in int64.
     """
     if not (0.0 <= rho <= 1.0):
         raise ConfigError(f"rho must be in [0, 1], got {rho}")
@@ -647,61 +651,43 @@ def generate_rewired(nv: int, ne: int, rho: float, seed) -> Graph:
 
     codes = np.minimum(home, other) * nv + np.maximum(home, other)
     rng = np.random.default_rng(seed)
-    picked = np.flatnonzero(rng.random(ne) < rho)
-    if picked.size:
-        new_other = []
-        # One stream of candidate endpoints, drawn in bulk: picked.size, then, each
-        # time rejections use a batch up, what the edges left need at the rate so
-        # far. numpy's bounded draws (Lemire's method) take their words from the bit
-        # generator one value at a time, and the generator buffers the spare half of
-        # each 64-bit word, so a bulk draw yields the values of that many scalar
-        # draws, in order: the stream and every graph stay the same.
-        def batches(size=picked.size, drawn=0):
-            while True:
-                yield rng.integers(nv, size=size).tolist()
-                drawn += size
-                done = len(new_other)
-                size = (picked.size - done) * drawn // max(done, 1) + 1
-
-        draws = chain.from_iterable(batches())
-        rows = zip(home[picked].tolist(), codes[picked].tolist(), other[picked].tolist())
-        # present edges: a byte per code u*nv + v while no larger than a set (64+ B an
-        # edge), with the self-pairs u*nv + u marked too, so a loop reads as present
-        if nv * nv <= 64 * ne:
-            present = bytearray(nv * nv)
-            np.frombuffer(present, dtype=np.uint8)[codes] = 1
-            np.frombuffer(present, dtype=np.uint8)[::nv + 1] = 1
-            for u, old, kept in rows:
-                tries = 100  # draws left for this edge
-                for w in draws:
-                    new = (u * nv + w) if u < w else (w * nv + u)
-                    if not present[new]:
-                        present[old] = 0
-                        present[new] = 1
-                        kept = w
-                        break
-                    tries -= 1
-                    if not tries:
-                        break
-                new_other.append(kept)
+    pending = np.flatnonzero(rng.random(ne) < rho)  # the edges still to re-target
+    # the state of each pair u*nv + v while an int32 table of them costs at most
+    # 128 B an edge and its size, so ne too, fits in int32: -1 taken (an edge, or
+    # the self-pair u*nv + u), ne free
+    table = None
+    if pending.size and nv * nv <= min(32 * ne, np.iinfo(np.int32).max):
+        table = np.full(nv * nv, ne, dtype=np.int32)
+        table[codes] = -1
+        table[::nv + 1] = -1
+    for _ in range(100):  # each round draws once for each pending edge
+        if not pending.size:
+            break
+        u = home[pending]
+        w = rng.integers(nv, size=pending.size)
+        new = np.minimum(u, w) * nv + np.maximum(u, w)
+        if table is not None:
+            # a free pair's cell ends at its least claimant, a taken one's stays -1
+            np.minimum.at(table, new, pending.astype(np.int32))  # int64 values cast 30x slower
+            won = table[new] == pending
+            table[codes[pending[won]]] = ne
+            table[new[won]] = -1
         else:
-            present = set(codes.tolist())
-            remove, add = present.remove, present.add
-            for u, old, kept in rows:
-                tries = 100  # draws left for this edge
-                for w in draws:
-                    new = (u * nv + w) if u < w else (w * nv + u)
-                    if w != u and new not in present:
-                        remove(old)
-                        add(new)
-                        kept = w
-                        break
-                    tries -= 1
-                    if not tries:
-                        break
-                new_other.append(kept)
-        del rows, present  # not held through the CSR build
-        other[picked] = new_other
+            # the claims grouped by pair, each pair with its least claimant
+            order = np.argsort(new)
+            pairs = new[order]
+            starts = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
+            first = np.minimum.reduceat(order, starts)
+            pairs = pairs[starts]
+            present = np.sort(codes)  # searched by sorted pairs: random ones miss the cache
+            taken = present[np.searchsorted(present, pairs).clip(max=ne - 1)] == pairs
+            won = np.zeros(pending.size, dtype=bool)
+            won[first[~taken & (u[first] != w[first])]] = True
+        winners = pending[won]
+        codes[winners] = new[won]
+        other[winners] = w[won]
+        pending = pending[~won]
+    del table  # not held through the CSR build
     # distinct, loop-free pairs in range: the CSR kernel needs no checks
     return _canonical(nv, home, other)
 

@@ -504,33 +504,38 @@ def parse_edge_list_by_lines(text: str, indexing: str = "auto", header: bool = F
     return Graph.from_edges(n, flat)
 
 
-def generate_rewired_by_draws(nv: int, ne: int, rho: float, seed) -> Graph:
-    """The rewired ring lattice with one scalar ``rng.integers(nv)`` draw per
-    rewire attempt and numpy scalars throughout, kept as the reference for the
-    bulk-drawn list loop of ``generate_rewired``: same RNG stream, same graphs.
-    Takes feasible parameters only."""
+def generate_rewired_by_rounds(nv: int, ne: int, rho: float, seed) -> Graph:
+    """The rewired ring lattice by the round rule, one pending edge at a time,
+    kept as the reference for the array rounds of ``generate_rewired``.
+
+    Each round makes one scalar ``rng.integers(nv)`` draw per pending edge, in
+    edge order (a bulk draw yields the values of that many scalar draws). A
+    drawn pair is free if it was neither an edge nor a self-pair at the start
+    of the round; the first edge to claim a free pair takes it. At most 100
+    rounds. Takes feasible parameters only."""
     c = ne // nv
     home = np.tile(np.arange(nv, dtype=np.int64), c)
     shift = np.repeat(np.arange(1, c + 1, dtype=np.int64), nv)
     other = (home + shift) % nv
 
-    codes = np.minimum(home, other) * nv + np.maximum(home, other)
-    present = set(codes.tolist())
+    codes = (np.minimum(home, other) * nv + np.maximum(home, other)).tolist()
+    present = set(codes)
     rng = np.random.default_rng(seed)
-    rewire = rng.random(ne) < rho
-    for idx in np.flatnonzero(rewire):
-        u, old = int(home[idx]), int(codes[idx])
-        for _ in range(100):
-            w = int(rng.integers(nv))
-            if w == u:
-                continue
+    pending = np.flatnonzero(rng.random(ne) < rho).tolist()
+    for _ in range(100):
+        claimed: dict[int, tuple[int, int]] = {}  # free pair -> its first claimant, w
+        for idx in pending:
+            u, w = int(home[idx]), int(rng.integers(nv))
             new = (u * nv + w) if u < w else (w * nv + u)
-            if new in present:
-                continue
-            present.remove(old)
+            if w != u and new not in present and new not in claimed:
+                claimed[new] = idx, w
+        for new, (idx, w) in claimed.items():
+            present.remove(codes[idx])
             present.add(new)
+            codes[idx] = new
             other[idx] = w
-            break
+        won = {idx for idx, _ in claimed.values()}
+        pending = [idx for idx in pending if idx not in won]
     return Graph.from_edges(nv, np.stack([home, other], axis=1))
 
 

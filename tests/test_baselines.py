@@ -335,12 +335,13 @@ def test_draw_quads_matches_choice_loop(n, seeds):
 
 
 # SHA-256 of the gk4 feature bytes (700 samples) of rewired graphs, recorded
-# with the per-sample loop that the one-pass classification replaced.
+# when the generator first rewired in rounds; the one-pass classification kept
+# the bytes of the per-sample loop it replaced.
 _GK4_PINNED = {
-    (200, 2000, 0.1, 11): "2ade19df5e2862086658f0943c65d9d97a0a9af6704151346499c92042df9a14",
-    (200, 2000, 0.6, 12): "1be4dd479c25f069478c1c138d7357c952dbd114e7f0962179b5e372b6db17ec",
-    (200, 4000, 0.3, 13): "3b4e5b3a6c9c339167424050db6237c393bf89ce893c2a6f2adaf4cdea390eea",
-    (200, 4000, 1.0, 14): "59ae43856bee81668670a2929f35396cf46032f22d4e38db7c1e6cd335cdc0b2",
+    (200, 2000, 0.1, 11): "a077727dd7886016ba6e95e84d1b903e8974bb186baf2664e8ae9f8ccd05353f",
+    (200, 2000, 0.6, 12): "57fa1261a9d137751a048e77a5e798f1ee1e24fa87a0e051ccfa727c77f91dfb",
+    (200, 4000, 0.3, 13): "9fe3d7732c5021b561b955efa50f8ff3d66992052b9b24f90c9e787668060725",
+    (200, 4000, 1.0, 14): "fd63a18337881307e73e206865729972668bebbd89ea3edd75a5283d41504547",
 }
 
 

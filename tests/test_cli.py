@@ -767,21 +767,21 @@ def _write_rewiring_corpus(path):
 # manifest key, to the byte. Paths are relative, so the manifests are stable.
 _PINNED_OUTPUTS = {
     "classify-default": (["classify"],
-        "0aa6573587eb520988cee8ec33708073d4fa19e7e259f4dfff84881ff2845fba"),
+        "493514708a36a3f0c33007086bad0ff601ad6ecfaba9975e4d5d82b51030c130"),
     "classify-degrees-3-2-3": (["classify", "--degrees", "3", "2", "3", "--reg", "1e4"],
-        "25bf6b717f03e83e1b6028ba8fe31b57c82106c7934cca479b4a55c7b937ffca"),
+        "ae21dde01d4bf19374b887dd8665fa210719a211f99d7d378aa2a17233538b95"),
     "classify-frobenius": (["classify", "--metric", "frobenius", "--knn-k", "1", "4", "40"],
-        "06d68cfc71b9932c15686f8a96f48490895635e5b4f766717b6db1f8409c5b4e"),
+        "2f69e802ee08b3eb552097af221d0867a42ab41a70c9d1ce72638a71da975e7b"),
     "cluster": (["cluster", "--degree", "3", "--reg", "1e4"],
-        "63380a3e53a1b490b1961987a9956ca11034a1d8a950ca3418e1dc44a969d422"),
+        "20ffab737c18fb83f42223c42b0d4c5a2f090de57fa228abfd2d22d480eb3b0f"),
     "cluster-gk4": (["cluster", "--method", "gk4", "--gk4-samples", "300"],
-        "cf8bf66daffc538aa96f6cc1a4356c8fbc0d95256dc7a32590d811ec08a72836"),
+        "e96743bd6664a65bbd9520f8beb25e151bd693226332f7eea9b466f0c8e77eb3"),
     "pairwise": (["pairwise", "--named", "K4", "C4", "paw", "P5", "S5", "C4uK1", "C6",
                   "--degree", "3", "--reg", "1e-3"],
         "ffda7456e0bfd8531a97d6a60be67961159c5d037aa6bdfbd4852c4cf12ea63b"),
     "pairwise-inputs": (["pairwise", "--inputs", "plain.txt", "comment.txt",
                          "--indexing", "zero", "--degree", "4"],
-        "12f9efd72fe49d736dc199715da5536751741e97e65037d14144f76ecdeda575"),
+        "9f26ef68066e7db291a56f6a1883d79ac5651ead278cbb239aa2a8da4fc6a9d9"),
     "moments": (["moments", "--named", "C4uK1", "--order", "8"],
         "f1ff009d592e61f3c635ddb6ba5408c209516d5719bff39c9aef77f2ffe035e4"),
     "moments-trace": (["moments", "--named", "C4uK1", "--order", "8", "--state", "trace"],
@@ -838,6 +838,25 @@ def test_classify_output_same_under_threads(tmp_path, monkeypatch):
         argv = _PINNED_OUTPUTS[case][0]
         want = _pinned_output(tmp_path, monkeypatch, argv)
         assert _pinned_output(tmp_path, monkeypatch, argv + ["--threads", "2"]) == want
+
+
+def test_cluster_output_same_under_blas_thread_counts(tmp_path):
+    # OpenBLAS reads its thread count when it loads, so each count runs in its own process
+    settings = [{"nv": 200, "ne": ne, "rho": rho, "count": 3} for ne in (2000, 4000)
+                for rho in (0.1, 0.9)]
+    corpus = json.dumps({"synthetic": {"seed": 0, "settings": settings}})
+    outputs = []
+    for threads in ("1", "2"):
+        (run_dir := tmp_path / threads).mkdir()
+        (run_dir / "corpus.json").write_text(corpus)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(pathlib.Path(md.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "momentdist.cli", "cluster", "--corpus",
+                               "corpus.json", "--out", "out.json"], cwd=run_dir, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((run_dir / "out.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from oracles import (
     component_count,
     csr_by_neighbor_sets,
     dense_int_power,
-    generate_rewired_by_draws,
+    generate_rewired_by_rounds,
     has_edge,
     named_graph_by_splits,
     neighbors,
@@ -634,16 +634,16 @@ def _rewired_params(draw):
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_rewired_params())
-# nv*nv <= 64*ne tracks edges in a byte map: the first two sit on that rule, the
-# last two just past it, where the generator keeps a set of edge codes instead
-@example((64, 64, 0.5, 3))
-@example((128, 256, 0.9, 5))
-@example((65, 65, 0.5, 3))
-@example((129, 258, 0.9, 5))
+# nv*nv <= 32*ne settles claims in a table of pair states: the first two sit on
+# that rule, the last two just past it, where the generator sorts edge codes instead
+@example((32, 32, 0.5, 3))
+@example((64, 128, 0.9, 5))
+@example((33, 33, 0.5, 3))
+@example((65, 130, 0.9, 5))
 def test_rewired_matches_scalar_draws(params):
     nv, ne, rho, seed = params
     g = md.generate_rewired(nv, ne, rho, seed)
-    want = generate_rewired_by_draws(nv, ne, rho, seed)
+    want = generate_rewired_by_rounds(nv, ne, rho, seed)
     assert g.indptr.tobytes() == want.indptr.tobytes()
     assert g.indices.tobytes() == want.indices.tobytes()
     assert g.m == ne
@@ -651,9 +651,9 @@ def test_rewired_matches_scalar_draws(params):
 
 def test_rewired_past_int32_codes_matches_scalar_draws():
     # 46341**2 > 2**31 - 1: the CSR build sorts int64 codes, and the edges
-    # present are a set (nv*nv > 64*ne)
+    # present are sorted codes (nv*nv > 32*ne)
     g = md.generate_rewired(46341, 46341, 0.5, seed=14)
-    want = generate_rewired_by_draws(46341, 46341, 0.5, seed=14)
+    want = generate_rewired_by_rounds(46341, 46341, 0.5, seed=14)
     assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
     assert g.indptr.tobytes() == want.indptr.tobytes()
     assert g.indices.tobytes() == want.indices.tobytes()
@@ -670,10 +670,40 @@ def test_rewired_complete_lattice_hits_attempt_cap(c):
         assert g == md.complete_graph(2 * c + 1)
 
 
+# Mean vector-state moments m_2..m_4 over seeds 0..29, recorded with the
+# generator that drew one endpoint per rewire attempt, before it rewired in rounds
+_PER_DRAW_MOMENTS = {
+    (200, 4000, 0.9): [1617.2303333333334, 65372.26966666667, 2643054.975666667],
+    (200, 2000, 0.1): [401.90133333333335, 8075.999333333335, 162321.48066666664],
+}
+
+
+@pytest.mark.parametrize("nv, ne, rho", list(_PER_DRAW_MOMENTS))
+def test_rewired_rounds_keep_the_per_draw_moments(nv, ne, rho):
+    got = np.mean([md.vector_state_moments(md.generate_rewired(nv, ne, rho, seed), 4).values[2:]
+                   for seed in range(30)], axis=0)
+    np.testing.assert_allclose(got, _PER_DRAW_MOMENTS[nv, ne, rho], rtol=0.005)
+
+
+# 2000:128000 sits just under the switch nv*nv <= 32*ne, whose int32 table of
+# pair states costs 125 B an edge; 20000:400000 sorts edge codes. Drawing once
+# per rewire attempt peaked at 219 and 312 B an edge at these sizes.
+@pytest.mark.parametrize("nv, ne, bound", [(2000, 128000, 208), (20000, 400000, 144)])
+def test_rewired_peak_memory_per_edge(nv, ne, bound):
+    tracemalloc.start()
+    try:
+        g = md.generate_rewired(nv, ne, 1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == ne
+    assert peak <= bound * ne
+
+
 # -- pinned outputs ------------------------------------------------------------
-# SHA-256 of n, indptr and indices, recorded before the graph layer was
-# rewritten on edge arrays; any change to the generator's RNG stream or to the
-# canonical form shows up here.
+# SHA-256 of n, indptr and indices; the generator's digests were recorded when
+# it first rewired in rounds, and any change to its RNG stream, its round rule or
+# the canonical form shows up here.
 
 
 def _digest(graphs):
@@ -693,11 +723,11 @@ _DESK_SETTINGS = [  # criterion 6's corpus
 ]
 
 _CORPUS_DIGESTS = [
-    "a8a5b381a5a9db4168379572aae93ecfc429bcbf1db7cf54f07943d48bdcb041",
-    "ea953bf31c51b30b201f8b142ae7d1e6cd1d591193319be5e6a82e175067884b",
-    "5899c9f3b8f5f75d893f4563a4988b57949231c4ffb66a83b528b90348f53d47",
-    "84ee95ecc88a11f91374fe955dfec1eaa74bbb423d3a6e7caca5369c866e2f17",
-    "bfea37ffbc6b1b51f4ab2cb8ad014597eb23c3603b6232b5c5ea72929f0edb34",
+    "cc7a8c3f6cd57ed56a45713c07d6fec899bdb590ee178331a70ec526b061b863",
+    "9e46d78438c62befb2020e82a89eb92abc83280af4d5eeb87d6a1a77e1a3c891",
+    "ed91b1a04a5195e386a6f4f1020bb46220ddfecafda54baaa93fad7dd27f0f9f",
+    "0c3604e6f2b51f574f75bc77fc8f4d45bdf5a65176d126c71da051fff4c00d10",
+    "2ff3718d399a0682abf7af4e77a0e73df480f0aaca0ceea94b298779383bb587",
 ]
 
 
@@ -707,31 +737,29 @@ def test_pinned_rewired_corpus_digests():
         assert _digest(gs) == want, seed
 
 
-# Rewiring rates where rejections use up the generator's first bulk draw of
-# candidate endpoints partway through the graph, so it draws again. Digests
-# recorded when the generator made one scalar draw per rewire attempt.
-_REFILL_DIGESTS = {
-    (50, 1000, 1.0, 0): "225c6c9ced9ad08e7e92a9fd2dce3103e93a69e72e7beae1f1f2a841dd6d2ef1",
-    (50, 1000, 1.0, 1): "f8cf2b2dd4585e498d0cdbc5c73e67183a31207de5a20c1aee0630f3515a94a2",
-    (50, 1000, 1.0, 2): "d35638106484fc67355e55aeb5c39e8d45fd95509e3b50965b012ed20a6c3fc3",
-    (50, 1000, 1.0, 3): "48304a9e98b2119373b55b33971ddb9148afdc746306a392e2664e2264fcf1d8",
-    (50, 1000, 1.0, 4): "74f3de44f93016cb22f848a1096bb0b6d45ae324a4568741b3c3eb14e79291e2",
-    (200, 4000, 0.9, 0): "8880d450eea579ef29ec6b6bc94fdfef7ea05a0c7cb3884a1d345193817fd91b",
-    (200, 4000, 0.9, 1): "f1a02d31ed34d1fe715e9a8782906ccda02c0d0f6c1a37be8311f0462f5d1886",
-    (200, 4000, 0.9, 2): "9bb6713797881298f46f511847a7538feee2c3d4501f924108e974f0c47b9e65",
-    (200, 4000, 0.9, 3): "8af3bd4237bfe0a53f35ba95a03a3660df82e8083ca57c589560d8bc5895fa2e",
-    (200, 4000, 0.9, 4): "be108ea773d060c691e4ed604dd54de5a4f52bb8c0469d3c1ef0ab0ab7964aad",
-    # a near-complete lattice (44 of 55 edges) where most draws are rejected;
-    # recorded with the numpy-scalar loop that the list loop replaced
-    (11, 44, 1.0, 0): "4054c0acc88d5eead6ea0db97df08a5f1e671e68861f1e1b117e367b50227cc0",
-    (11, 44, 1.0, 1): "d012da244a1a22ecc39a4ee1887f1d22c2a95bb73ac4c1c3d69e9e4e5510ba2a",
+# Rewiring rates where many claims are rejected or lose to an earlier edge, so
+# edges draw again over many rounds.
+_REDRAW_DIGESTS = {
+    (50, 1000, 1.0, 0): "ca40cba100595e14f2a75d803cf5492995fe21f7c7ed841d7d8fc2506129753a",
+    (50, 1000, 1.0, 1): "3a782e5b3a74b7e2815a45dc5fd0b8b6d85c6b8e10766b9e1b0d855192596b87",
+    (50, 1000, 1.0, 2): "c39424cffa6654a61def5f4dcd5e277643d1b8dce01c473ed0b5f8b30d2cb821",
+    (50, 1000, 1.0, 3): "f41e138128bffc429edf4a8188940d69073fcc806da2d51f12154a062c11f3af",
+    (50, 1000, 1.0, 4): "de409e686071b068b8a8e3638b1331089db47bcf4dc6eb082f96124f9aecbec8",
+    (200, 4000, 0.9, 0): "8223dce3657bfb77af9784d8d729777b133157e9c65a853a54e04d0912e8485e",
+    (200, 4000, 0.9, 1): "16b02d2b562db7f148ad0bbe7a2875afa242de6bd54e07701bdc51b63cfc4222",
+    (200, 4000, 0.9, 2): "cd9c7ffc45970f5d6645ff9186f9e9ca38be1b7e8ee110382899b98b18d654f1",
+    (200, 4000, 0.9, 3): "d74cd3b5c690d4ddeb208c092eba734b270950ddf3caf033a7495217808fe1e3",
+    (200, 4000, 0.9, 4): "49fb10ffc1d7f969b2f9d0e0aa0d62f3378b214cc151b3efb348de7d9a335098",
+    # a near-complete lattice (44 of 55 edges) where most draws are rejected
+    (11, 44, 1.0, 0): "109b35d0667c87d18449a79e38a8e54468c2ad1d3b4b29fc437d6919e3abf656",
+    (11, 44, 1.0, 1): "a87508265280980f446c5b86e3a4b44c0309f7ed5215f752368c07c57b2502d3",
 }
 
 
-@pytest.mark.parametrize("nv, ne, rho, seed", list(_REFILL_DIGESTS))
+@pytest.mark.parametrize("nv, ne, rho, seed", list(_REDRAW_DIGESTS))
 def test_pinned_rewired_refill_digests(nv, ne, rho, seed):
     g = md.generate_rewired(nv, ne, rho, seed)
-    assert _digest([g]) == _REFILL_DIGESTS[nv, ne, rho, seed]
+    assert _digest([g]) == _REDRAW_DIGESTS[nv, ne, rho, seed]
 
 
 def test_pinned_parse_digest():
